@@ -35,7 +35,14 @@ from .generators import (
     reduce_ssr,
 )
 from .offline import Feasibility, lrtb, total_busy_time
-from .online import Policy, PolicySpec, busy_time_in_window, max_stretch, simulate
+from .online import (
+    Policy,
+    PolicySpec,
+    busy_time_in_window,
+    max_stretch,
+    missed_due_dates,
+    simulate,
+)
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
@@ -98,6 +105,16 @@ def _fail_usage(message) -> int:
     return EXIT_USAGE
 
 
+def _finish(verdict, bits) -> int:
+    """Print the retry hint for an indeterminate verdict; return the exit code."""
+    if verdict.status is Feasibility.INDETERMINATE:
+        print(
+            f"margin is inside the comparison tolerance at {bits} "
+            f"bits; retry with --precision {2 * bits}"
+        )
+    return _STATUS_EXIT[verdict.status]
+
+
 # --- solve -------------------------------------------------------------------
 
 
@@ -124,18 +141,14 @@ def cmd_solve(args) -> int:
         print(f"busy time: {_short(ctx, total_busy_time(schedule))}")
     for jid, deficit in sorted(verdict.deficits.items()):
         print(f"job {jid} deficit: {_short(ctx, deficit)}")
-    if verdict.status is Feasibility.INDETERMINATE:
-        print(
-            f"margin is inside the comparison tolerance at {args.precision} "
-            f"bits; retry with --precision {2 * args.precision}"
-        )
+    code = _finish(verdict, args.precision)
     if args.out:
         if schedule is None:
             print("no schedule to write (instance not feasible)", file=sys.stderr)
         else:
             save_schedule(instance, schedule, verdict, args.out, ctx)
             print(f"schedule written to {args.out}")
-    return _STATUS_EXIT[verdict.status]
+    return code
 
 
 # --- simulate ----------------------------------------------------------------
@@ -150,7 +163,7 @@ def cmd_simulate(args) -> int:
         return _fail_usage(exc)
     trace = simulate(instance, spec, ctx)
     worst = max_stretch(trace)
-    missed = [j.id for j in instance.jobs if trace.completions[j.id] > j.due]
+    missed = missed_due_dates(trace)
     print(f"instance: {instance.name or args.instance}")
     print(f"policy: {spec.kind.value} (alpha={spec.alpha}, cap={spec.speed_cap_factor})")
     print(f"max stretch: {_short(ctx, worst)}")
@@ -254,12 +267,7 @@ def cmd_check(args) -> int:
     print(f"query: {total} >= {query.threshold}")
     print(f"status: {verdict.status.value}")
     print(f"margin: {_short(ctx, verdict.margin)}")
-    if verdict.status is Feasibility.INDETERMINATE:
-        print(
-            f"margin is inside the comparison tolerance at {args.precision} "
-            f"bits; retry with --precision {2 * args.precision}"
-        )
-    return _STATUS_EXIT[verdict.status]
+    return _finish(verdict, args.precision)
 
 
 # --- bench -------------------------------------------------------------------
@@ -304,13 +312,10 @@ def cmd_bench(args) -> int:
                 instance = gen_random_feasible(n, seed, ctx)
                 for kind in Policy:
                     trace = simulate(instance, PolicySpec(kind), ctx)
-                    missed = sum(
-                        1 for j in instance.jobs if trace.completions[j.id] > j.due
-                    )
                     writer.writerow(
                         [seed, n, kind.value,
                          ctx.format(max_stretch(trace)), ctx.format(trace.busy_time),
-                         missed]
+                         len(missed_due_dates(trace))]
                     )
         else:  # pragma: no cover - argparse restricts choices
             return _fail_usage(f"unknown suite {args.suite}")

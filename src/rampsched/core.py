@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
@@ -205,24 +205,23 @@ def nonlazy_job(id: int, release, due, work, base=1) -> Job:
 
 @dataclass(frozen=True)
 class Instance:
-    """A set of jobs, kept sorted by (release, id)."""
+    """A set of jobs, kept sorted by (release, id), with a read-only id index."""
 
     jobs: tuple
     name: str = ""
     provenance: str = ""
+    by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         jobs = tuple(sorted(self.jobs, key=lambda j: (j.release, j.id)))
         object.__setattr__(self, "jobs", jobs)
-        ids = [j.id for j in jobs]
-        if len(set(ids)) != len(ids):
+        by_id = {j.id: j for j in jobs}
+        if len(by_id) != len(jobs):
             raise ValueError("duplicate job ids")
+        object.__setattr__(self, "by_id", by_id)
 
     def job(self, job_id: int) -> Job:
-        for j in self.jobs:
-            if j.id == job_id:
-                return j
-        raise KeyError(job_id)
+        return self.by_id[job_id]
 
     @property
     def horizon(self):

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import Instance, Job, PrecisionContext, Schedule, SpeedFunction
+from .core import Instance, Job, PrecisionContext, Schedule, SpeedFunction, stretch
 from .offline import FeasibilityVerdict, total_busy_time
-from .online import EventKind, Policy, PolicySpec, SimTrace
+from .online import EventKind, Policy, PolicySpec, SimTrace, missed_due_dates
 
 SCHEMA_VERSION = 1
 
@@ -184,11 +184,6 @@ class TraceRecord:
 
 def trace_to_record(trace: SimTrace, ctx: PrecisionContext) -> dict:
     inst = trace.instance
-    missed = [
-        j.id
-        for j in inst.jobs
-        if trace.completions[j.id] > j.due
-    ]
     spec = trace.policy
     return {
         "schema_version": SCHEMA_VERSION,
@@ -231,7 +226,7 @@ def trace_to_record(trace: SimTrace, ctx: PrecisionContext) -> dict:
             },
             "max_stretch": ctx.format(max(trace.stretches.values())),
             "busy_time": ctx.format(trace.busy_time),
-            "missed_due_dates": missed,
+            "missed_due_dates": missed_due_dates(trace),
         },
     }
 
@@ -257,14 +252,16 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
     if isinstance(file_bits, int) and 24 <= file_bits < ctx.bits:
         check = PrecisionContext(bits=file_bits)
     inst_block = _expect(record, "instance", dict, path)
-    windows = {}
+    jobs = {}
     for i, row in enumerate(_expect(inst_block, "jobs", list, path)):
         where = f"{path}: instance.jobs[{i}]"
         jid = _expect(row, "id", int, where)
-        windows[jid] = (
-            _parse_number(row.get("release"), ctx, where, "release"),
-            _parse_number(row.get("due"), ctx, where, "due"),
-        )
+        release = _parse_number(row.get("release"), ctx, where, "release")
+        due = _parse_number(row.get("due"), ctx, where, "due")
+        try:
+            jobs[jid] = Job(jid, release, due, 0, SpeedFunction(0, 1, release))
+        except ValueError as exc:
+            raise FileFormatError(f"{where}: {exc}") from exc
     pol = _expect(record, "policy", dict, path)
     try:
         kind = Policy(_expect(pol, "kind", str, f"{path}: policy"))
@@ -329,8 +326,10 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
             raise FileFormatError(
                 f"{path}: summary completion of job {jid} disagrees with events"
             )
-        r, d = windows[jid]
-        stretches[jid] = (c - r) / (d - r)
+        try:
+            stretches[jid] = stretch(jobs[jid], c)
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: job {jid}: {exc}") from exc
     stored_stretches = _expect(summary, "stretches", dict, f"{path}: summary")
     for jid_text, s_text in stored_stretches.items():
         jid = int(jid_text)

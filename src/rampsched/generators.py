@@ -146,17 +146,32 @@ def gen_lssf(
     )
 
 
-def _verified_family(build, policy_spec, target, ctx, tries=8):
-    """Shrink the knob until the simulated stretch reaches the target."""
+def _sliver_target(target, ctx):
+    target = ctx.real(target)
+    if not target > 1:
+        raise ValueError("target stretch must exceed 1")
+    return target
+
+
+def _verified_family(build, kind, target, ctx, tries=8):
+    """Shrink the knob until the simulated stretch reaches the target.
+
+    build(knob) returns (jobs, knob); a None knob asks for its start value.
+    """
     knob = None
     for _ in range(tries):
-        inst, knob = build(knob)
+        jobs, knob = build(knob)
+        inst = Instance(
+            jobs,
+            name=f"{kind.value}-sliver-{ctx.format(target)}",
+            provenance=f"gen_{kind.value}(target={ctx.format(target)})",
+        )
         sched, verdict = lrtb(inst, ctx)
         if verdict.status is not Feasibility.FEASIBLE:
             raise SchedulingError(
                 f"generated instance {inst.name} not certified feasible"
             )
-        trace = simulate(inst, policy_spec, ctx)
+        trace = simulate(inst, PolicySpec(kind), ctx)
         if max_stretch(trace) >= target:
             return inst
         knob = knob / 2
@@ -170,9 +185,7 @@ def gen_fifo(target, ctx: PrecisionContext) -> Instance:
     at 2; a sliver released at 1 with window width delta then waits a
     full unit, giving stretch sqrt(1 + delta^2)/delta > 1/delta.
     """
-    target = ctx.real(target)
-    if not target > 1:
-        raise ValueError("target stretch must exceed 1")
+    target = _sliver_target(target, ctx)
 
     def build(delta):
         if delta is None:
@@ -181,16 +194,9 @@ def gen_fifo(target, ctx: PrecisionContext) -> Instance:
             lazy_job(1, ctx.real(0), ctx.real(3), ctx.real(2)),
             lazy_job(2, ctx.real(1), 1 + delta, delta * delta / 2),
         )
-        return (
-            Instance(
-                jobs,
-                name=f"fifo-sliver-{ctx.format(target)}",
-                provenance=f"gen_fifo(target={ctx.format(target)})",
-            ),
-            delta,
-        )
+        return jobs, delta
 
-    return _verified_family(build, PolicySpec(Policy.FIFO), target, ctx)
+    return _verified_family(build, Policy.FIFO, target, ctx)
 
 
 def gen_edd(target, ctx: PrecisionContext) -> Instance:
@@ -201,9 +207,7 @@ def gen_edd(target, ctx: PrecisionContext) -> Instance:
     amount; a sliver job due just after job 1 then inherits that
     lateness across a window of width lateness/target.
     """
-    target = ctx.real(target)
-    if not target > 1:
-        raise ValueError("target stretch must exceed 1")
+    target = _sliver_target(target, ctx)
     pair = (
         lazy_job(1, ctx.real(0), ctx.real(2), ctx.real(53) / 32),
         lazy_job(2, ctx.real(1), ctx.real(3) / 2, ctx.real(3) / 32),
@@ -219,16 +223,9 @@ def gen_edd(target, ctx: PrecisionContext) -> Instance:
         jobs = pair + (
             lazy_job(3, ctx.real(2), 2 + delta, delta * delta / 4),
         )
-        return (
-            Instance(
-                jobs,
-                name=f"edd-sliver-{ctx.format(target)}",
-                provenance=f"gen_edd(target={ctx.format(target)})",
-            ),
-            delta,
-        )
+        return jobs, delta
 
-    return _verified_family(build, PolicySpec(Policy.EDD), target, ctx)
+    return _verified_family(build, Policy.EDD, target, ctx)
 
 
 def gen_random_feasible(n: int, seed: int, ctx: PrecisionContext) -> Instance:
@@ -366,27 +363,20 @@ def check_reduction(query: SsrQuery, ctx: PrecisionContext) -> FeasibilityVerdic
     roots = [math.isqrt(x) for x in query.xs]
     threshold = query.threshold
     if all(r * r == x for r, x in zip(roots, query.xs)):
-        total = sum(roots)
-        margin = ctx.real(abs(total - threshold))
-        if total >= threshold:
-            return FeasibilityVerdict(
-                Feasibility.FEASIBLE, _reduction_witness(query, ctx), {}, margin
-            )
-        deficit = ctx.real(threshold - total)
-        return FeasibilityVerdict(
-            Feasibility.INFEASIBLE, None, {len(query.xs) + 1: deficit}, margin
-        )
-    total = ctx.real(0)
-    for x in query.xs:
-        total = total + ctx.sqrt(x)
-    margin = abs(total - threshold)
-    cmp = ctx.compare(total, ctx.real(threshold))
+        surplus = sum(roots) - threshold
+        margin, deficit = ctx.real(abs(surplus)), ctx.real(-surplus)
+        cmp = Verdict.LESS if surplus < 0 else Verdict.GREATER
+    else:
+        total = ctx.real(0)
+        for x in query.xs:
+            total = total + ctx.sqrt(x)
+        margin, deficit = abs(total - threshold), ctx.real(threshold) - total
+        cmp = ctx.compare(total, ctx.real(threshold))
     if cmp is Verdict.GREATER:
         return FeasibilityVerdict(
             Feasibility.FEASIBLE, _reduction_witness(query, ctx), {}, margin
         )
     if cmp is Verdict.LESS:
-        deficit = ctx.real(threshold) - total
         return FeasibilityVerdict(
             Feasibility.INFEASIBLE, None, {len(query.xs) + 1: deficit}, margin
         )
@@ -396,12 +386,11 @@ def check_reduction(query: SsrQuery, ctx: PrecisionContext) -> FeasibilityVerdic
 def _reduction_witness(query: SsrQuery, ctx: PrecisionContext) -> Schedule:
     """Push every surd job flush right, pour the filler into the gaps."""
     inst = reduce_ssr(query, ctx)
-    by_id = {j.id: j for j in inst.jobs}
-    filler = by_id[len(query.xs) + 1]
+    filler = inst.job(len(query.xs) + 1)
     segments = []
     gaps = []
     for i in range(1, len(query.xs) + 1):
-        job = by_id[i]
+        job = inst.job(i)
         t = rightmost_running_time(job.length, job.work, ctx)
         lo = job.due - t
         segments.append(Segment(job.id, lo, job.due, job.work))

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import _accel
 from .core import (
     BACKWARD,
+    DOUBLE,
     InfeasibleIntervalError,
     Instance,
     PrecisionContext,
@@ -145,8 +144,8 @@ def lrtb(instance: Instance, ctx: PrecisionContext):
     return schedule, FeasibilityVerdict(status, witness, deficits, margin)
 
 
-def total_busy_time(schedule: Schedule):
-    """Sum of segment lengths (segments never overlap)."""
+def total_busy_time(schedule):
+    """Sum of the segment lengths of a Schedule or SimTrace, in order."""
     total = 0
     for s in schedule.segments:
         total = total + s.length
@@ -179,11 +178,10 @@ def validate_schedule(
     """
     violations = []
     incomplete = {}
-    by_id = {j.id: j for j in instance.jobs}
     prev = None
     placed = {j.id: 0 for j in instance.jobs}
     for seg in schedule.segments:
-        job = by_id.get(seg.job)
+        job = instance.by_id.get(seg.job)
         if job is None:
             violations.append(f"segment references unknown job {seg.job}")
             continue
@@ -218,6 +216,37 @@ def validate_schedule(
     return ValidationReport(not violations, violations, incomplete)
 
 
+def _claim_sweep(claims, lengths):
+    """Busy time of one job order claiming grid slices, or None if it fails.
+
+    claims holds a (first, works, need) triple per job, in order: the job
+    absorbs works[i] in slice first+i, whose length is lengths[first+i].
+    It claims free slices from the right until its work covers its need,
+    to within double-precision tolerance, so zero-slack jobs fit.
+    """
+    claimed = [False] * len(lengths)
+    busy = 0.0
+    for first, works, need in claims:
+        if need <= 0.0:
+            continue
+        # close() cannot hold below `near`: keeps it off the per-slice path.
+        near = need - 2 * max(DOUBLE.abs_tol, DOUBLE.rel_tol * need)
+        got = 0.0
+        used = 0.0
+        for s in range(first + len(works) - 1, first - 1, -1):
+            if claimed[s]:
+                continue
+            claimed[s] = True
+            got = got + works[s - first]
+            used = used + lengths[s]
+            if got >= need or (got >= near and DOUBLE.close(got, need)):
+                break
+        else:
+            return None
+        busy = busy + used
+    return busy
+
+
 def brute_force_optimal(instance: Instance, resolution: int, ctx: PrecisionContext):
     """Least busy time over grid-restricted schedules (float64 search).
 
@@ -246,27 +275,26 @@ def brute_force_optimal(instance: Instance, resolution: int, ctx: PrecisionConte
         step = (d - r) / resolution
         for k in range(resolution + 1):
             points.add(r + k * step)
-    pts = np.array(sorted(points), dtype=np.float64)
-    left, right = pts[:-1], pts[1:]
-    lengths = right - left
+    pts = sorted(points)
+    lengths = [right - left for left, right in zip(pts, pts[1:])]
 
-    n = len(active)
-    inside = np.zeros((n, lengths.size), dtype=bool)
-    works = np.zeros((n, lengths.size), dtype=np.float64)
-    need = np.zeros(n, dtype=np.float64)
-    for row, j in enumerate(active):
+    # The slices inside a job's window form one index range of the grid.
+    claims = []
+    for j in active:
         r, d = float(j.release), float(j.due)
-        mask = (left >= r) & (right <= d)
-        inside[row] = mask
         m = float(j.speed.slope)
-        works[row, mask] = m * ((right[mask] - r) ** 2 - (left[mask] - r) ** 2) / 2
-        need[row] = float(j.work)
+        first = bisect_left(pts, r)
+        works = []
+        for s in range(first, bisect_right(pts, d) - 1):
+            u = pts[s] - r
+            v = pts[s + 1] - r
+            works.append(m * (v * v - u * u) / 2)
+        claims.append((first, works, float(j.work)))
 
     best = None
-    for perm in itertools.permutations(range(n)):
-        order = np.array(perm, dtype=np.int64)
-        feasible, busy = _accel.claim_sweep(works, lengths, inside, need, order)
-        if feasible and (best is None or busy < best):
+    for order in itertools.permutations(claims):
+        busy = _claim_sweep(order, lengths)
+        if busy is not None and (best is None or busy < best):
             best = busy
     if best is None:
         raise InfeasibleIntervalError(

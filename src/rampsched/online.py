@@ -28,6 +28,7 @@ from .core import (
     stretch,
     work_in,
 )
+from .offline import total_busy_time
 
 
 class Policy(enum.Enum):
@@ -209,8 +210,9 @@ def next_dispatch(spec: PolicySpec, state: SimState, t):
         best = min(cands, key=lambda j: (rpt(j), j.id != running, j.id))
     elif kind is Policy.LSSF:
         ctx = state.ctx if state.ctx is not None else DOUBLE
-        top = max(stretch_so_far(j, t) for j in cands)
-        tied = [j for j in cands if ctx.close(stretch_so_far(j, t), top)]
+        so_far = [stretch(j, t) for j in cands]
+        top = max(so_far)
+        tied = [j for j, s in zip(cands, so_far) if ctx.close(s, top)]
         best = min(tied, key=lambda j: (j.length, j.id != running, j.id))
     elif kind is Policy.THRASHING:
         eligible = [j for j in cands if t >= state.activation[j.id]]
@@ -220,11 +222,6 @@ def next_dispatch(spec: PolicySpec, state: SimState, t):
     else:  # pragma: no cover
         raise ValueError(f"unhandled policy {kind}")
     return best.id
-
-
-def stretch_so_far(job: Job, t):
-    """Stretch the job would have if it completed right now."""
-    return (t - job.release) / (job.due - job.release)
 
 
 # --- the simulator -----------------------------------------------------------
@@ -243,7 +240,7 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
     order = instance.jobs
     n = len(order)
     state = SimState(
-        jobs={j.id: j for j in order},
+        jobs=instance.by_id,
         remaining={},
         ctx=ctx,
         cap_factor=spec.speed_cap_factor,
@@ -260,10 +257,12 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
     idle_since = None
 
     def close_segment(job_id, end):
+        nonlocal seg_start
         if seg_start is not None and seg_start < end:
             job = state.jobs[job_id]
             done = effective_work_in(job, seg_start, end, spec.speed_cap_factor)
             segments.append(Segment(job_id, seg_start, end, done))
+        seg_start = None
 
     def process_releases(t):
         nonlocal idx
@@ -281,22 +280,17 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
     def dispatch(t):
         nonlocal seg_start, idle_since
         choice = next_dispatch(spec, state, t)
+        if choice is not None and choice == state.running:
+            return
+        if state.running is not None:
+            close_segment(state.running, t)
+            events.append(TraceEvent(t, EventKind.PREEMPT, state.running))
+            state.running = None
         if choice is None:
-            if state.running is not None:
-                close_segment(state.running, t)
-                seg_start = None
-                events.append(TraceEvent(t, EventKind.PREEMPT, state.running))
-                state.running = None
             if idle_since is None and len(completions) < n:
                 idle_since = t
                 events.append(TraceEvent(t, EventKind.IDLE_BEGIN))
             return
-        if choice == state.running:
-            return
-        if state.running is not None:
-            close_segment(state.running, t)
-            seg_start = None
-            events.append(TraceEvent(t, EventKind.PREEMPT, state.running))
         if idle_since is not None:
             idle_since = None
             events.append(TraceEvent(t, EventKind.IDLE_END))
@@ -342,7 +336,6 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
             rid = state.running
             if finish_at is not None and tn == finish_at:
                 close_segment(rid, tn)
-                seg_start = None
                 state.running = None
                 state.released.discard(rid)
                 del state.remaining[rid]
@@ -361,18 +354,17 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
     stretches = {
         jid: stretch(state.jobs[jid], done) for jid, done in completions.items()
     }
-    busy = 0
-    for seg in segments:
-        busy = busy + seg.length
-    return SimTrace(
+    trace = SimTrace(
         instance=instance,
         policy=spec,
         events=tuple(events),
         completions=completions,
         stretches=stretches,
         segments=tuple(segments),
-        busy_time=busy,
+        busy_time=None,
     )
+    trace.busy_time = total_busy_time(trace)
+    return trace
 
 
 def max_stretch(trace: SimTrace):
@@ -381,6 +373,11 @@ def max_stretch(trace: SimTrace):
     if missing:
         raise SchedulingError(f"jobs {missing} never completed")
     return max(trace.stretches.values())
+
+
+def missed_due_dates(trace: SimTrace):
+    """Ids of the jobs that completed after their due date, in instance order."""
+    return [j.id for j in trace.instance.jobs if trace.completions[j.id] > j.due]
 
 
 def busy_time_in_window(trace: SimTrace, lo, hi, contained_only: bool = False):

@@ -7,6 +7,10 @@ scrape (status lines, CSV headers, generated files).
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -286,3 +290,13 @@ def test_bench_rejects_backwards_seed_range(capsys):
     code, _, err = run(capsys, "bench", "--suite", "policies", "--seeds", "5..1")
     assert code == 64
     assert "seed range" in err
+
+
+# --- imports -------------------------------------------------------------
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import rampsched.cli, sys; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -155,6 +155,12 @@ def test_tampered_summaries_are_rejected(tmp_path):
     corrupt(lambda r: r["events"].__setitem__(0, {**r["events"][0], "time": "9"}))
     corrupt(lambda r: r["events"].__setitem__(1, {**r["events"][1], "kind": "warp"}))
     corrupt(lambda r: r["policy"].__setitem__("kind", "lifo"))
+    # A job window that closes as it opens.
+    def shut_window(record):
+        job = record["instance"]["jobs"][0]
+        job["due"] = job["release"]
+
+    corrupt(shut_window)
     # Dropping the final completion leaves a job running at the end.
     corrupt(lambda r: r["events"].pop())
 

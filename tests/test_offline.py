@@ -15,9 +15,10 @@ from rampsched import (
     nonlazy_job,
     work_in,
 )
-from rampsched.generators import gen_random_feasible
+from rampsched.generators import gen_lssf, gen_random_feasible
 from rampsched.offline import (
     Feasibility,
+    _claim_sweep,
     brute_force_optimal,
     lrtb,
     total_busy_time,
@@ -304,3 +305,39 @@ def test_grid_guardrails():
     with pytest.raises(ValueError):
         brute_force_optimal(inst, 0, DOUBLE)
     assert brute_force_optimal(Instance((lazy_job(1, 0, 2, 0),)), 8, DOUBLE) == 0.0
+
+
+def test_grid_fits_zero_slack_cascades():
+    # Every window of the cascade is filled exactly, so claimed work only
+    # matches the need to within roundoff.
+    inst = gen_lssf(4, CTX)
+    swept = float(total_busy_time(lrtb(inst, CTX)[0]))
+    for k in range(6, 13):
+        assert brute_force_optimal(inst, 2**k, DOUBLE) >= swept
+
+
+# --- claim sweep semantics ----------------------------------------------------
+
+
+def test_claims_run_right_to_left():
+    # One job, slices of work [1, 2, 3] and lengths [10, 20, 30].  Need 4
+    # takes slices 2 and 1 (works 3 then 2), busy 50.
+    lengths = [10.0, 20.0, 30.0]
+    assert _claim_sweep([(0, [1.0, 2.0, 3.0], 4.0)], lengths) == 50.0
+    # Need beyond the total cannot be covered.
+    assert _claim_sweep([(0, [1.0, 2.0, 3.0], 7.0)], lengths) is None
+    # Zero need touches nothing.
+    assert _claim_sweep([(0, [1.0, 2.0, 3.0], 0.0)], lengths) == 0.0
+
+
+def test_claims_are_exclusive_between_jobs():
+    # Job 0 takes the two rightmost slices; job 1 is left one slice short.
+    claims = [(0, [1.0, 1.0, 1.0], 2.0), (0, [1.0, 1.0, 1.0], 2.0)]
+    assert _claim_sweep(claims, [1.0, 1.0, 1.0]) is None
+    # A job confined to the left slices is unaffected by one on the right.
+    claims = [(2, [1.0], 1.0), (0, [1.0, 1.0], 2.0)]
+    assert _claim_sweep(claims, [1.0, 1.0, 1.0]) == 3.0
+
+
+def test_job_with_no_admissible_slice_is_infeasible():
+    assert _claim_sweep([(0, [], 1.0)], [1.0, 1.0, 1.0]) is None

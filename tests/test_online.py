@@ -12,6 +12,7 @@ from rampsched import (
     Verdict,
     lazy_job,
     nonlazy_job,
+    stretch,
 )
 from rampsched.generators import gen_random_feasible
 from rampsched.offline import validate_schedule
@@ -28,7 +29,6 @@ from rampsched.online import (
     max_stretch,
     next_dispatch,
     simulate,
-    stretch_so_far,
     thrashing_activation,
 )
 
@@ -65,7 +65,7 @@ def test_thrashing_activation_point():
     job = lazy_job(1, 1, 3, 1)
     assert thrashing_activation(job, 2) == 5
     assert thrashing_activation(job, 1) == 3
-    assert stretch_so_far(job, 5) == 2
+    assert stretch(job, 5) == 2
 
 
 def test_fifo_picks_earliest_release():
