@@ -74,7 +74,6 @@ def _add_precision(parser):
     )
     parser.add_argument(
         "--rel-tol",
-        type=float,
         default=None,
         metavar="TOL",
         help="override the relative comparison tolerance",
@@ -88,15 +87,15 @@ def _context(args) -> PrecisionContext:
         raise SystemExit(_fail_usage(exc))
 
 
-def _policy_spec(args) -> PolicySpec:
+def _policy_spec(args, ctx) -> PolicySpec:
+    """The policy options, parsed at the working precision."""
+    cap = None if args.cap is None else ctx.parse(args.cap)
     return PolicySpec(
-        Policy(args.policy),
-        alpha=args.alpha,
-        speed_cap_factor=args.cap,
+        Policy(args.policy), alpha=ctx.parse(args.alpha), speed_cap_factor=cap
     )
 
 
-def _short(ctx, x):
+def _short(x):
     return f"{float(x):.12g}"
 
 
@@ -136,11 +135,11 @@ def cmd_solve(args) -> int:
     print(f"instance: {instance.name or args.instance}")
     print(f"status: {verdict.status.value}")
     if verdict.margin is not None:
-        print(f"margin: {_short(ctx, verdict.margin)}")
+        print(f"margin: {_short(verdict.margin)}")
     if schedule is not None:
-        print(f"busy time: {_short(ctx, total_busy_time(schedule))}")
+        print(f"busy time: {_short(total_busy_time(schedule))}")
     for jid, deficit in sorted(verdict.deficits.items()):
-        print(f"job {jid} deficit: {_short(ctx, deficit)}")
+        print(f"job {jid} deficit: {_short(deficit)}")
     code = _finish(verdict, args.precision)
     if args.out:
         if schedule is None:
@@ -158,16 +157,16 @@ def cmd_simulate(args) -> int:
     ctx = _context(args)
     try:
         instance = load_instance(args.instance, ctx)
-        spec = _policy_spec(args)
+        spec = _policy_spec(args, ctx)
     except (FileFormatError, ValueError) as exc:
         return _fail_usage(exc)
     trace = simulate(instance, spec, ctx)
     worst = max_stretch(trace)
     missed = missed_due_dates(trace)
     print(f"instance: {instance.name or args.instance}")
-    print(f"policy: {spec.kind.value} (alpha={spec.alpha}, cap={spec.speed_cap_factor})")
-    print(f"max stretch: {_short(ctx, worst)}")
-    print(f"busy time: {_short(ctx, trace.busy_time)}")
+    print(f"policy: {spec.kind.value} (alpha={args.alpha}, cap={args.cap})")
+    print(f"max stretch: {_short(worst)}")
+    print(f"busy time: {_short(trace.busy_time)}")
     lo, hi = instance.horizon
     print(f"busy fraction of horizon: {float(busy_time_in_window(trace, lo, hi) / (hi - lo)):.4f}")
     if missed:
@@ -204,7 +203,7 @@ def cmd_gen(args) -> int:
             query = SsrQuery(_parse_int_list(args.xs), args.threshold)
             instance = reduce_ssr(query, ctx)
         elif args.family == "adversary":
-            spec = _policy_spec(args)
+            spec = _policy_spec(args, ctx)
             outcome = adaptive_adversary(spec, ctx)
             instance = outcome.instance
             trace = outcome.trace
@@ -266,7 +265,7 @@ def cmd_check(args) -> int:
     total = " + ".join(f"sqrt({x})" for x in query.xs)
     print(f"query: {total} >= {query.threshold}")
     print(f"status: {verdict.status.value}")
-    print(f"margin: {_short(ctx, verdict.margin)}")
+    print(f"margin: {_short(verdict.margin)}")
     return _finish(verdict, args.precision)
 
 
@@ -303,7 +302,7 @@ def cmd_bench(args) -> int:
                 expected = ctx.sqrt(n - 1)
                 rel = abs(observed - expected) / expected
                 writer.writerow(
-                    [n, ctx.format(expected), ctx.format(observed), _short(ctx, rel)]
+                    [n, ctx.format(expected), ctx.format(observed), _short(rel)]
                 )
         elif args.suite == "policies":
             writer.writerow(["seed", "n", "policy", "max_stretch", "busy_time", "missed"])
@@ -343,10 +342,9 @@ def build_parser() -> _Parser:
     p_sim.add_argument(
         "--policy", required=True, choices=[p.value for p in Policy]
     )
-    p_sim.add_argument("--alpha", type=float, default=2, help="idle threshold")
+    p_sim.add_argument("--alpha", default="2", help="idle threshold")
     p_sim.add_argument(
-        "--cap", type=float, default=None,
-        help="cap speeds at CAP * speed(due date)",
+        "--cap", default=None, help="cap speeds at CAP * speed(due date)"
     )
     p_sim.add_argument("--trace-out", metavar="FILE")
     p_sim.add_argument("--plot-out", metavar="FILE", help="CSV plot data")
@@ -379,8 +377,8 @@ def build_parser() -> _Parser:
     f_adv.add_argument(
         "--policy", required=True, choices=[p.value for p in Policy]
     )
-    f_adv.add_argument("--alpha", type=float, default=2)
-    f_adv.add_argument("--cap", type=float, default=None)
+    f_adv.add_argument("--alpha", default="2")
+    f_adv.add_argument("--cap", default=None)
     f_adv.add_argument("--trace-out", metavar="FILE")
     for f in (f_lssf, f_srpt, f_fifo, f_edd, f_rand, f_red, f_adv):
         f.add_argument("--out", metavar="FILE", help="write instance JSON here")

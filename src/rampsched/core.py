@@ -76,7 +76,9 @@ class PrecisionContext:
         if rel_tol is None:
             self.rel_tol = self.real(2) ** -(bits - 16)
         else:
-            self.rel_tol = self.real(rel_tol)
+            self.rel_tol = self.parse(rel_tol)
+            if self.rel_tol < 0:
+                raise ValueError("negative comparison tolerance")
         self.abs_tol = self.rel_tol if abs_tol is None else self.real(abs_tol)
         # Digits needed for a faithful decimal round trip at this precision.
         self.decimal_digits = math.ceil(bits * math.log10(2)) + 2
@@ -137,7 +139,8 @@ class PrecisionContext:
             return repr(float(x))
         return self._mp.nstr(self._mp.mpf(x), self.decimal_digits, strip_zeros=True)
 
-    def parse(self, s: str):
+    def parse(self, s):
+        """Finite scalar from a decimal string (or any value real() takes)."""
         v = self.real(s)
         if not self.isfinite(v):
             raise ValueError(f"non-finite numeric literal {s!r}")
@@ -232,10 +235,6 @@ class Instance:
         )
 
 
-FORWARD = "forward"
-BACKWARD = "backward-constructed"
-
-
 @dataclass(frozen=True)
 class Segment:
     """Uninterrupted run of one job over [start, end]."""
@@ -259,11 +258,8 @@ class Schedule:
     """Non-overlapping segments, sorted by start time."""
 
     segments: tuple
-    direction: str = FORWARD
 
     def __post_init__(self):
-        if self.direction not in (FORWARD, BACKWARD):
-            raise ValueError(f"unknown schedule direction {self.direction!r}")
         segs = tuple(sorted(self.segments, key=lambda s: (s.start, s.job)))
         object.__setattr__(self, "segments", segs)
 
@@ -279,26 +275,36 @@ def speed_at(job: Job, t):
     return sp.base + sp.slope * (t - sp.origin)
 
 
-def work_in(job: Job, a, b):
+def work_in(job: Job, a, b, cap=None):
     """Work executed if job runs continuously over [a, b].
 
     Integral of the speed function; for a pure ramp this is the
     trapezoid slope*((b-r)^2 - (a-r)^2)/2.  Requires release <= a <= b.
+    cap, when given, clips the speed at that absolute value: a ramp
+    runs at the cap from the time it reaches it.
     """
     if b < a:
         raise ValueError("reversed interval")
     if a < job.release:
         raise ValueError(f"job {job.id}: interval starts before release")
     sp = job.speed
+    if cap is not None:
+        if sp.slope == 0:
+            return min(sp.base, cap) * (b - a)
+        reach = sp.origin + (cap - sp.base) / sp.slope
+        if reach <= a:
+            return cap * (b - a)
+        if reach < b:
+            return work_in(job, a, reach) + cap * (b - reach)
     u = a - sp.origin
     v = b - sp.origin
     return sp.base * (b - a) + sp.slope * (v * v - u * u) / 2
 
 
-def completion_from(job: Job, start, remaining, ctx: PrecisionContext):
+def completion_from(job: Job, start, remaining, ctx: PrecisionContext, cap=None):
     """Earliest time the job finishes `remaining` work running from `start`.
 
-    Solves work_in(job, start, t) = remaining for t, using the root
+    Solves work_in(job, start, t, cap) = remaining for t, using the root
     form that avoids cancellation for small remainders.
     """
     if start < job.release:
@@ -309,9 +315,17 @@ def completion_from(job: Job, start, remaining, ctx: PrecisionContext):
         return start
     sp = job.speed
     if sp.slope == 0:
-        if sp.base == 0:
+        rate = sp.base if cap is None else min(sp.base, cap)
+        if rate == 0:
             raise NeverCompletesError(f"job {job.id} has zero speed forever")
-        return start + remaining / sp.base
+        return start + remaining / rate
+    if cap is not None:
+        reach = sp.origin + (cap - sp.base) / sp.slope
+        if start >= reach:
+            return start + remaining / cap
+        ramp_room = work_in(job, start, reach)
+        if remaining > ramp_room:
+            return reach + (remaining - ramp_room) / cap
     u0 = start - sp.origin
     # Work from the origin to the unknown finish time.
     c = remaining + sp.base * u0 + sp.slope * u0 * u0 / 2
@@ -337,7 +351,8 @@ def rightmost_running_time(length, work, ctx: PrecisionContext):
         raise InfeasibleIntervalError(
             f"interval of length {length} holds at most {length * length / 2} work"
         )
-    return 2 * work / (length + ctx.sqrt(disc))
+    # Rounding can push a full window's time past the window itself.
+    return min(2 * work / (length + ctx.sqrt(disc)), length)
 
 
 def normalize_slopes(instance: Instance) -> Instance:

@@ -39,7 +39,8 @@ def _expect(record, field, kinds, where):
     if field not in record:
         raise FileFormatError(f"{where}: missing field {field!r}")
     value = record[field]
-    if not isinstance(value, kinds):
+    # JSON true/false load as bool, which Python counts as an int.
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise FileFormatError(f"{where}: field {field!r} has the wrong type")
     return value
 
@@ -53,6 +54,15 @@ def _parse_number(text, ctx, where, field):
         return ctx.parse(text)
     except (ValueError, ArithmeticError) as exc:
         raise FileFormatError(f"{where}: field {field!r}: {exc}") from exc
+
+
+def _rows(record, field, path, label):
+    """(location, row) for each object in the list record[field]."""
+    for i, row in enumerate(_expect(record, field, list, path)):
+        where = f"{path}: {label}[{i}]"
+        if not isinstance(row, dict):
+            raise FileFormatError(f"{where}: expected an object")
+        yield where, row
 
 
 def _check_schema(record, path, kind):
@@ -97,12 +107,8 @@ def save_instance(instance: Instance, path, ctx: PrecisionContext):
 def load_instance(path, ctx: PrecisionContext) -> Instance:
     record = _read_json(path)
     _check_schema(record, path, "instance")
-    rows = _expect(record, "jobs", list, path)
     jobs = []
-    for i, row in enumerate(rows):
-        where = f"{path}: jobs[{i}]"
-        if not isinstance(row, dict):
-            raise FileFormatError(f"{where}: expected an object")
+    for where, row in _rows(record, "jobs", path, "jobs"):
         jid = _expect(row, "id", int, where)
         release = _parse_number(row.get("release"), ctx, where, "release")
         due = _parse_number(row.get("due"), ctx, where, "due")
@@ -237,6 +243,28 @@ def save_trace(trace: SimTrace, path, ctx: PrecisionContext):
         fh.write("\n")
 
 
+def _job_id(value, jobs, where):
+    """value, checked to be the id of one of the trace's jobs."""
+    # type(), not isinstance(): JSON true would pass as job 1.
+    if type(value) is not int or value not in jobs:
+        raise FileFormatError(f"{where}: unknown job {value!r}")
+    return value
+
+
+def _per_job(summary, field, jobs, ctx, path):
+    """A summary map from job id to number, covering exactly the trace's jobs."""
+    where = f"{path}: summary.{field}"
+    names = {str(jid): jid for jid in jobs}  # JSON object keys are strings
+    out = {}
+    for key, text in _expect(summary, field, dict, f"{path}: summary").items():
+        if key not in names:
+            raise FileFormatError(f"{where}: unknown job {key!r}")
+        out[names[key]] = _parse_number(text, ctx, where, key)
+    if len(out) != len(jobs):
+        raise FileFormatError(f"{where}: missing jobs {sorted(set(jobs) - set(out))}")
+    return out
+
+
 def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
     """Load a trace and recompute its summary from the event stream.
 
@@ -253,8 +281,7 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
         check = PrecisionContext(bits=file_bits)
     inst_block = _expect(record, "instance", dict, path)
     jobs = {}
-    for i, row in enumerate(_expect(inst_block, "jobs", list, path)):
-        where = f"{path}: instance.jobs[{i}]"
+    for where, row in _rows(inst_block, "jobs", path, "instance.jobs"):
         jid = _expect(row, "id", int, where)
         release = _parse_number(row.get("release"), ctx, where, "release")
         due = _parse_number(row.get("due"), ctx, where, "due")
@@ -262,6 +289,8 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
             jobs[jid] = Job(jid, release, due, 0, SpeedFunction(0, 1, release))
         except ValueError as exc:
             raise FileFormatError(f"{where}: {exc}") from exc
+    if not jobs:
+        raise FileFormatError(f"{path}: trace instance has no jobs")
     pol = _expect(record, "policy", dict, path)
     try:
         kind = Policy(_expect(pol, "kind", str, f"{path}: policy"))
@@ -276,14 +305,14 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
         ),
     )
     events = []
-    for i, row in enumerate(_expect(record, "events", list, path)):
-        where = f"{path}: events[{i}]"
+    for where, row in _rows(record, "events", path, "events"):
         t = _parse_number(row.get("time"), ctx, where, "time")
         try:
             kind_ev = EventKind(_expect(row, "kind", str, where))
         except ValueError as exc:
             raise FileFormatError(f"{where}: unknown event kind") from exc
-        events.append((t, kind_ev, row.get("job")))
+        jid = row.get("job")
+        events.append((t, kind_ev, None if jid is None else _job_id(jid, jobs, where)))
 
     # replay the event stream
     completions = {}
@@ -305,6 +334,8 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
             elif kind_ev is EventKind.PREEMPT:
                 raise FileFormatError(f"{path}: preempt of a job that is not running")
             if kind_ev is EventKind.COMPLETE:
+                if jid in completions:
+                    raise FileFormatError(f"{path}: job {jid} completes twice")
                 completions[jid] = t
     if open_run is not None:
         raise FileFormatError(f"{path}: trace ends while job {open_run[0]} runs")
@@ -317,11 +348,10 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
         raise FileFormatError(
             f"{path}: summary busy_time {stored_busy} disagrees with events ({busy})"
         )
+    stored_completions = _per_job(summary, "completions", jobs, ctx, path)
+    stored_stretches = _per_job(summary, "stretches", jobs, ctx, path)
     stretches = {}
-    stored_completions = _expect(summary, "completions", dict, f"{path}: summary")
-    for jid_text, c_text in stored_completions.items():
-        jid = int(jid_text)
-        c = _parse_number(c_text, ctx, f"{path}: summary.completions", jid_text)
+    for jid, c in stored_completions.items():
         if jid not in completions or not check.close(completions[jid], c):
             raise FileFormatError(
                 f"{path}: summary completion of job {jid} disagrees with events"
@@ -330,13 +360,26 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
             stretches[jid] = stretch(jobs[jid], c)
         except ValueError as exc:
             raise FileFormatError(f"{path}: job {jid}: {exc}") from exc
-    stored_stretches = _expect(summary, "stretches", dict, f"{path}: summary")
-    for jid_text, s_text in stored_stretches.items():
-        jid = int(jid_text)
-        s = _parse_number(s_text, ctx, f"{path}: summary.stretches", jid_text)
-        if not check.close(stretches[jid], s):
+        if not check.close(stretches[jid], stored_stretches[jid]):
             raise FileFormatError(
                 f"{path}: summary stretch of job {jid} disagrees with events"
+            )
+    worst = max(stretches.values())
+    stored_worst = _parse_number(
+        summary.get("max_stretch"), ctx, f"{path}: summary", "max_stretch"
+    )
+    if not check.close(stored_worst, worst):
+        raise FileFormatError(f"{path}: summary max_stretch disagrees with events")
+    missed = [
+        _job_id(jid, jobs, f"{path}: summary.missed_due_dates")
+        for jid in _expect(summary, "missed_due_dates", list, f"{path}: summary")
+    ]
+    for jid, job in jobs.items():
+        # A completion within tolerance of its due date may go either way.
+        done = completions[jid]
+        if not check.close(done, job.due) and (done > job.due) != (jid in missed):
+            raise FileFormatError(
+                f"{path}: summary missed_due_dates disagrees with events at job {jid}"
             )
     return TraceRecord(
         instance_name=str(inst_block.get("name", "")),
@@ -344,9 +387,9 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
         events=events,
         completions=completions,
         stretches=stretches,
-        max_stretch=max(stretches.values()) if stretches else None,
+        max_stretch=worst,
         busy_time=busy,
-        missed=list(summary.get("missed_due_dates", [])),
+        missed=missed,
     )
 
 

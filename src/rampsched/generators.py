@@ -407,7 +407,7 @@ def _reduction_witness(query: SsrQuery, ctx: PrecisionContext) -> Schedule:
         else:
             segments.append(Segment(filler.id, lo, hi, room))
             left = left - room
-    return Schedule(tuple(segments), direction="forward")
+    return Schedule(tuple(segments))
 
 
 # --- adaptive adversary ------------------------------------------------------

@@ -17,7 +17,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .core import (
-    BACKWARD,
     DOUBLE,
     InfeasibleIntervalError,
     Instance,
@@ -87,16 +86,17 @@ def lrtb(instance: Instance, ctx: PrecisionContext):
     if jobs:
         tau = max(j.due for j in jobs)
         while True:
+            # The latest due date before tau among jobs with work left.
+            next_due = max(
+                (j.due for j in jobs if rem[j.id] > 0 and j.due < tau), default=None
+            )
             runnable = [
-                j for j in jobs if rem[j.id] > 0 and j.release < tau and j.due >= tau
+                j for j in jobs if rem[j.id] > 0 and j.release <= tau and j.due >= tau
             ]
             if not runnable:
-                pending_dues = [
-                    j.due for j in jobs if rem[j.id] > 0 and j.due < tau
-                ]
-                if not pending_dues:
+                if next_due is None:
                     break
-                tau = max(pending_dues)
+                tau = next_due
                 continue
             top = min(runnable, key=lambda j: (-j.release, j.id))
             r = top.release
@@ -104,11 +104,6 @@ def lrtb(instance: Instance, ctx: PrecisionContext):
             # Where the top job's remaining work runs out, sweeping backward.
             disc = (tau - r) * (tau - r) - 2 * rem[top.id] / m
             exhaust = r + ctx.sqrt(disc) if disc > 0 else None
-            next_due = None
-            for j in jobs:
-                if rem[j.id] > 0 and j.due < tau:
-                    if next_due is None or j.due > next_due:
-                        next_due = j.due
             lo = r if exhaust is None else exhaust
             if next_due is not None and next_due > lo:
                 lo = next_due
@@ -131,7 +126,7 @@ def lrtb(instance: Instance, ctx: PrecisionContext):
                 note_margin(abs(deficit))
             tau = lo
 
-    schedule = Schedule(tuple(segments), direction=BACKWARD)
+    schedule = Schedule(tuple(segments))
     if deficits:
         status = Feasibility.INFEASIBLE
         witness = None

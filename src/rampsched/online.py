@@ -15,10 +15,8 @@ import enum
 from dataclasses import dataclass, field
 
 from .core import (
-    DOUBLE,
     Instance,
     Job,
-    NeverCompletesError,
     PrecisionContext,
     Schedule,
     SchedulingError,
@@ -96,52 +94,7 @@ class SimTrace:
     busy_time: object
 
     def as_schedule(self) -> Schedule:
-        return Schedule(self.segments, direction="forward")
-
-
-# --- capped speed helpers ----------------------------------------------------
-
-
-def _cap_value(job: Job, factor):
-    return factor * speed_at(job, job.due)
-
-
-def effective_work_in(job: Job, a, b, cap_factor=None):
-    """Work over [a, b] with the job's speed clipped at its cap."""
-    if cap_factor is None:
-        return work_in(job, a, b)
-    cap = _cap_value(job, cap_factor)
-    sp = job.speed
-    if sp.slope == 0:
-        return min(sp.base, cap) * (b - a)
-    reach = sp.origin + (cap - sp.base) / sp.slope
-    if reach <= a:
-        return cap * (b - a)
-    if reach >= b:
-        return work_in(job, a, b)
-    return work_in(job, a, reach) + cap * (b - reach)
-
-
-def effective_completion_from(job: Job, start, remaining, ctx, cap_factor=None):
-    """Finish time for `remaining` work from `start` under the speed cap."""
-    if cap_factor is None:
-        return completion_from(job, start, remaining, ctx)
-    if remaining == 0:
-        return start
-    cap = _cap_value(job, cap_factor)
-    sp = job.speed
-    if sp.slope == 0:
-        rate = min(sp.base, cap)
-        if rate == 0:
-            raise NeverCompletesError(f"job {job.id} has zero speed forever")
-        return start + remaining / rate
-    reach = sp.origin + (cap - sp.base) / sp.slope
-    if start >= reach:
-        return start + remaining / cap
-    ramp_room = work_in(job, start, reach)
-    if remaining <= ramp_room:
-        return completion_from(job, start, remaining, ctx)
-    return reach + (remaining - ramp_room) / cap
+        return Schedule(self.segments)
 
 
 # --- policy primitives -------------------------------------------------------
@@ -168,15 +121,19 @@ def thrashing_activation(job: Job, alpha):
 
 @dataclass
 class SimState:
-    """Dispatcher-visible snapshot: released unfinished jobs and progress."""
+    """Dispatcher-visible snapshot: released unfinished jobs and progress.
+
+    caps maps job id to its absolute speed cap; a job without an entry
+    runs uncapped.
+    """
 
     jobs: dict
     remaining: dict
+    ctx: PrecisionContext
     released: set = field(default_factory=set)
     running: int | None = None
     activation: dict = field(default_factory=dict)
-    ctx: PrecisionContext = None
-    cap_factor: object = None
+    caps: dict = field(default_factory=dict)
 
 
 def next_dispatch(spec: PolicySpec, state: SimState, t):
@@ -189,9 +146,10 @@ def next_dispatch(spec: PolicySpec, state: SimState, t):
     takeover at the crossing actually happen.  Stretches within the
     context's comparison tolerance count as meeting; an exact test
     would let one ulp of roundoff at the crossing event mask the tie
-    and silently skip the takeover.
+    and silently skip the takeover.  Every key ends in the job id, so
+    the order in which candidates are visited cannot change the choice.
     """
-    cands = [state.jobs[i] for i in sorted(state.released)]
+    cands = [state.jobs[i] for i in state.released]
     if not cands:
         return None
     running = state.running
@@ -202,17 +160,16 @@ def next_dispatch(spec: PolicySpec, state: SimState, t):
         best = min(cands, key=lambda j: (j.due, j.id != running, j.id))
     elif kind is Policy.SRPT:
         def rpt(j):
-            done_at = effective_completion_from(
-                j, t, state.remaining[j.id], state.ctx, state.cap_factor
+            done_at = completion_from(
+                j, t, state.remaining[j.id], state.ctx, state.caps.get(j.id)
             )
             return done_at - t
 
         best = min(cands, key=lambda j: (rpt(j), j.id != running, j.id))
     elif kind is Policy.LSSF:
-        ctx = state.ctx if state.ctx is not None else DOUBLE
         so_far = [stretch(j, t) for j in cands]
         top = max(so_far)
-        tied = [j for j, s in zip(cands, so_far) if ctx.close(s, top)]
+        tied = [j for j, s in zip(cands, so_far) if state.ctx.close(s, top)]
         best = min(tied, key=lambda j: (j.length, j.id != running, j.id))
     elif kind is Policy.THRASHING:
         eligible = [j for j in cands if t >= state.activation[j.id]]
@@ -239,12 +196,10 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
         raise ValueError("empty instance")
     order = instance.jobs
     n = len(order)
-    state = SimState(
-        jobs=instance.by_id,
-        remaining={},
-        ctx=ctx,
-        cap_factor=spec.speed_cap_factor,
-    )
+    state = SimState(jobs=instance.by_id, remaining={}, ctx=ctx)
+    factor = spec.speed_cap_factor
+    if factor is not None:
+        state.caps = {j.id: factor * speed_at(j, j.due) for j in order}
     if spec.kind is Policy.THRASHING:
         state.activation = {
             j.id: thrashing_activation(j, spec.alpha) for j in order
@@ -259,8 +214,7 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
     def close_segment(job_id, end):
         nonlocal seg_start
         if seg_start is not None and seg_start < end:
-            job = state.jobs[job_id]
-            done = effective_work_in(job, seg_start, end, spec.speed_cap_factor)
+            done = work_in(state.jobs[job_id], seg_start, end, state.caps.get(job_id))
             segments.append(Segment(job_id, seg_start, end, done))
         seg_start = None
 
@@ -309,8 +263,8 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
             horizon.append(order[idx].release)
         if state.running is not None:
             job = state.jobs[state.running]
-            finish_at = effective_completion_from(
-                job, t, state.remaining[state.running], ctx, spec.speed_cap_factor
+            finish_at = completion_from(
+                job, t, state.remaining[state.running], ctx, state.caps.get(job.id)
             )
             if finish_at < t:
                 finish_at = t
@@ -342,9 +296,7 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
                 completions[rid] = tn
                 events.append(TraceEvent(tn, EventKind.COMPLETE, rid))
             else:
-                used = effective_work_in(
-                    state.jobs[rid], t, tn, spec.speed_cap_factor
-                )
+                used = work_in(state.jobs[rid], t, tn, state.caps.get(rid))
                 left = state.remaining[rid] - used
                 state.remaining[rid] = left if left > 0 else 0
         t = tn

@@ -77,6 +77,21 @@ def test_solve_infeasible_reports_deficit(tmp_path, capsys):
     assert record["verdict"]["status"] == "infeasible"
 
 
+@pytest.mark.parametrize(
+    "jobs,dropped",
+    [
+        ((lazy_job(1, 1, 3, 3), lazy_job(2, 0, 1, CTX.real("0.1"))), 1),
+        ((lazy_job(1, 0, 2, 2), lazy_job(2, 0, 2, CTX.real("0.1"))), 2),
+    ],
+    ids=["release-at-other-due", "shared-release"],
+)
+def test_solve_flags_work_left_at_a_release(tmp_path, capsys, jobs, dropped):
+    code, out, _ = run(capsys, "solve", write_instance(tmp_path, jobs))
+    assert code == 1
+    assert "status: infeasible" in out
+    assert f"job {dropped} deficit:" in out
+
+
 def test_solve_hairline_is_indeterminate_at_double(tmp_path, capsys):
     job = lazy_job(1, 0, 2, CTX.real("2.0000000000001"))
     inst = write_instance(tmp_path, (job,))
@@ -182,6 +197,22 @@ def test_simulate_rejects_bad_cap(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", inst, "--policy", "edd", "--cap", "0")
     assert code == 64
     assert "cap" in err.lower()
+
+
+def test_simulate_parses_numbers_at_the_working_precision(tmp_path, capsys):
+    inst = write_instance(tmp_path, (lazy_job(1, 0, 2, 1),))
+    trace_path = tmp_path / "trace.json"
+    code, _, _ = run(
+        capsys, "simulate", inst, "--policy", "thrashing", "--alpha", "2.1",
+        "--trace-out", str(trace_path),
+    )
+    assert code == 0
+    record = json.loads(trace_path.read_text())
+    assert record["policy"]["alpha"] == CTX.format(CTX.parse("2.1"))
+    for bad in (["--alpha", "two"], ["--cap", "nan"], ["--rel-tol", "x"], ["--rel-tol", "-1"]):
+        code, _, err = run(capsys, "simulate", inst, "--policy", "thrashing", *bad)
+        assert code == 64, bad
+        assert "Traceback" not in err
 
 
 # --- gen -----------------------------------------------------------------

@@ -178,8 +178,6 @@ def test_segment_and_schedule_validation():
     sched = Schedule((s1, s0))
     assert sched.segments[0] is s0
     assert sched.job_segments(1) == (s1,)
-    with pytest.raises(ValueError):
-        Schedule((s0,), direction="sideways")
 
 
 # --- precision context ------------------------------------------------------

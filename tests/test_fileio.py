@@ -94,6 +94,11 @@ def test_load_instance_rejects_malformed_files(tmp_path):
     with pytest.raises(FileFormatError):
         load_instance(_write(path, {**ok, "jobs": [inf]}), CTX)
 
+    with pytest.raises(FileFormatError, match="'id'"):
+        load_instance(_write(path, {**ok, "jobs": [{**ok["jobs"][0], "id": True}]}), CTX)
+    with pytest.raises(FileFormatError, match="schema_version"):
+        load_instance(_write(path, {**ok, "schema_version": True}), CTX)
+
 
 def test_schedule_file_carries_verdict_and_segments(tmp_path):
     inst = Instance((lazy_job(1, 0, 2, 1),))
@@ -163,6 +168,23 @@ def test_tampered_summaries_are_rejected(tmp_path):
     corrupt(shut_window)
     # Dropping the final completion leaves a job running at the end.
     corrupt(lambda r: r["events"].pop())
+    # Summary keys that name no job of the trace, or miss one.
+    corrupt(lambda r: r["summary"]["stretches"].__setitem__("x", "1"))
+    corrupt(lambda r: r["summary"]["completions"].__setitem__("9", "1"))
+    corrupt(lambda r: r["summary"]["stretches"].__setitem__("9", "1"))
+    corrupt(lambda r: r["summary"]["completions"].pop("2"))
+    corrupt(lambda r: r["summary"]["missed_due_dates"].append(True))
+    corrupt(lambda r: r["events"].__setitem__(1, {**r["events"][1], "job": 9}))
+    corrupt(lambda r: r["events"].append(dict(r["events"][-1])))
+    # Rows that are not objects.
+    corrupt(lambda r: r["events"].append(5))
+    corrupt(lambda r: r["instance"]["jobs"].append(5))
+    # Summary figures the events contradict; no job finishes near its due date.
+    corrupt(lambda r: r["summary"].__setitem__("max_stretch", "9"))
+    corrupt(lambda r: r["summary"].__setitem__("missed_due_dates", [1]))
+    # JSON booleans are not integers.
+    corrupt(lambda r: r["instance"]["jobs"][0].__setitem__("id", True))
+    corrupt(lambda r: r.__setitem__("schema_version", True))
 
 
 def test_plot_data_layout(tmp_path):

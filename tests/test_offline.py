@@ -1,5 +1,7 @@
 """Tests for the backward sweep, schedule validation, and the grid oracle."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -129,6 +131,44 @@ def test_one_bad_job_does_not_hide_the_good_one():
     assert list(verdict.deficits) == [2]
     assert_near(CTX, verdict.deficits[2], CTX.real("0.5"))
     assert_near(CTX, total_busy_time(schedule), 3 - CTX.sqrt(2))
+
+
+# Each instance leaves one job with work when the sweep reaches its
+# release; rows are (release, due, work) for jobs 1 and 2.
+RELEASE_TIES = {
+    # Job 2's due date stops the sweep at job 1's release mid-job.
+    "release-at-other-due": (((1, 3, "3"), (0, 1, "0.1")), 1, "1"),
+    # Job 1 fills the shared window exactly, down to the shared release.
+    "shared-release": (((0, 2, "2"), (0, 2, "0.1")), 2, "0.1"),
+}
+
+
+@pytest.mark.parametrize("rows,dropped,deficit", RELEASE_TIES.values(), ids=RELEASE_TIES)
+def test_job_reached_at_its_release_keeps_its_deficit(rows, dropped, deficit):
+    jobs = tuple(
+        lazy_job(i, r, d, CTX.real(w)) for i, (r, d, w) in enumerate(rows, start=1)
+    )
+    _, verdict = lrtb(Instance(jobs), CTX)
+    assert verdict.status is Feasibility.INFEASIBLE
+    assert list(verdict.deficits) == [dropped]
+    assert_near(CTX, verdict.deficits[dropped], CTX.real(deficit))
+
+
+def test_integer_grid_witnesses_meet_due_dates():
+    feasible = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        jobs = []
+        for i in range(1, rng.randint(2, 5) + 1):
+            r = rng.randint(0, 4)
+            jobs.append(lazy_job(i, r, r + rng.randint(1, 3), rng.randint(1, 4) / 2))
+        inst = Instance(tuple(jobs))
+        _, verdict = lrtb(inst, DOUBLE)
+        if verdict.status is Feasibility.FEASIBLE:
+            feasible += 1
+            report = validate_schedule(inst, verdict.witness, DOUBLE, require_due_dates=True)
+            assert report.ok, (seed, report.violations)
+    assert feasible > 50
 
 
 def test_zero_slack_window_is_decisively_feasible():

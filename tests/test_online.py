@@ -1,4 +1,4 @@
-"""Dispatcher, capped-speed helpers, and event-driven simulator tests."""
+"""Dispatcher, capped-speed kernels, and event-driven simulator tests."""
 
 import math
 
@@ -12,7 +12,9 @@ from rampsched import (
     Verdict,
     lazy_job,
     nonlazy_job,
+    completion_from,
     stretch,
+    work_in,
 )
 from rampsched.generators import gen_random_feasible
 from rampsched.offline import validate_schedule
@@ -23,8 +25,6 @@ from rampsched.online import (
     SimState,
     SimTrace,
     busy_time_in_window,
-    effective_completion_from,
-    effective_work_in,
     lssf_crossing,
     max_stretch,
     next_dispatch,
@@ -33,14 +33,13 @@ from rampsched.online import (
 )
 
 
-def _state(jobs, running=None, t=None, remaining=None, alpha=None, cap=None):
+def _state(jobs, running=None, t=None, remaining=None, alpha=None):
     state = SimState(
         jobs={j.id: j for j in jobs},
         remaining=remaining or {j.id: j.work for j in jobs},
         released={j.id for j in jobs},
         running=running,
         ctx=DOUBLE,
-        cap_factor=cap,
     )
     if alpha is not None:
         state.activation = {j.id: thrashing_activation(j, alpha) for j in jobs}
@@ -128,34 +127,34 @@ def test_policy_spec_validation():
     assert spec.speed_cap_factor == 2
 
 
-# --- capped speed helpers -----------------------------------------------------
+# --- speed caps in the core kernels -------------------------------------------
 
 
 def test_capped_work_splits_ramp_and_plateau():
     job = lazy_job(1, 0, 2, 100)
-    # Cap at twice the due-date speed: 2 * 2 = 4, reached at t = 4.
-    assert effective_work_in(job, 0, 6, cap_factor=2) == pytest.approx(16.0)
-    assert effective_work_in(job, 4, 6, cap_factor=2) == pytest.approx(8.0)
-    assert effective_work_in(job, 0, 3, cap_factor=2) == pytest.approx(4.5)
+    # Cap 4 (twice the due-date speed) is reached at t = 4.
+    assert work_in(job, 0, 6, cap=4) == pytest.approx(16.0)
+    assert work_in(job, 4, 6, cap=4) == pytest.approx(8.0)
+    assert work_in(job, 0, 3, cap=4) == pytest.approx(4.5)
     # No cap reproduces the plain integral.
-    assert effective_work_in(job, 0, 3) == pytest.approx(4.5)
+    assert work_in(job, 0, 3) == pytest.approx(4.5)
 
 
 def test_capped_completion_inverts_capped_work():
     job = lazy_job(1, 0, 2, 100)
-    assert effective_completion_from(job, 0, 16, DOUBLE, cap_factor=2) == pytest.approx(6.0)
+    assert completion_from(job, 0, 16, DOUBLE, cap=4) == pytest.approx(6.0)
     # Within the ramp the cap changes nothing.
-    assert effective_completion_from(job, 0, 8, DOUBLE, cap_factor=2) == pytest.approx(4.0)
+    assert completion_from(job, 0, 8, DOUBLE, cap=4) == pytest.approx(4.0)
     # Starting on the plateau is linear at the cap rate.
-    assert effective_completion_from(job, 5, 4, DOUBLE, cap_factor=2) == pytest.approx(6.0)
-    assert effective_completion_from(job, 3, 0, DOUBLE, cap_factor=2) == 3
+    assert completion_from(job, 5, 4, DOUBLE, cap=4) == pytest.approx(6.0)
+    assert completion_from(job, 3, 0, DOUBLE, cap=4) == 3
 
 
 def test_capped_constant_speed_job():
     job = nonlazy_job(1, 0, 2, 6, base=2)
-    assert effective_work_in(job, 0, 3, cap_factor=0.5) == pytest.approx(3.0)
-    assert effective_completion_from(job, 0, 6, DOUBLE, cap_factor=0.5) == pytest.approx(6.0)
-    assert effective_work_in(job, 0, 3, cap_factor=10) == pytest.approx(6.0)
+    assert work_in(job, 0, 3, cap=1) == pytest.approx(3.0)
+    assert completion_from(job, 0, 6, DOUBLE, cap=1) == pytest.approx(6.0)
+    assert work_in(job, 0, 3, cap=20) == pytest.approx(6.0)
 
 
 # --- the simulator ------------------------------------------------------------
