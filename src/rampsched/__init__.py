@@ -16,7 +16,6 @@ from .core import (
     completion_from,
     lazy_job,
     nonlazy_job,
-    normalize_slopes,
     rightmost_running_time,
     speed_at,
     stretch,
@@ -41,7 +40,6 @@ __all__ = [
     "completion_from",
     "lazy_job",
     "nonlazy_job",
-    "normalize_slopes",
     "rightmost_running_time",
     "speed_at",
     "stretch",

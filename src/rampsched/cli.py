@@ -278,6 +278,8 @@ def cmd_bench(args) -> int:
         seeds = _parse_seed_spec(args.seeds)
     except ValueError as exc:
         return _fail_usage(exc)
+    if args.jobs < 1:
+        return _fail_usage(f"--jobs must be at least 1, got {args.jobs}")
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
@@ -364,9 +366,9 @@ def build_parser() -> _Parser:
     f_srpt.add_argument("--n", type=int, required=True)
     f_srpt.add_argument("--rationalize", type=float, default=None, metavar="REL")
     f_fifo = fam.add_parser("fifo", help="first-in-first-out sliver family")
-    f_fifo.add_argument("--target", type=float, required=True)
+    f_fifo.add_argument("--target", required=True)
     f_edd = fam.add_parser("edd", help="earliest-due-date sliver family")
-    f_edd.add_argument("--target", type=float, required=True)
+    f_edd.add_argument("--target", required=True)
     f_rand = fam.add_parser("random", help="random feasible instance")
     f_rand.add_argument("--n", type=int, required=True)
     f_rand.add_argument("--seed", type=int, required=True)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
 
@@ -58,9 +57,9 @@ class PrecisionContext:
     instead of flipping a verdict.
     """
 
-    __slots__ = ("bits", "rel_tol", "abs_tol", "decimal_digits", "_mp", "_sqrt")
+    __slots__ = ("bits", "rel_tol", "decimal_digits", "_mp", "_sqrt")
 
-    def __init__(self, bits: int = 128, rel_tol=None, abs_tol=None):
+    def __init__(self, bits: int = 128, rel_tol=None):
         bits = int(bits)
         if bits < 24:
             raise ValueError("precision below 24 bits leaves no room for tolerances")
@@ -79,28 +78,14 @@ class PrecisionContext:
             self.rel_tol = self.parse(rel_tol)
             if self.rel_tol < 0:
                 raise ValueError("negative comparison tolerance")
-        self.abs_tol = self.rel_tol if abs_tol is None else self.real(abs_tol)
         # Digits needed for a faithful decimal round trip at this precision.
         self.decimal_digits = math.ceil(bits * math.log10(2)) + 2
 
     def __repr__(self):
         return f"PrecisionContext(bits={self.bits})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PrecisionContext)
-            and self.bits == other.bits
-            and self.rel_tol == other.rel_tol
-            and self.abs_tol == other.abs_tol
-        )
-
-    def __hash__(self):
-        return hash((self.bits, float(self.rel_tol), float(self.abs_tol)))
-
     def real(self, x):
-        """Convert x (int, float, str, Fraction, mpf) to this context's scalar type."""
-        if isinstance(x, Fraction):
-            return self.real(x.numerator) / self.real(x.denominator)
+        """Convert x (int, float, str, mpf) to this context's scalar type."""
         if self._mp is None:
             return float(x)
         return self._mp.mpf(x)
@@ -120,9 +105,10 @@ class PrecisionContext:
         d = a - b
         if d == 0:
             return Verdict.EQUAL
-        tol = self.abs_tol
+        # rel_tol doubles as the absolute floor for values near zero.
+        tol = self.rel_tol
         scale = max(abs(a), abs(b))
-        rel = self.rel_tol * scale
+        rel = tol * scale
         if rel > tol:
             tol = rel
         if -tol <= d <= tol:
@@ -157,11 +143,10 @@ DOUBLE = PrecisionContext(bits=53)
 
 @dataclass(frozen=True)
 class SpeedFunction:
-    """Execution speed base + slope*(t - origin) for t >= origin."""
+    """Execution speed base + slope*(t - r) for t >= r, the job's release."""
 
     base: object
     slope: object
-    origin: object
 
     def __post_init__(self):
         if self.base < 0 or self.slope < 0:
@@ -183,8 +168,6 @@ class Job:
             raise ValueError(f"job {self.id}: release must precede due date")
         if self.work < 0:
             raise ValueError(f"job {self.id}: negative work")
-        if self.speed.origin != self.release:
-            raise ValueError(f"job {self.id}: speed origin must equal release")
         if self.speed.base == 0 and self.speed.slope == 0 and self.work != 0:
             raise ValueError(f"job {self.id}: zero speed with positive work")
 
@@ -199,11 +182,11 @@ class Job:
 
 
 def lazy_job(id: int, release, due, work, slope=1) -> Job:
-    return Job(id, release, due, work, SpeedFunction(0, slope, release))
+    return Job(id, release, due, work, SpeedFunction(0, slope))
 
 
 def nonlazy_job(id: int, release, due, work, base=1) -> Job:
-    return Job(id, release, due, work, SpeedFunction(base, 0, release))
+    return Job(id, release, due, work, SpeedFunction(base, 0))
 
 
 @dataclass(frozen=True)
@@ -272,7 +255,7 @@ def speed_at(job: Job, t):
     if t < job.release:
         raise ValueError(f"job {job.id} queried before its release")
     sp = job.speed
-    return sp.base + sp.slope * (t - sp.origin)
+    return sp.base + sp.slope * (t - job.release)
 
 
 def work_in(job: Job, a, b, cap=None):
@@ -291,13 +274,13 @@ def work_in(job: Job, a, b, cap=None):
     if cap is not None:
         if sp.slope == 0:
             return min(sp.base, cap) * (b - a)
-        reach = sp.origin + (cap - sp.base) / sp.slope
+        reach = job.release + (cap - sp.base) / sp.slope
         if reach <= a:
             return cap * (b - a)
         if reach < b:
             return work_in(job, a, reach) + cap * (b - reach)
-    u = a - sp.origin
-    v = b - sp.origin
+    u = a - job.release
+    v = b - job.release
     return sp.base * (b - a) + sp.slope * (v * v - u * u) / 2
 
 
@@ -320,18 +303,18 @@ def completion_from(job: Job, start, remaining, ctx: PrecisionContext, cap=None)
             raise NeverCompletesError(f"job {job.id} has zero speed forever")
         return start + remaining / rate
     if cap is not None:
-        reach = sp.origin + (cap - sp.base) / sp.slope
+        reach = job.release + (cap - sp.base) / sp.slope
         if start >= reach:
             return start + remaining / cap
         ramp_room = work_in(job, start, reach)
         if remaining > ramp_room:
             return reach + (remaining - ramp_room) / cap
-    u0 = start - sp.origin
-    # Work from the origin to the unknown finish time.
+    u0 = start - job.release
+    # Work from the release to the unknown finish time.
     c = remaining + sp.base * u0 + sp.slope * u0 * u0 / 2
     disc = sp.base * sp.base + 2 * sp.slope * c
     u = 2 * c / (sp.base + ctx.sqrt(disc))
-    return sp.origin + u
+    return job.release + u
 
 
 def rightmost_running_time(length, work, ctx: PrecisionContext):
@@ -353,30 +336,6 @@ def rightmost_running_time(length, work, ctx: PrecisionContext):
         )
     # Rounding can push a full window's time past the window itself.
     return min(2 * work / (length + ctx.sqrt(disc)), length)
-
-
-def normalize_slopes(instance: Instance) -> Instance:
-    """Rescale every lazy job to unit slope, dividing its work by the slope.
-
-    Execution-time geometry is invariant under this: a slope-m job
-    doing w work in any window behaves exactly like a slope-1 job
-    doing w/m work there.  Zero-work jobs pass through unchanged.
-    """
-    out = []
-    for j in instance.jobs:
-        if j.work == 0:
-            out.append(j)
-            continue
-        if not j.is_lazy:
-            raise UnsupportedInstanceError(
-                f"job {j.id} is not a pure ramp; cannot normalize"
-            )
-        m = j.speed.slope
-        if m == 1:
-            out.append(j)
-        else:
-            out.append(lazy_job(j.id, j.release, j.due, j.work / m, slope=1))
-    return Instance(tuple(out), name=instance.name, provenance=instance.provenance)
 
 
 def stretch(job: Job, completion):

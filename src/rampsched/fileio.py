@@ -35,6 +35,12 @@ def _read_json(path):
         raise FileFormatError(f"{path}: {exc.strerror or exc}") from exc
 
 
+def _write_json(record, path):
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+
+
 def _expect(record, field, kinds, where):
     if field not in record:
         raise FileFormatError(f"{where}: missing field {field!r}")
@@ -63,6 +69,18 @@ def _rows(record, field, path, label):
         if not isinstance(row, dict):
             raise FileFormatError(f"{where}: expected an object")
         yield where, row
+
+
+def _job(record, ctx, where, *fields):
+    """Job(*fields); a failing row names the file's precision if it is higher."""
+    try:
+        return Job(*fields)
+    except ValueError as exc:
+        message = f"{where}: {exc}"
+        bits = record.get("precision_bits")
+        if type(bits) is int and bits > ctx.bits:
+            message += f"; file written at {bits} bits; retry with --precision {bits}"
+        raise FileFormatError(message) from exc
 
 
 def _check_schema(record, path, kind):
@@ -99,9 +117,7 @@ def instance_to_record(instance: Instance, ctx: PrecisionContext) -> dict:
 
 
 def save_instance(instance: Instance, path, ctx: PrecisionContext):
-    with open(path, "w") as fh:
-        json.dump(instance_to_record(instance, ctx), fh, indent=2)
-        fh.write("\n")
+    _write_json(instance_to_record(instance, ctx), path)
 
 
 def load_instance(path, ctx: PrecisionContext) -> Instance:
@@ -115,10 +131,9 @@ def load_instance(path, ctx: PrecisionContext) -> Instance:
         work = _parse_number(row.get("work"), ctx, where, "work")
         base = _parse_number(row.get("base", "0"), ctx, where, "base")
         slope = _parse_number(row.get("slope", "1"), ctx, where, "slope")
-        try:
-            jobs.append(Job(jid, release, due, work, SpeedFunction(base, slope, release)))
-        except ValueError as exc:
-            raise FileFormatError(f"{where}: {exc}") from exc
+        jobs.append(
+            _job(record, ctx, where, jid, release, due, work, SpeedFunction(base, slope))
+        )
     if not jobs:
         raise FileFormatError(f"{path}: instance has no jobs")
     try:
@@ -166,9 +181,7 @@ def schedule_to_record(
 
 
 def save_schedule(instance, schedule, verdict, path, ctx):
-    with open(path, "w") as fh:
-        json.dump(schedule_to_record(instance, schedule, verdict, ctx), fh, indent=2)
-        fh.write("\n")
+    _write_json(schedule_to_record(instance, schedule, verdict, ctx), path)
 
 
 # --- traces ------------------------------------------------------------------
@@ -238,9 +251,7 @@ def trace_to_record(trace: SimTrace, ctx: PrecisionContext) -> dict:
 
 
 def save_trace(trace: SimTrace, path, ctx: PrecisionContext):
-    with open(path, "w") as fh:
-        json.dump(trace_to_record(trace, ctx), fh, indent=2)
-        fh.write("\n")
+    _write_json(trace_to_record(trace, ctx), path)
 
 
 def _job_id(value, jobs, where):
@@ -285,10 +296,7 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
         jid = _expect(row, "id", int, where)
         release = _parse_number(row.get("release"), ctx, where, "release")
         due = _parse_number(row.get("due"), ctx, where, "due")
-        try:
-            jobs[jid] = Job(jid, release, due, 0, SpeedFunction(0, 1, release))
-        except ValueError as exc:
-            raise FileFormatError(f"{where}: {exc}") from exc
+        jobs[jid] = _job(record, ctx, where, jid, release, due, 0, SpeedFunction(0, 1))
     if not jobs:
         raise FileFormatError(f"{path}: trace instance has no jobs")
     pol = _expect(record, "policy", dict, path)

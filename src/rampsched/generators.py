@@ -147,9 +147,12 @@ def gen_lssf(
 
 
 def _sliver_target(target, ctx):
-    target = ctx.real(target)
+    target = ctx.parse(target)
     if not target > 1:
         raise ValueError("target stretch must exceed 1")
+    # gen_fifo sizes its sliver from the target's binary logarithm in doubles.
+    if not math.isfinite(float(target)):
+        raise ValueError(f"target stretch {target} does not fit in a double")
     return target
 
 

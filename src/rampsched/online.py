@@ -171,13 +171,11 @@ def next_dispatch(spec: PolicySpec, state: SimState, t):
         top = max(so_far)
         tied = [j for j, s in zip(cands, so_far) if state.ctx.close(s, top)]
         best = min(tied, key=lambda j: (j.length, j.id != running, j.id))
-    elif kind is Policy.THRASHING:
+    else:  # Policy.THRASHING, the last member PolicySpec admits
         eligible = [j for j in cands if t >= state.activation[j.id]]
         if not eligible:
             return None
         best = min(eligible, key=lambda j: (-j.release, j.id != running, j.id))
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled policy {kind}")
     return best.id
 
 
@@ -209,17 +207,9 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
     completions = {}
     idx = 0
     seg_start = None
-    idle_since = None
-
-    def close_segment(job_id, end):
-        nonlocal seg_start
-        if seg_start is not None and seg_start < end:
-            done = work_in(state.jobs[job_id], seg_start, end, state.caps.get(job_id))
-            segments.append(Segment(job_id, seg_start, end, done))
-        seg_start = None
-
-    def process_releases(t):
-        nonlocal idx
+    idle = False
+    t = order[0].release
+    while True:
         while idx < n and order[idx].release == t:
             j = order[idx]
             idx += 1
@@ -230,48 +220,45 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
             else:
                 state.released.add(j.id)
                 state.remaining[j.id] = j.work
-
-    def dispatch(t):
-        nonlocal seg_start, idle_since
+        # Dispatch: preempt, then idle or start, unless the choice stands.
         choice = next_dispatch(spec, state, t)
-        if choice is not None and choice == state.running:
-            return
-        if state.running is not None:
-            close_segment(state.running, t)
-            events.append(TraceEvent(t, EventKind.PREEMPT, state.running))
-            state.running = None
-        if choice is None:
-            if idle_since is None and len(completions) < n:
-                idle_since = t
-                events.append(TraceEvent(t, EventKind.IDLE_BEGIN))
-            return
-        if idle_since is not None:
-            idle_since = None
-            events.append(TraceEvent(t, EventKind.IDLE_END))
-        events.append(TraceEvent(t, EventKind.START, choice))
-        seg_start = t
-        state.running = choice
-
-    t = order[0].release
-    process_releases(t)
-    dispatch(t)
-
-    while len(completions) < n:
-        finish_at = None
+        rid = state.running
+        if choice is None or choice != rid:
+            if rid is not None:
+                if seg_start < t:
+                    done = work_in(state.jobs[rid], seg_start, t, state.caps.get(rid))
+                    segments.append(Segment(rid, seg_start, t, done))
+                events.append(TraceEvent(t, EventKind.PREEMPT, rid))
+                state.running = None
+            if choice is None:
+                if not idle and len(completions) < n:
+                    idle = True
+                    events.append(TraceEvent(t, EventKind.IDLE_BEGIN))
+            else:
+                if idle:
+                    idle = False
+                    events.append(TraceEvent(t, EventKind.IDLE_END))
+                events.append(TraceEvent(t, EventKind.START, choice))
+                seg_start = t
+                state.running = choice
+        if len(completions) == n:
+            break
+        # Next event: a release, a finish, an LSSF crossing or an activation.
         horizon = []
         if idx < n:
             horizon.append(order[idx].release)
-        if state.running is not None:
-            job = state.jobs[state.running]
+        rid = state.running
+        if rid is not None:
+            job = state.jobs[rid]
             finish_at = completion_from(
-                job, t, state.remaining[state.running], ctx, state.caps.get(job.id)
+                job, t, state.remaining[rid], ctx, state.caps.get(rid)
             )
             if finish_at < t:
                 finish_at = t
             horizon.append(finish_at)
             if spec.kind is Policy.LSSF:
                 for jid in state.released:
-                    if jid == state.running:
+                    if jid == rid:
                         continue
                     cross = lssf_crossing(job, state.jobs[jid], t)
                     if cross is not None:
@@ -286,22 +273,21 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
                 "simulation stalled with unfinished jobs and no upcoming event"
             )
         tn = min(horizon)
-        if state.running is not None:
-            rid = state.running
-            if finish_at is not None and tn == finish_at:
-                close_segment(rid, tn)
+        if rid is not None:
+            if tn == finish_at:
+                if seg_start < tn:
+                    done = work_in(job, seg_start, tn, state.caps.get(rid))
+                    segments.append(Segment(rid, seg_start, tn, done))
                 state.running = None
                 state.released.discard(rid)
                 del state.remaining[rid]
                 completions[rid] = tn
                 events.append(TraceEvent(tn, EventKind.COMPLETE, rid))
             else:
-                used = work_in(state.jobs[rid], t, tn, state.caps.get(rid))
+                used = work_in(job, t, tn, state.caps.get(rid))
                 left = state.remaining[rid] - used
                 state.remaining[rid] = left if left > 0 else 0
         t = tn
-        process_releases(t)
-        dispatch(t)
 
     stretches = {
         jid: stretch(state.jobs[jid], done) for jid, done in completions.items()

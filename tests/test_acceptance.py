@@ -331,7 +331,7 @@ def test_criterion_10_work_and_completion_invariants():
     c = b + rng.uniform(0, 4, count)
     bad = 0
     for i in range(count):
-        job = Job(1, r[i], r[i] + 25, 1, SpeedFunction(base[i], slope[i], r[i]))
+        job = Job(1, r[i], r[i] + 25, 1, SpeedFunction(base[i], slope[i]))
         wab = work_in(job, a[i], b[i])
         wbc = work_in(job, b[i], c[i])
         wac = work_in(job, a[i], c[i])

@@ -141,6 +141,27 @@ def test_solve_malformed_json(tmp_path, capsys):
     assert "line" in err
 
 
+def test_low_precision_load_names_the_precision_the_file_needs(tmp_path, capsys):
+    # Job 2's window is narrower than a double's spacing at 1.
+    record = {
+        "schema_version": 1,
+        "kind": "instance",
+        "precision_bits": 128,
+        "jobs": [
+            {"id": 1, "release": "0", "due": "2", "work": "1"},
+            {"id": 2, "release": "1", "due": "1.00000000000000000001", "work": "1e-45"},
+        ],
+    }
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(record))
+    code, _, _ = run(capsys, "solve", str(path))
+    assert code == 0
+    code, _, err = run(capsys, "solve", str(path), "--precision", "53")
+    assert code == 64
+    assert "jobs[1]: job 2: release must precede due date" in err
+    assert "file written at 128 bits; retry with --precision 128" in err
+
+
 def test_precision_below_floor_is_usage_error(tmp_path, capsys):
     inst = write_instance(tmp_path, (lazy_job(1, 0, 2, 1),))
     code, _, err = run(capsys, "solve", inst, "--precision", "16")
@@ -241,6 +262,12 @@ def test_gen_adversary_trace(tmp_path, capsys):
     assert load_instance(str(inst), CTX).jobs
 
 
+def test_gen_parses_the_target_at_the_working_precision(capsys):
+    code, out, _ = run(capsys, "gen", "fifo", "--target", "1.1")
+    assert code == 0
+    assert json.loads(out)["name"].endswith(CTX.format(CTX.parse("1.1")))
+
+
 def test_gen_rejects_tiny_cascade(capsys):
     code, _, err = run(capsys, "gen", "lssf", "--n", "2")
     assert code == 64
@@ -321,6 +348,22 @@ def test_bench_rejects_backwards_seed_range(capsys):
     code, _, err = run(capsys, "bench", "--suite", "policies", "--seeds", "5..1")
     assert code == 64
     assert "seed range" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bench", "--suite", "policies", "--seeds", "1", "--jobs", "0"),
+        ("bench", "--suite", "thrashing", "--seeds", "1", "--jobs", "-3"),
+        ("gen", "fifo", "--target", "inf"),
+        ("gen", "fifo", "--target", "1e400"),
+    ],
+)
+def test_bad_counts_and_targets_are_usage_errors(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 64
+    assert err.strip()
+    assert "Traceback" not in err
 
 
 # --- imports -------------------------------------------------------------

@@ -47,7 +47,7 @@ def _mixed(ctx):
             nonlazy_job(2, p("1"), p("3"), p("1")),
             nonlazy_job(3, p("0.5"), p("5"), p("1.5"), base=p("2")),
             lazy_job(4, p("2"), p("5"), p("1"), slope=p("2")),
-            Job(5, p("1"), p("4"), p("2"), SpeedFunction(p("0.5"), p("1"), p("1"))),
+            Job(5, p("1"), p("4"), p("2"), SpeedFunction(p("0.5"), p("1"))),
         ),
         name="mixed-speeds",
     )
