@@ -106,11 +106,8 @@ class PrecisionContext:
         if d == 0:
             return Verdict.EQUAL
         # rel_tol doubles as the absolute floor for values near zero.
-        tol = self.rel_tol
         scale = max(abs(a), abs(b))
-        rel = tol * scale
-        if rel > tol:
-            tol = rel
+        tol = self.rel_tol * scale if scale > 1 else self.rel_tol
         if -tol <= d <= tol:
             return Verdict.INDETERMINATE
         return Verdict.LESS if d < 0 else Verdict.GREATER

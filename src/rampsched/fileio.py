@@ -71,14 +71,14 @@ def _rows(record, field, path, label):
         yield where, row
 
 
-def _job(record, ctx, where, *fields):
-    """Job(*fields); a failing row names the file's precision if it is higher."""
+def _job(record, ctx, where, jid, release, due, work, base, slope):
+    """The row's Job; a window that collapsed on parsing names the file's precision."""
     try:
-        return Job(*fields)
+        return Job(jid, release, due, work, SpeedFunction(base, slope))
     except ValueError as exc:
         message = f"{where}: {exc}"
         bits = record.get("precision_bits")
-        if type(bits) is int and bits > ctx.bits:
+        if not release < due and type(bits) is int and bits > ctx.bits:
             message += f"; file written at {bits} bits; retry with --precision {bits}"
         raise FileFormatError(message) from exc
 
@@ -131,9 +131,7 @@ def load_instance(path, ctx: PrecisionContext) -> Instance:
         work = _parse_number(row.get("work"), ctx, where, "work")
         base = _parse_number(row.get("base", "0"), ctx, where, "base")
         slope = _parse_number(row.get("slope", "1"), ctx, where, "slope")
-        jobs.append(
-            _job(record, ctx, where, jid, release, due, work, SpeedFunction(base, slope))
-        )
+        jobs.append(_job(record, ctx, where, jid, release, due, work, base, slope))
     if not jobs:
         raise FileFormatError(f"{path}: instance has no jobs")
     try:
@@ -296,7 +294,7 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
         jid = _expect(row, "id", int, where)
         release = _parse_number(row.get("release"), ctx, where, "release")
         due = _parse_number(row.get("due"), ctx, where, "due")
-        jobs[jid] = _job(record, ctx, where, jid, release, due, 0, SpeedFunction(0, 1))
+        jobs[jid] = _job(record, ctx, where, jid, release, due, 0, 0, 1)
     if not jobs:
         raise FileFormatError(f"{path}: trace instance has no jobs")
     pol = _expect(record, "policy", dict, path)

@@ -225,7 +225,7 @@ def _claim_sweep(claims, lengths):
         if need <= 0.0:
             continue
         # close() cannot hold below `near`: keeps it off the per-slice path.
-        near = need - 2 * max(DOUBLE.rel_tol, DOUBLE.rel_tol * need)
+        near = need - 2 * DOUBLE.rel_tol * max(1.0, need)
         got = 0.0
         used = 0.0
         for s in range(first + len(works) - 1, first - 1, -1):

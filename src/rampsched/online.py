@@ -182,6 +182,13 @@ def next_dispatch(spec: PolicySpec, state: SimState, t):
 # --- the simulator -----------------------------------------------------------
 
 
+def _close_segment(segments, state, rid, start, end):
+    """Record job rid running on [start, end], if that span is not empty."""
+    if start < end:
+        done = work_in(state.jobs[rid], start, end, state.caps.get(rid))
+        segments.append(Segment(rid, start, end, done))
+
+
 def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> SimTrace:
     """Run the policy on the instance until every job completes.
 
@@ -225,9 +232,7 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
         rid = state.running
         if choice is None or choice != rid:
             if rid is not None:
-                if seg_start < t:
-                    done = work_in(state.jobs[rid], seg_start, t, state.caps.get(rid))
-                    segments.append(Segment(rid, seg_start, t, done))
+                _close_segment(segments, state, rid, seg_start, t)
                 events.append(TraceEvent(t, EventKind.PREEMPT, rid))
                 state.running = None
             if choice is None:
@@ -275,9 +280,7 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
         tn = min(horizon)
         if rid is not None:
             if tn == finish_at:
-                if seg_start < tn:
-                    done = work_in(job, seg_start, tn, state.caps.get(rid))
-                    segments.append(Segment(rid, seg_start, tn, done))
+                _close_segment(segments, state, rid, seg_start, tn)
                 state.running = None
                 state.released.discard(rid)
                 del state.remaining[rid]

@@ -160,6 +160,13 @@ def test_low_precision_load_names_the_precision_the_file_needs(tmp_path, capsys)
     assert code == 64
     assert "jobs[1]: job 2: release must precede due date" in err
     assert "file written at 128 bits; retry with --precision 128" in err
+    # More precision cannot mend a negative work, so no hint is given.
+    record["jobs"][1] = {"id": 2, "release": "1", "due": "2", "work": "-1"}
+    path.write_text(json.dumps(record))
+    code, _, err = run(capsys, "solve", str(path), "--precision", "53")
+    assert code == 64
+    assert "jobs[1]: job 2: negative work" in err
+    assert "retry" not in err
 
 
 def test_precision_below_floor_is_usage_error(tmp_path, capsys):

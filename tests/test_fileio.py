@@ -86,6 +86,11 @@ def test_load_instance_rejects_malformed_files(tmp_path):
     with pytest.raises(FileFormatError, match="jobs\\[0\\]"):
         load_instance(_write(path, {**ok, "jobs": [backwards]}), CTX)
 
+    for field in ("slope", "base"):
+        negative = {**ok["jobs"][0], field: "-1"}
+        with pytest.raises(FileFormatError, match="jobs\\[0\\]: speed coefficients"):
+            load_instance(_write(path, {**ok, "jobs": [negative]}), CTX)
+
     twice = {**ok, "jobs": [ok["jobs"][0], ok["jobs"][0]]}
     with pytest.raises(FileFormatError, match="duplicate"):
         load_instance(_write(path, twice), CTX)
