@@ -3,13 +3,16 @@
 Subcommands: solve (offline feasibility), simulate (run a policy),
 gen (instance families), check (surd-sum queries), bench (measurement
 sweeps).  Exit codes for solve/check follow the verdict: 0 feasible,
-1 infeasible, 2 indeterminate; usage and format errors exit 64.
+1 infeasible, 2 indeterminate; usage and format errors, and an output
+that cannot be written, exit 64.  A reader that closes stdout early
+ends the command quietly with exit 141.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 from .core import PrecisionContext, UnsupportedInstanceError
@@ -48,6 +51,7 @@ EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
 EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
 
 _STATUS_EXIT = {
     Feasibility.FEASIBLE: EXIT_FEASIBLE,
@@ -70,19 +74,14 @@ def _add_precision(parser):
         type=int,
         default=128,
         metavar="BITS",
-        help="working precision in bits (default 128; <=53 uses doubles)",
-    )
-    parser.add_argument(
-        "--rel-tol",
-        default=None,
-        metavar="TOL",
-        help="override the relative comparison tolerance",
+        help="working precision in bits (default 128; <=53 uses doubles); "
+        "the comparison tolerance is 2**-(BITS-16)",
     )
 
 
 def _context(args) -> PrecisionContext:
     try:
-        return PrecisionContext(bits=args.precision, rel_tol=args.rel_tol)
+        return PrecisionContext(bits=args.precision)
     except ValueError as exc:
         raise SystemExit(_fail_usage(exc))
 
@@ -189,10 +188,10 @@ def cmd_gen(args) -> int:
     ctx = _context(args)
     trace = None
     try:
-        if args.family == "lssf":
-            instance = gen_lssf(args.n, ctx, rationalize=args.rationalize)
-        elif args.family == "srpt":
-            instance = gen_srpt(args.n, ctx, rationalize=args.rationalize)
+        if args.family in ("lssf", "srpt"):
+            rel = None if args.rationalize is None else ctx.parse(args.rationalize)
+            family = gen_lssf if args.family == "lssf" else gen_srpt
+            instance = family(args.n, ctx, rationalize=rel)
         elif args.family == "fifo":
             instance = gen_fifo(args.target, ctx)
         elif args.family == "edd":
@@ -359,12 +358,12 @@ def build_parser() -> _Parser:
     f_lssf = fam.add_parser("lssf", help="stretch cascade family")
     f_lssf.add_argument("--n", type=int, required=True)
     f_lssf.add_argument(
-        "--rationalize", type=float, default=None, metavar="REL",
+        "--rationalize", default=None, metavar="REL",
         help="round parameters to nearby decimals (relative error bound)",
     )
     f_srpt = fam.add_parser("srpt", help="shortest-remaining-time starvation family")
     f_srpt.add_argument("--n", type=int, required=True)
-    f_srpt.add_argument("--rationalize", type=float, default=None, metavar="REL")
+    f_srpt.add_argument("--rationalize", default=None, metavar="REL")
     f_fifo = fam.add_parser("fifo", help="first-in-first-out sliver family")
     f_fifo.add_argument("--target", required=True)
     f_edd = fam.add_parser("edd", help="earliest-due-date sliver family")
@@ -412,7 +411,16 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early; keep the exit-time flush from failing too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except OSError as exc:
+        return _fail_usage(f"rampsched: {exc}")
 
 
 if __name__ == "__main__":

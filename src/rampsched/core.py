@@ -46,49 +46,46 @@ class Verdict(enum.Enum):
 
 
 class PrecisionContext:
-    """Working precision plus comparison tolerances.
+    """Working precision, which also fixes the comparison tolerance.
 
     bits <= 53 uses plain Python floats (fast path); anything above
     gets a private mpmath context so two PrecisionContexts never
     interfere with each other or with mpmath's global state.
 
-    rel_tol defaults to 2**-(bits - 16): sixteen bits of headroom
-    below the format, so honest roundoff lands in Indeterminate
-    instead of flipping a verdict.
+    rel_tol is 2**-(bits - 16): sixteen bits of headroom below the
+    format, so honest roundoff lands in Indeterminate instead of
+    flipping a verdict.  More bits are the only way to resolve an
+    Indeterminate verdict.
     """
 
-    __slots__ = ("bits", "rel_tol", "decimal_digits", "_mp", "_sqrt")
+    __slots__ = (
+        "bits", "rel_tol", "decimal_digits", "_mp", "_sqrt", "real", "isfinite"
+    )
 
-    def __init__(self, bits: int = 128, rel_tol=None):
+    def __init__(self, bits: int = 128):
         bits = int(bits)
         if bits < 24:
             raise ValueError("precision below 24 bits leaves no room for tolerances")
         self.bits = bits
+        # real converts x (int, float, str, mpf) to this context's scalar type.
         if bits <= 53:
             self._mp = None
             self._sqrt = math.sqrt
+            self.real = float
+            self.isfinite = math.isfinite
         else:
             mp = MPContext()
             mp.prec = bits
             self._mp = mp
             self._sqrt = mp.sqrt
-        if rel_tol is None:
-            self.rel_tol = self.real(2) ** -(bits - 16)
-        else:
-            self.rel_tol = self.parse(rel_tol)
-            if self.rel_tol < 0:
-                raise ValueError("negative comparison tolerance")
+            self.real = mp.mpf
+            self.isfinite = mp.isfinite
+        self.rel_tol = self.real(2) ** -(bits - 16)
         # Digits needed for a faithful decimal round trip at this precision.
         self.decimal_digits = math.ceil(bits * math.log10(2)) + 2
 
     def __repr__(self):
         return f"PrecisionContext(bits={self.bits})"
-
-    def real(self, x):
-        """Convert x (int, float, str, mpf) to this context's scalar type."""
-        if self._mp is None:
-            return float(x)
-        return self._mp.mpf(x)
 
     def sqrt(self, x):
         if x < 0:
@@ -128,11 +125,6 @@ class PrecisionContext:
         if not self.isfinite(v):
             raise ValueError(f"non-finite numeric literal {s!r}")
         return v
-
-    def isfinite(self, x) -> bool:
-        if self._mp is None:
-            return math.isfinite(x)
-        return self._mp.isfinite(x)
 
 
 DOUBLE = PrecisionContext(bits=53)
@@ -203,9 +195,6 @@ class Instance:
             raise ValueError("duplicate job ids")
         object.__setattr__(self, "by_id", by_id)
 
-    def job(self, job_id: int) -> Job:
-        return self.by_id[job_id]
-
     @property
     def horizon(self):
         """(earliest release, latest due date)."""
@@ -242,9 +231,6 @@ class Schedule:
     def __post_init__(self):
         segs = tuple(sorted(self.segments, key=lambda s: (s.start, s.job)))
         object.__setattr__(self, "segments", segs)
-
-    def job_segments(self, job_id: int):
-        return tuple(s for s in self.segments if s.job == job_id)
 
 
 def speed_at(job: Job, t):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
 from .core import (
     Instance,
@@ -54,14 +54,20 @@ __all__ = [
 
 def _round_decimal(value, rel, ctx, up: bool):
     """Nearest decimal within relative distance `rel`, rounded outward."""
+    if not rel > 0:
+        raise ValueError(f"rationalize bound must be positive, got {ctx.format(rel)}")
     if value == 0:
         return value
-    mag = abs(value)
-    exponent = math.floor(math.log10(float(mag * rel)))
+    scaled = float(abs(value) * rel)
+    if not 0 < scaled < math.inf:
+        raise ValueError(f"rationalize bound {ctx.format(rel)} is out of range")
+    exponent = math.floor(math.log10(scaled))
     quantum = Decimal(1).scaleb(exponent)
     dec = Decimal(ctx.format(value))
     mode = ROUND_CEILING if up else ROUND_FLOOR
-    return ctx.parse(str(dec.quantize(quantum, rounding=mode)))
+    # Enough digits for the quantized coefficient, with room for a carry.
+    digits = Context(prec=max(1, dec.adjusted() - exponent + 2))
+    return ctx.parse(str(dec.quantize(quantum, rounding=mode, context=digits)))
 
 
 # --- worst-case families -----------------------------------------------------
@@ -163,7 +169,13 @@ def _verified_family(build, kind, target, ctx, tries=8):
     """
     knob = None
     for _ in range(tries):
-        jobs, knob = build(knob)
+        try:
+            jobs, knob = build(knob)
+        except ValueError as exc:  # the sliver window collapsed onto its release
+            raise ValueError(
+                f"target stretch {ctx.format(target)} needs a sliver window "
+                f"too narrow for {ctx.bits} bits ({exc})"
+            ) from exc
         inst = Instance(
             jobs,
             name=f"{kind.value}-sliver-{ctx.format(target)}",
@@ -389,11 +401,11 @@ def check_reduction(query: SsrQuery, ctx: PrecisionContext) -> FeasibilityVerdic
 def _reduction_witness(query: SsrQuery, ctx: PrecisionContext) -> Schedule:
     """Push every surd job flush right, pour the filler into the gaps."""
     inst = reduce_ssr(query, ctx)
-    filler = inst.job(len(query.xs) + 1)
+    filler = inst.by_id[len(query.xs) + 1]
     segments = []
     gaps = []
     for i in range(1, len(query.xs) + 1):
-        job = inst.job(i)
+        job = inst.by_id[i]
         t = rightmost_running_time(job.length, job.work, ctx)
         lo = job.due - t
         segments.append(Segment(job.id, lo, job.due, job.work))

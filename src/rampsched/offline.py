@@ -153,10 +153,6 @@ class ValidationReport:
     violations: list
     incomplete: dict
 
-    @property
-    def first_violation(self):
-        return self.violations[0] if self.violations else None
-
 
 def validate_schedule(
     instance: Instance,

@@ -18,7 +18,6 @@ from .core import (
     Instance,
     Job,
     PrecisionContext,
-    Schedule,
     SchedulingError,
     Segment,
     completion_from,
@@ -92,9 +91,6 @@ class SimTrace:
     stretches: dict
     segments: tuple
     busy_time: object
-
-    def as_schedule(self) -> Schedule:
-        return Schedule(self.segments)
 
 
 # --- policy primitives -------------------------------------------------------
@@ -332,7 +328,7 @@ def busy_time_in_window(trace: SimTrace, lo, hi, contained_only: bool = False):
     total = 0
     for seg in trace.segments:
         if contained_only:
-            job = trace.instance.job(seg.job)
+            job = trace.instance.by_id[seg.job]
             if job.release < lo or job.due > hi:
                 continue
         a = seg.start if seg.start > lo else lo

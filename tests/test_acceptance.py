@@ -248,7 +248,7 @@ def test_criterion_07_surd_sum_verdicts_match_high_precision_oracle():
                 inst, verdict.witness, CTX, require_due_dates=True
             )
             if not check.ok:
-                ok, detail = False, f"{query}: witness invalid: {check.first_violation}"
+                ok, detail = False, f"{query}: witness invalid: {check.violations[:1]}"
                 break
     square = check_reduction(SsrQuery((1, 4, 9), 6), CTX)
     if ok and not (square.status is Feasibility.FEASIBLE and square.margin == 0):

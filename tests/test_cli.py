@@ -237,7 +237,7 @@ def test_simulate_parses_numbers_at_the_working_precision(tmp_path, capsys):
     assert code == 0
     record = json.loads(trace_path.read_text())
     assert record["policy"]["alpha"] == CTX.format(CTX.parse("2.1"))
-    for bad in (["--alpha", "two"], ["--cap", "nan"], ["--rel-tol", "x"], ["--rel-tol", "-1"]):
+    for bad in (["--alpha", "two"], ["--cap", "nan"]):
         code, _, err = run(capsys, "simulate", inst, "--policy", "thrashing", *bad)
         assert code == 64, bad
         assert "Traceback" not in err
@@ -306,6 +306,13 @@ def test_check_near_tie_indeterminate_at_low_precision(capsys):
     assert code == 2
     assert "status: indeterminate" in out
     assert "retry with --precision 48" in out
+    # The hinted precision decides the query.
+    code, out, _ = run(
+        capsys, "check", "--xs", "1000001", "--threshold", "1000",
+        "--precision", "48",
+    )
+    assert code == 0
+    assert "status: feasible" in out
 
 
 def test_check_rejects_bad_integers(capsys):
@@ -357,20 +364,70 @@ def test_bench_rejects_backwards_seed_range(capsys):
     assert "seed range" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("bench", "--suite", "policies", "--seeds", "1", "--jobs", "0"),
-        ("bench", "--suite", "thrashing", "--seeds", "1", "--jobs", "-3"),
-        ("gen", "fifo", "--target", "inf"),
-        ("gen", "fifo", "--target", "1e400"),
-    ],
-)
+USAGE_ERRORS = {
+    ("bench", "--suite", "policies", "--seeds", "1", "--jobs", "0"):
+        "--jobs must be at least 1",
+    ("bench", "--suite", "thrashing", "--seeds", "1", "--jobs", "-3"):
+        "--jobs must be at least 1",
+    ("gen", "fifo", "--target", "inf"): "non-finite",
+    ("gen", "fifo", "--target", "1e400"): "does not fit in a double",
+    ("gen", "lssf", "--n", "5", "--rationalize", "inf"): "non-finite",
+    ("gen", "srpt", "--n", "5", "--rationalize", "1e400"): "out of range",
+    ("gen", "lssf", "--n", "5", "--rationalize", "0"): "must be positive",
+    ("gen", "srpt", "--n", "5", "--rationalize", "-1"): "must be positive",
+    ("gen", "fifo", "--target", "1e20", "--precision", "53"):
+        "target stretch 1e+20 needs a sliver window too narrow for 53 bits",
+    ("gen", "edd", "--target", "1e17", "--precision", "53"):
+        "target stretch 1e+17 needs a sliver window too narrow for 53 bits",
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS))
 def test_bad_counts_and_targets_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 64
-    assert err.strip()
+    assert USAGE_ERRORS[argv] in err
     assert "Traceback" not in err
+
+
+# --- output errors -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "lssf", "--n", "3", "--out", "{missing}"),
+        ("solve", "{inst}", "--out", "{missing}"),
+        ("simulate", "{inst}", "--policy", "fifo", "--trace-out", "{missing}"),
+        ("simulate", "{inst}", "--policy", "fifo", "--plot-out", "{missing}"),
+        ("bench", "--suite", "lssf", "--jobs", "3", "--out", "{missing}"),
+    ],
+)
+def test_output_into_a_missing_directory_is_a_usage_error(tmp_path, capsys, argv):
+    inst = write_instance(tmp_path, (lazy_job(1, 0, 2, 1),))
+    missing = str(tmp_path / "no-such-dir" / "out")
+    code, _, err = run(capsys, *(a.format(inst=inst, missing=missing) for a in argv))
+    assert code == 64
+    assert "No such file or directory" in err
+    assert "Traceback" not in err
+
+
+def test_closed_stdout_ends_quietly():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys; from rampsched.cli import main; sys.exit(main())"
+    # Far more output than a pipe buffers, so the writer is still running.
+    argv = ["gen", "lssf", "--n", "2000", "--precision", "53"]
+    with subprocess.Popen(
+        [sys.executable, "-c", code, *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline().strip() == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 141
+    assert "Traceback" not in err
+    assert not err
 
 
 # --- imports -------------------------------------------------------------

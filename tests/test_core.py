@@ -151,7 +151,7 @@ def test_instance_sorting_and_ids():
     inst = Instance((a, b))
     assert [j.id for j in inst.jobs] == [1, 2]
     assert inst.horizon == (0, 3)
-    assert inst.job(2) is a
+    assert inst.by_id[2] is a
     with pytest.raises(ValueError):
         Instance((a, lazy_job(2, 0, 5, 1)))
 
@@ -163,7 +163,7 @@ def test_segment_and_schedule_validation():
     s0 = Segment(2, 0, 1, 0.5)
     sched = Schedule((s1, s0))
     assert sched.segments[0] is s0
-    assert sched.job_segments(1) == (s1,)
+    assert sched.segments == (s0, s1)
 
 
 # --- precision context ------------------------------------------------------
@@ -185,6 +185,11 @@ def test_compare_uses_relative_tolerance():
     big = 1e12
     assert ctx.compare(big, big * (1 + 1e-13)) is Verdict.INDETERMINATE
     assert ctx.compare(big, big * 1.01) is Verdict.LESS
+
+
+@pytest.mark.parametrize("bits", [24, 53, 64, 128])
+def test_tolerance_follows_the_precision(bits):
+    assert PrecisionContext(bits).rel_tol == 2 ** -(bits - 16)
 
 
 def test_context_isolation():

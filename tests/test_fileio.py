@@ -40,8 +40,8 @@ def test_instance_defaults_and_mixed_speeds(tmp_path):
     path = tmp_path / "mixed.json"
     save_instance(inst, path, CTX)
     again = load_instance(path, CTX)
-    assert again.job(2).speed.base == 2
-    assert again.job(2).speed.slope == 0
+    assert again.by_id[2].speed.base == 2
+    assert again.by_id[2].speed.slope == 0
     # base and slope fall back to a pure unit ramp when omitted.
     record = json.loads(path.read_text())
     for row in record["jobs"]:
@@ -49,8 +49,8 @@ def test_instance_defaults_and_mixed_speeds(tmp_path):
         row.pop("slope")
     path.write_text(json.dumps(record))
     bare = load_instance(path, CTX)
-    assert bare.job(1).speed.base == 0
-    assert bare.job(1).speed.slope == 1
+    assert bare.by_id[1].speed.base == 0
+    assert bare.by_id[1].speed.slope == 1
 
 
 def _write(path, record):

@@ -85,10 +85,15 @@ def test_rationalized_instances_stay_faithful():
     trace = simulate(inst, PolicySpec(Policy.LSSF), CTX)
     assert abs(max_stretch(trace) - 2) < 1e-4
     short = gen_srpt(10, DOUBLE, rationalize=1e-6)
-    far = short.job(2).due
+    far = short.by_id[2].due
     assert far == float(str(far))  # round decimal literal
     trace = simulate(short, PolicySpec(Policy.SRPT), DOUBLE)
     assert max_stretch(trace) == pytest.approx(math.sqrt(11) / 2, rel=1e-9)
+    # A bound finer than Decimal's default 28 digits still rounds outward.
+    rel = CTX.parse("1e-30")
+    fine = gen_srpt(10, CTX, rationalize=rel).by_id[2].due
+    exact = CTX.sqrt(10) + 2
+    assert exact <= fine <= exact * (1 + rel)
 
 
 @pytest.mark.parametrize("target", [10, 100])
@@ -136,8 +141,8 @@ def test_query_validation():
 def test_reduction_tiles_the_horizon():
     q = SsrQuery((2, 5), 3)
     inst = reduce_ssr(q, CTX)
-    surd1, surd2 = inst.job(1), inst.job(2)
-    filler = inst.job(3)
+    surd1, surd2 = inst.by_id[1], inst.by_id[2]
+    filler = inst.by_id[3]
     assert (surd1.release, surd1.due, surd1.work) == (0, 4, 7)
     assert (surd2.release, surd2.due, surd2.work) == (4, 11, 22)
     assert filler.release == 0 and filler.due == 11

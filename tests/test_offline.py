@@ -235,7 +235,7 @@ def test_validator_accepts_a_correct_schedule():
     report = validate_schedule(inst, sched, CTX, require_due_dates=True)
     assert report.ok
     assert not report.incomplete
-    assert report.first_violation is None
+    assert report.violations == []
 
 
 def test_validator_flags_overlap():

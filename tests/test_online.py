@@ -8,6 +8,7 @@ from rampsched import (
     DOUBLE,
     Instance,
     PrecisionContext,
+    Schedule,
     SchedulingError,
     Verdict,
     lazy_job,
@@ -198,7 +199,7 @@ def test_edd_preempts_for_the_tighter_due_date():
     assert trace.completions[2] == pytest.approx(1 + math.sqrt(0.75))
     assert max_stretch(trace) == pytest.approx(math.sqrt(0.75))
     # Preemption split job 1 into two segments.
-    assert len(trace.as_schedule().job_segments(1)) == 2
+    assert [s.job for s in trace.segments].count(1) == 2
 
 
 def test_stretch_rule_takes_over_exactly_at_the_crossing():
@@ -260,7 +261,7 @@ def test_trace_segments_form_a_valid_schedule():
     for policy in Policy:
         inst = gen_random_feasible(5, 7, DOUBLE)
         trace = simulate(inst, PolicySpec(policy), DOUBLE)
-        report = validate_schedule(inst, trace.as_schedule(), DOUBLE)
+        report = validate_schedule(inst, Schedule(trace.segments), DOUBLE)
         assert report.ok, (policy, report.violations)
         assert not report.incomplete
         lo, hi = inst.horizon
