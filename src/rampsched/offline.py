@@ -6,12 +6,14 @@ late is maximally cheap in this model (speeds ramp up), so the sweep
 packs work as close to the deadlines as priorities allow; it fails to
 place some work only when every schedule fails, which makes it both a
 busy-time minimizer and a feasibility decider.  That equivalence is
-what the verdict logic below relies on.
+what the verdict logic below relies on.  The sweep costs O(n log n)
+comparisons: one sort by due date, plus a heap keyed on release.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -84,21 +86,29 @@ def lrtb(instance: Instance, ctx: PrecisionContext):
             margin = value
 
     if jobs:
-        tau = max(j.due for j in jobs)
+        # Jobs by due date, latest first; by_due[k:] are not yet admitted,
+        # so their work is untouched and by_due[k].due is the next due date.
+        by_due = sorted(jobs, key=lambda j: j.due, reverse=True)
+        k = 0
+        # Admitted jobs by (-release, id); spent ones leave lazily.  tau
+        # stops at every due date and never drops below the top's release,
+        # so every admitted job with work left is runnable.
+        heap = []
+        tau = by_due[0].due
         while True:
-            # The latest due date before tau among jobs with work left.
-            next_due = max(
-                (j.due for j in jobs if rem[j.id] > 0 and j.due < tau), default=None
-            )
-            runnable = [
-                j for j in jobs if rem[j.id] > 0 and j.release <= tau and j.due >= tau
-            ]
-            if not runnable:
+            while k < len(by_due) and by_due[k].due >= tau:
+                j = by_due[k]
+                heapq.heappush(heap, (-j.release, j.id, j))
+                k += 1
+            while heap and not rem[heap[0][1]] > 0:
+                heapq.heappop(heap)
+            next_due = by_due[k].due if k < len(by_due) else None
+            if not heap:
                 if next_due is None:
                     break
                 tau = next_due
                 continue
-            top = min(runnable, key=lambda j: (-j.release, j.id))
+            top = heap[0][2]
             r = top.release
             m = top.speed.slope
             # Where the top job's remaining work runs out, sweeping backward.
@@ -124,7 +134,10 @@ def lrtb(instance: Instance, ctx: PrecisionContext):
                 elif cmp is Verdict.INDETERMINATE:
                     indeterminate = True
                 note_margin(abs(deficit))
-            tau = lo
+            # A residue of work can round exhaust an ulp above tau.  A step
+            # forward would overlap the last segment, and could run a job
+            # admitted at tau past its due date.
+            tau = min(lo, tau)
 
     schedule = Schedule(tuple(segments))
     if deficits:

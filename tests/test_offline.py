@@ -1,9 +1,11 @@
 """Tests for the backward sweep, schedule validation, and the grid oracle."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.ctx_mp_python import _mpf as mpf_type
 
 from rampsched import (
     DOUBLE,
@@ -13,11 +15,12 @@ from rampsched import (
     Schedule,
     Segment,
     UnsupportedInstanceError,
+    Verdict,
     lazy_job,
     nonlazy_job,
     work_in,
 )
-from rampsched.generators import gen_lssf, gen_random_feasible
+from rampsched.generators import gen_lssf, gen_random_feasible, gen_srpt
 from rampsched.offline import (
     Feasibility,
     _claim_sweep,
@@ -219,6 +222,136 @@ def test_sweep_witness_always_validates(seed):
     report = validate_schedule(inst, schedule, DOUBLE, require_due_dates=True)
     assert report.ok, report.violations
     assert not report.incomplete
+
+
+# --- the sweep against its quadratic reference --------------------------------
+
+
+def _quadratic_sweep(instance, ctx):
+    """The sweep as first written: rescan every job at every step.
+
+    Returns (status, segments, deficits, margin) for comparison with lrtb.
+    """
+    jobs = [j for j in instance.jobs if j.work > 0]
+    rem = {j.id: j.work for j in jobs}
+    segments, deficits, margin, indeterminate = [], {}, None, False
+    tau = max((j.due for j in jobs), default=None)
+    while jobs:
+        next_due = max(
+            (j.due for j in jobs if rem[j.id] > 0 and j.due < tau), default=None
+        )
+        runnable = [j for j in jobs if rem[j.id] > 0 and j.release <= tau <= j.due]
+        if not runnable:
+            if next_due is None:
+                break
+            tau = next_due
+            continue
+        top = min(runnable, key=lambda j: (-j.release, j.id))
+        r = top.release
+        disc = (tau - r) * (tau - r) - 2 * rem[top.id] / top.speed.slope
+        exhaust = r + ctx.sqrt(disc) if disc > 0 else None
+        lo = r if exhaust is None else exhaust
+        if next_due is not None and next_due > lo:
+            lo = next_due
+        if lo < tau:
+            segments.append(Segment(top.id, lo, tau, work_in(top, lo, tau)))
+        if exhaust is not None and lo == exhaust:
+            rem[top.id] = 0
+            gap = exhaust - r
+        elif next_due is not None and lo == next_due:
+            rem[top.id] = rem[top.id] - work_in(top, next_due, tau)
+            gap = None
+        else:
+            deficit = rem[top.id] - work_in(top, r, tau)
+            rem[top.id] = 0
+            cmp = ctx.compare(deficit, 0)
+            if cmp is Verdict.GREATER:
+                deficits[top.id] = deficit
+            indeterminate |= cmp is Verdict.INDETERMINATE
+            gap = abs(deficit)
+        if gap is not None and (margin is None or gap < margin):
+            margin = gap
+        tau = lo
+    if deficits:
+        status = Feasibility.INFEASIBLE
+    else:
+        status = Feasibility.INDETERMINATE if indeterminate else Feasibility.FEASIBLE
+    return status, Schedule(tuple(segments)).segments, deficits, margin
+
+
+def _sweep_corpus(ctx):
+    for seed in range(1, 31):
+        base = gen_random_feasible(2 + seed % 40, seed, ctx)
+        yield base
+        for scale in ("1.05", "1.3", "2"):
+            yield Instance(
+                tuple(
+                    lazy_job(j.id, j.release, j.due, j.work * ctx.real(scale), j.speed.slope)
+                    for j in base.jobs
+                )
+            )
+    for n in (3, 4, 7, 15, 40):
+        yield gen_lssf(n, ctx)
+        yield gen_srpt(n, ctx)
+    for seed in range(300):
+        rng = random.Random(seed)
+        jobs = []
+        for i in range(1, rng.randint(2, 6) + 1):
+            r = rng.randint(0, 4)
+            work = rng.randint(1, 6) / 2
+            jobs.append(lazy_job(i, r, r + rng.randint(1, 3), work, rng.choice([1, 2])))
+        yield Instance(tuple(jobs))
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_sweep_matches_the_quadratic_reference(bits):
+    ctx = PrecisionContext(bits)
+    for inst in _sweep_corpus(ctx):
+        schedule, verdict = lrtb(inst, ctx)
+        got = (verdict.status, schedule.segments, verdict.deficits, verdict.margin)
+        assert got == _quadratic_sweep(inst, ctx), inst
+        assert verdict.witness is (schedule if got[0] is Feasibility.FEASIBLE else None)
+
+
+def test_sweep_comparisons_grow_as_n_log_n(monkeypatch):
+    n = 800
+    inst = gen_random_feasible(n, 7, CTX)
+    calls = 0
+    cmp = mpf_type._cmp
+
+    def counting_cmp(*args):
+        nonlocal calls
+        calls += 1
+        return cmp(*args)
+
+    monkeypatch.setattr(mpf_type, "_cmp", counting_cmp)
+    _, verdict = lrtb(inst, CTX)
+    assert verdict.status is Feasibility.FEASIBLE
+    assert 0 < calls <= 4 * n * math.log2(n)
+
+
+def test_sweep_certifies_ten_thousand_jobs_at_double():
+    inst = gen_random_feasible(10_000, 1, DOUBLE)
+    _, verdict = lrtb(inst, DOUBLE)
+    assert verdict.status is Feasibility.FEASIBLE
+    report = validate_schedule(inst, verdict.witness, DOUBLE, require_due_dates=True)
+    assert report.ok, report.violations[:3]
+    assert not report.incomplete
+
+
+def test_sweep_never_moves_forward_when_exhaust_rounds_up():
+    # Job 2's sliver of work leaves disc equal to (tau - r)^2 in doubles,
+    # and r + (tau - r) rounds an ulp above tau, job 2's due date.  Job 1
+    # has already run from its own due date down to tau; it must resume
+    # below tau, not overlap its first segment by that ulp.
+    r, tau = 0.50000000011492, 1.5000000001551281
+    assert r + math.sqrt((tau - r) * (tau - r) - 2e-30) > tau
+    inst = Instance((lazy_job(1, 0.0, 3.0, 4.3), lazy_job(2, r, tau, 1e-30)))
+    schedule, verdict = lrtb(inst, DOUBLE)
+    assert verdict.status is Feasibility.FEASIBLE
+    low, high = schedule.segments
+    assert (low.job, high.job) == (1, 1)
+    assert low.end == high.start == tau
 
 
 # --- schedule validation ------------------------------------------------------
