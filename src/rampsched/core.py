@@ -14,10 +14,9 @@ without being exactly equal.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
-
-from mpmath.ctx_mp import MPContext
 
 
 class SchedulingError(Exception):
@@ -74,6 +73,9 @@ class PrecisionContext:
             self.real = float
             self.isfinite = math.isfinite
         else:
+            # Imported here so double-precision runs never load mpmath.
+            from mpmath.ctx_mp import MPContext
+
             mp = MPContext()
             mp.prec = bits
             self._mp = mp
@@ -102,12 +104,17 @@ class PrecisionContext:
         d = a - b
         if d == 0:
             return Verdict.EQUAL
-        # rel_tol doubles as the absolute floor for values near zero.
-        scale = max(abs(a), abs(b))
-        tol = self.rel_tol * scale if scale > 1 else self.rel_tol
+        tol = self.tolerance(max(abs(a), abs(b)))
         if -tol <= d <= tol:
             return Verdict.INDETERMINATE
         return Verdict.LESS if d < 0 else Verdict.GREATER
+
+    def tolerance(self, scale):
+        """Largest difference compare() calls indeterminate at this magnitude.
+
+        rel_tol doubles as the absolute floor for values near zero.
+        """
+        return self.rel_tol * scale if scale > 1 else self.rel_tol
 
     def close(self, a, b) -> bool:
         """True when a and b are equal or within tolerance."""
@@ -160,7 +167,7 @@ class Job:
         if self.speed.base == 0 and self.speed.slope == 0 and self.work != 0:
             raise ValueError(f"job {self.id}: zero speed with positive work")
 
-    @property
+    @functools.cached_property
     def length(self):
         return self.due - self.release
 
@@ -325,4 +332,4 @@ def stretch(job: Job, completion):
     """Interval stretch (completion - release)/(due - release)."""
     if completion < job.release:
         raise ValueError("completion before release")
-    return (completion - job.release) / (job.due - job.release)
+    return (completion - job.release) / job.length

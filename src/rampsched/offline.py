@@ -189,7 +189,8 @@ def validate_schedule(
         if job is None:
             violations.append(f"segment references unknown job {seg.job}")
             continue
-        if prev is not None and ctx.compare(seg.start, prev.end) is Verdict.LESS:
+        # Segment ends are stored numbers, so an overlap is decided exactly.
+        if prev is not None and seg.start < prev.end:
             violations.append(
                 f"segments overlap: job {prev.job} until {prev.end}, "
                 f"job {seg.job} from {seg.start}"

@@ -7,11 +7,20 @@ constant, so simulation is exact up to the arithmetic: no time step,
 no drift.  Everything is deterministic; rerunning a simulation from
 scratch reproduces the same trace bit for bit, which is what lets an
 adversary extend an instance mid-run and trust the prefix.
+
+Each event costs work only for what changed.  FIFO, EDD and thrashing
+rank jobs by a key fixed at release and dispatch from a heap, so an
+event costs O(log n) comparisons.  LSSF computes the running job's
+stretch crossings with the other released jobs when it starts, and
+adds one per release while it runs.  SRPT's ranking and LSSF's
+stretch-so-far ranking move with time for every job, so those two
+dispatch rules still scan every released job at each event.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 
 from .core import (
@@ -120,16 +129,82 @@ class SimState:
     """Dispatcher-visible snapshot: released unfinished jobs and progress.
 
     caps maps job id to its absolute speed cap; a job without an entry
-    runs uncapped.
+    runs uncapped.  FIFO, EDD and thrashing keep their candidates in
+    `ready`, a heap of (rank, id) with a rank fixed at release, so a
+    dispatch costs O(log n); completed jobs leave it lazily.  Thrashing
+    holds a job in `pending`, a heap of (activation, id), until its
+    activation time.  Under LSSF, `crossings` holds the future stretch
+    crossings of the running job `crossings_of` with every other
+    released job.
     """
 
+    spec: PolicySpec
     jobs: dict
-    remaining: dict
     ctx: PrecisionContext
+    remaining: dict = field(default_factory=dict)
     released: set = field(default_factory=set)
     running: int | None = None
-    activation: dict = field(default_factory=dict)
     caps: dict = field(default_factory=dict)
+    ready: list = field(default_factory=list)
+    pending: list = field(default_factory=list)
+    crossings: list = field(default_factory=list)
+    crossings_of: int | None = None
+
+    def rank(self, job: Job):
+        """Static dispatch key of FIFO, EDD and thrashing; lower runs first."""
+        kind = self.spec.kind
+        if kind is Policy.FIFO:
+            return job.release
+        if kind is Policy.EDD:
+            return job.due
+        return -job.release
+
+    def admit(self, job: Job):
+        """Release a job with work; the current time is its release."""
+        jid = job.id
+        self.released.add(jid)
+        self.remaining[jid] = job.work
+        spec = self.spec
+        if spec.speed_cap_factor is not None:
+            self.caps[jid] = spec.speed_cap_factor * speed_at(job, job.due)
+        kind = spec.kind
+        if kind is Policy.THRASHING:
+            heapq.heappush(
+                self.pending, (thrashing_activation(job, spec.alpha), jid)
+            )
+        elif kind is Policy.LSSF:
+            rid = self.running
+            if rid is not None and rid == self.crossings_of:
+                cross = lssf_crossing(self.jobs[rid], job, job.release)
+                if cross is not None:
+                    heapq.heappush(self.crossings, cross)
+        elif kind is Policy.FIFO or kind is Policy.EDD:
+            heapq.heappush(self.ready, (self.rank(job), jid))
+
+    def next_crossing(self, t):
+        """Earliest stretch crossing of the running job after t, or None.
+
+        The crossings are rebuilt only when the running job changes;
+        each one is a fixed time for its pair, so dropping those at or
+        before t leaves exactly the crossings a fresh scan would find.
+        """
+        rid = self.running
+        if rid != self.crossings_of:
+            self.crossings_of = rid
+            heap = []
+            if rid is not None:
+                job = self.jobs[rid]
+                for jid in self.released:
+                    if jid != rid:
+                        cross = lssf_crossing(job, self.jobs[jid], t)
+                        if cross is not None:
+                            heap.append(cross)
+                heapq.heapify(heap)
+            self.crossings = heap
+        heap = self.crossings
+        while heap and heap[0] <= t:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
 
 
 def next_dispatch(spec: PolicySpec, state: SimState, t):
@@ -144,17 +219,32 @@ def next_dispatch(spec: PolicySpec, state: SimState, t):
     would let one ulp of roundoff at the crossing event mask the tie
     and silently skip the takeover.  Every key ends in the job id, so
     the order in which candidates are visited cannot change the choice.
+
+    FIFO, EDD and thrashing read the top of the state's ready heap.
+    SRPT and LSSF scan every released job: SRPT's key, the time still
+    needed to finish, moves with t for every job, and so does each
+    stretch-so-far, so neither has an order that holds between events.
+    Calls on one state must come with nondecreasing t.
     """
+    running = state.running
+    kind = spec.kind
+    if kind is not Policy.SRPT and kind is not Policy.LSSF:
+        ready, pending = state.ready, state.pending
+        while pending and pending[0][0] <= t:
+            _, jid = heapq.heappop(pending)
+            heapq.heappush(ready, (state.rank(state.jobs[jid]), jid))
+        while ready and ready[0][1] not in state.released:
+            heapq.heappop(ready)
+        if not ready:
+            return None
+        rank, best = ready[0]
+        if running is not None and state.rank(state.jobs[running]) == rank:
+            return running
+        return best
     cands = [state.jobs[i] for i in state.released]
     if not cands:
         return None
-    running = state.running
-    kind = spec.kind
-    if kind is Policy.FIFO:
-        best = min(cands, key=lambda j: (j.release, j.id))
-    elif kind is Policy.EDD:
-        best = min(cands, key=lambda j: (j.due, j.id != running, j.id))
-    elif kind is Policy.SRPT:
+    if kind is Policy.SRPT:
         def rpt(j):
             done_at = completion_from(
                 j, t, state.remaining[j.id], state.ctx, state.caps.get(j.id)
@@ -162,16 +252,13 @@ def next_dispatch(spec: PolicySpec, state: SimState, t):
             return done_at - t
 
         best = min(cands, key=lambda j: (rpt(j), j.id != running, j.id))
-    elif kind is Policy.LSSF:
+    else:
         so_far = [stretch(j, t) for j in cands]
         top = max(so_far)
-        tied = [j for j, s in zip(cands, so_far) if state.ctx.close(s, top)]
+        # Stretches are nonnegative, so this is state.ctx.close(s, top).
+        least = -state.ctx.tolerance(top)
+        tied = [j for j, s in zip(cands, so_far) if s == top or s - top >= least]
         best = min(tied, key=lambda j: (j.length, j.id != running, j.id))
-    else:  # Policy.THRASHING, the last member PolicySpec admits
-        eligible = [j for j in cands if t >= state.activation[j.id]]
-        if not eligible:
-            return None
-        best = min(eligible, key=lambda j: (-j.release, j.id != running, j.id))
     return best.id
 
 
@@ -197,14 +284,7 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
         raise ValueError("empty instance")
     order = instance.jobs
     n = len(order)
-    state = SimState(jobs=instance.by_id, remaining={}, ctx=ctx)
-    factor = spec.speed_cap_factor
-    if factor is not None:
-        state.caps = {j.id: factor * speed_at(j, j.due) for j in order}
-    if spec.kind is Policy.THRASHING:
-        state.activation = {
-            j.id: thrashing_activation(j, spec.alpha) for j in order
-        }
+    state = SimState(spec=spec, jobs=instance.by_id, ctx=ctx)
     events = []
     segments = []
     completions = {}
@@ -221,8 +301,7 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
                 completions[j.id] = t
                 events.append(TraceEvent(t, EventKind.COMPLETE, j.id))
             else:
-                state.released.add(j.id)
-                state.remaining[j.id] = j.work
+                state.admit(j)
         # Dispatch: preempt, then idle or start, unless the choice stands.
         choice = next_dispatch(spec, state, t)
         rid = state.running
@@ -257,18 +336,12 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
             if finish_at < t:
                 finish_at = t
             horizon.append(finish_at)
-            if spec.kind is Policy.LSSF:
-                for jid in state.released:
-                    if jid == rid:
-                        continue
-                    cross = lssf_crossing(job, state.jobs[jid], t)
-                    if cross is not None:
-                        horizon.append(cross)
-        if spec.kind is Policy.THRASHING:
-            for jid in state.released:
-                when = state.activation[jid]
-                if when > t:
-                    horizon.append(when)
+        if spec.kind is Policy.LSSF:
+            cross = state.next_crossing(t)
+            if cross is not None:
+                horizon.append(cross)
+        elif state.pending:
+            horizon.append(state.pending[0][0])
         if not horizon:
             raise SchedulingError(
                 "simulation stalled with unfinished jobs and no upcoming event"

@@ -438,3 +438,17 @@ def test_cli_import_does_not_load_numpy():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import rampsched.cli, sys; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_double_precision_run_does_not_load_mpmath():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["gen", "lssf", "--n", "3", "--precision", "53"]
+    # -X importtime names every module the run imports on stderr.
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "rampsched.cli", *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "rampsched.core" in proc.stderr
+    assert "mpmath" not in proc.stderr

@@ -381,6 +381,19 @@ def test_validator_flags_overlap():
     assert any("overlap" in v for v in report.violations)
 
 
+def test_validator_flags_an_overlap_inside_tolerance():
+    # Segment ends are stored numbers, so an overlap of 2^-50, far below
+    # the 53-bit tolerance, is still an overlap; touching ends are not.
+    for start in (1 - 2.0**-50, 1):
+        a = lazy_job(1, 0, 4, 0.5)
+        b = lazy_job(2, 0, 4, (4 - start * start) / 2)
+        sched = Schedule((_exact_segment(a, 0, 1), _exact_segment(b, start, 2)))
+        report = validate_schedule(Instance((a, b)), sched, DOUBLE)
+        overlaps = [v for v in report.violations if "overlap" in v]
+        assert report.ok is (start == 1), report.violations
+        assert len(overlaps) == (start < 1)
+
+
 def test_validator_flags_running_before_release():
     job = lazy_job(1, 1, 3, 2)
     inst = Instance((job,))

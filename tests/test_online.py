@@ -1,8 +1,10 @@
 """Dispatcher, capped-speed kernels, and event-driven simulator tests."""
 
 import math
+import random
 
 import pytest
+from mpmath.ctx_mp_python import _mpf as mpf_type
 
 from rampsched import (
     DOUBLE,
@@ -10,21 +12,32 @@ from rampsched import (
     PrecisionContext,
     Schedule,
     SchedulingError,
+    Segment,
     Verdict,
     lazy_job,
     nonlazy_job,
     completion_from,
+    speed_at,
     stretch,
     work_in,
 )
-from rampsched.generators import gen_random_feasible
-from rampsched.offline import validate_schedule
+from rampsched import online
+from rampsched.fileio import trace_to_record
+from rampsched.generators import (
+    gen_edd,
+    gen_fifo,
+    gen_lssf,
+    gen_random_feasible,
+    gen_srpt,
+)
+from rampsched.offline import total_busy_time, validate_schedule
 from rampsched.online import (
     EventKind,
     Policy,
     PolicySpec,
     SimState,
     SimTrace,
+    TraceEvent,
     busy_time_in_window,
     lssf_crossing,
     max_stretch,
@@ -34,16 +47,11 @@ from rampsched.online import (
 )
 
 
-def _state(jobs, running=None, t=None, remaining=None, alpha=None):
-    state = SimState(
-        jobs={j.id: j for j in jobs},
-        remaining=remaining or {j.id: j.work for j in jobs},
-        released={j.id for j in jobs},
-        running=running,
-        ctx=DOUBLE,
-    )
-    if alpha is not None:
-        state.activation = {j.id: thrashing_activation(j, alpha) for j in jobs}
+def _state(spec, jobs, running=None):
+    state = SimState(spec=spec, jobs={j.id: j for j in jobs}, ctx=DOUBLE)
+    for j in jobs:
+        state.admit(j)
+    state.running = running
     return state
 
 
@@ -70,14 +78,15 @@ def test_thrashing_activation_point():
 
 def test_fifo_picks_earliest_release():
     jobs = (lazy_job(1, 1, 9, 1), lazy_job(2, 0, 3, 1), lazy_job(3, 0, 2, 1))
-    assert next_dispatch(PolicySpec(Policy.FIFO), _state(jobs), 1) == 2
+    spec = PolicySpec(Policy.FIFO)
+    assert next_dispatch(spec, _state(spec, jobs), 1) == 2
 
 
 def test_edd_picks_earliest_due_and_sticks_on_ties():
     jobs = (lazy_job(1, 0, 4, 1), lazy_job(2, 0.5, 4, 1))
     spec = PolicySpec(Policy.EDD)
-    assert next_dispatch(spec, _state(jobs), 1) == 1
-    assert next_dispatch(spec, _state(jobs, running=2), 1) == 2
+    assert next_dispatch(spec, _state(spec, jobs), 1) == 1
+    assert next_dispatch(spec, _state(spec, jobs, running=2), 1) == 2
 
 
 def test_srpt_ranks_by_time_to_finish_not_work():
@@ -85,38 +94,39 @@ def test_srpt_ranks_by_time_to_finish_not_work():
     # finishes at t=5 (2 units away); job 2's ramp is young and takes
     # sqrt(5.01) ~ 2.24 units.  Remaining work alone would choose job 2.
     jobs = (lazy_job(1, 0, 10, 8), lazy_job(2, 2.9, 10, 2.5))
-    state = _state(jobs)
-    assert next_dispatch(PolicySpec(Policy.SRPT), state, 3) == 1
+    spec = PolicySpec(Policy.SRPT)
+    assert next_dispatch(spec, _state(spec, jobs), 3) == 1
 
 
 def test_stretch_rule_chases_the_largest_stretch():
     jobs = (lazy_job(1, 0, 10, 1), lazy_job(2, 0, 12.5, 1))
-    assert next_dispatch(PolicySpec(Policy.LSSF), _state(jobs), 11) == 1
+    spec = PolicySpec(Policy.LSSF)
+    assert next_dispatch(spec, _state(spec, jobs), 11) == 1
 
 
 def test_stretch_tie_goes_to_the_faster_growing_job():
     # At t = 4/3 both stretches equal 1/3; the shorter window grows
     # faster and must win even while the other job holds the machine.
     jobs = (lazy_job(1, 0, 4, 1), lazy_job(2, 1, 2, 0.4))
-    state = _state(jobs, running=1)
-    assert next_dispatch(PolicySpec(Policy.LSSF), state, 4 / 3) == 2
+    spec = PolicySpec(Policy.LSSF)
+    assert next_dispatch(spec, _state(spec, jobs, running=1), 4 / 3) == 2
 
 
 def test_full_tie_prefers_the_running_job():
     jobs = (lazy_job(1, 0, 4, 1), lazy_job(2, 0, 4, 1))
     spec = PolicySpec(Policy.LSSF)
-    assert next_dispatch(spec, _state(jobs, running=2), 1) == 2
-    assert next_dispatch(spec, _state(jobs), 1) == 1
+    assert next_dispatch(spec, _state(spec, jobs, running=2), 1) == 2
+    assert next_dispatch(spec, _state(spec, jobs), 1) == 1
 
 
 def test_thrashing_waits_for_activation():
     jobs = (lazy_job(1, 0, 2, 1), lazy_job(2, 1, 2, 0.2))
     spec = PolicySpec(Policy.THRASHING, alpha=2)
-    state = _state(jobs, alpha=2)
+    state = _state(spec, jobs)
     assert next_dispatch(spec, state, 1) is None  # activations at 4 and 3
     assert next_dispatch(spec, state, 3) == 2  # later release activates first
     assert next_dispatch(spec, state, 4.5) == 2
-    assert next_dispatch(spec, _state(()), 0) is None
+    assert next_dispatch(spec, _state(spec, ()), 0) is None
 
 
 def test_policy_spec_validation():
@@ -309,3 +319,198 @@ def test_high_precision_run_matches_double_closely():
         assert float(wide.completions[jid]) == pytest.approx(
             narrow.completions[jid], rel=1e-12
         )
+
+
+# --- the simulator against its scan reference ---------------------------------
+
+
+def _scan_dispatch(spec, jobs, released, remaining, caps, running, t, ctx):
+    """The dispatch rule as first written: rescan every released job."""
+    cands = [jobs[i] for i in released]
+    kind = spec.kind
+    if kind is Policy.FIFO:
+        return min(cands, key=lambda j: (j.release, j.id)).id
+    if kind is Policy.EDD:
+        return min(cands, key=lambda j: (j.due, j.id != running, j.id)).id
+    if kind is Policy.SRPT:
+        def rpt(j):
+            return completion_from(j, t, remaining[j.id], ctx, caps.get(j.id)) - t
+
+        return min(cands, key=lambda j: (rpt(j), j.id != running, j.id)).id
+    if kind is Policy.LSSF:
+        so_far = [stretch(j, t) for j in cands]
+        top = max(so_far)
+        tied = [j for j, s in zip(cands, so_far) if ctx.close(s, top)]
+        return min(tied, key=lambda j: (j.length, j.id != running, j.id)).id
+    when = {j.id: thrashing_activation(j, spec.alpha) for j in cands}
+    eligible = [j for j in cands if t >= when[j.id]]
+    if not eligible:
+        return None
+    return min(eligible, key=lambda j: (-j.release, j.id != running, j.id)).id
+
+
+def _scan_simulate(instance, spec, ctx):
+    """The event loop as first written: every event rescans every released job."""
+    order, jobs, n = instance.jobs, instance.by_id, len(instance.jobs)
+    caps = {}
+    if spec.speed_cap_factor is not None:
+        caps = {j.id: spec.speed_cap_factor * speed_at(j, j.due) for j in order}
+    released, remaining, completions = set(), {}, {}
+    events, segments = [], []
+    idx, running, seg_start, idle = 0, None, None, False
+
+    def close(rid, start, end):
+        if start < end:
+            done = work_in(jobs[rid], start, end, caps.get(rid))
+            segments.append(Segment(rid, start, end, done))
+
+    t = order[0].release
+    while True:
+        while idx < n and order[idx].release == t:
+            j = order[idx]
+            idx += 1
+            events.append(TraceEvent(t, EventKind.RELEASE, j.id))
+            if j.work == 0:
+                completions[j.id] = t
+                events.append(TraceEvent(t, EventKind.COMPLETE, j.id))
+            else:
+                released.add(j.id)
+                remaining[j.id] = j.work
+        choice = None
+        if released:
+            choice = _scan_dispatch(
+                spec, jobs, released, remaining, caps, running, t, ctx
+            )
+        if choice is None or choice != running:
+            if running is not None:
+                close(running, seg_start, t)
+                events.append(TraceEvent(t, EventKind.PREEMPT, running))
+                running = None
+            if choice is None:
+                if not idle and len(completions) < n:
+                    idle = True
+                    events.append(TraceEvent(t, EventKind.IDLE_BEGIN))
+            else:
+                if idle:
+                    idle = False
+                    events.append(TraceEvent(t, EventKind.IDLE_END))
+                events.append(TraceEvent(t, EventKind.START, choice))
+                seg_start, running = t, choice
+        if len(completions) == n:
+            break
+        horizon = [order[idx].release] if idx < n else []
+        if running is not None:
+            job = jobs[running]
+            finish_at = completion_from(
+                job, t, remaining[running], ctx, caps.get(running)
+            )
+            finish_at = max(finish_at, t)
+            horizon.append(finish_at)
+            if spec.kind is Policy.LSSF:
+                for jid in released - {running}:
+                    cross = lssf_crossing(job, jobs[jid], t)
+                    if cross is not None:
+                        horizon.append(cross)
+        if spec.kind is Policy.THRASHING:
+            for jid in released:
+                when = thrashing_activation(jobs[jid], spec.alpha)
+                if when > t:
+                    horizon.append(when)
+        tn = min(horizon)
+        if running is not None:
+            if tn == finish_at:
+                close(running, seg_start, tn)
+                released.discard(running)
+                del remaining[running]
+                completions[running] = tn
+                events.append(TraceEvent(tn, EventKind.COMPLETE, running))
+                running = None
+            else:
+                left = remaining[running] - work_in(job, t, tn, caps.get(running))
+                remaining[running] = left if left > 0 else 0
+        t = tn
+    trace = SimTrace(
+        instance=instance,
+        policy=spec,
+        events=tuple(events),
+        completions=completions,
+        stretches={i: stretch(jobs[i], done) for i, done in completions.items()},
+        segments=tuple(segments),
+        busy_time=None,
+    )
+    trace.busy_time = total_busy_time(trace)
+    return trace
+
+
+def _reference_corpus():
+    # Ties that only the running-job preference settles: an equal due
+    # date released later under a lower id (EDD), and an equal release
+    # that activates while the other job runs (thrashing, alpha=2).
+    yield Instance((lazy_job(2, 0, 4, 1), lazy_job(1, 1, 4, 1)), "edd-tie"), DOUBLE
+    yield Instance((lazy_job(1, 0, 4, 1), lazy_job(2, 0, 1, 40)), "thr-tie"), DOUBLE
+    for bits, seeds in ((53, range(1, 13)), (128, range(1, 4))):
+        ctx = PrecisionContext(bits)
+        for seed in seeds:
+            yield gen_random_feasible(3 + (seed * 7) % 30, seed, ctx), ctx
+        for n in (5, 17):
+            yield gen_lssf(n, ctx), ctx
+            yield gen_srpt(n, ctx), ctx
+            yield gen_fifo(n, ctx), ctx
+            yield gen_edd(n, ctx), ctx
+
+
+def test_simulate_matches_the_scan_reference():
+    specs = [PolicySpec(p, speed_cap_factor=cap)
+             for p in Policy if p is not Policy.THRASHING for cap in (None, 1, 0.5)]
+    specs += [PolicySpec(Policy.THRASHING, alpha=a, speed_cap_factor=cap)
+              for a in (1, 2, 3) for cap in (None, 1, 0.5)]
+    for inst, ctx in _reference_corpus():
+        for spec in specs:
+            got = simulate(inst, spec, ctx)
+            want = _scan_simulate(inst, spec, ctx)
+            assert trace_to_record(got, ctx) == trace_to_record(want, ctx), (
+                inst.name, ctx.bits, spec,
+            )
+            assert got.segments == want.segments, (inst.name, ctx.bits, spec)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count calls of owner.name from here on; returns a one-item list."""
+    count = [0]
+    inner = getattr(owner, name)
+
+    def counting(*args):
+        count[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return count
+
+
+def test_static_key_dispatch_comparisons_grow_as_n_log_n(monkeypatch):
+    # One batch released at 0: every event sees all unfinished jobs.
+    ctx = PrecisionContext(128)
+    rng = random.Random(5)
+    n = 400
+    jobs = []
+    for i in range(1, n + 1):
+        due = ctx.parse(repr(rng.uniform(1, 200)))
+        share = ctx.parse(repr(rng.uniform(0.001, 0.01)))
+        jobs.append(lazy_job(i, ctx.real(0), due, due * due / 2 * share))
+    inst = Instance(tuple(jobs))
+    cmp_calls = _count_calls(monkeypatch, mpf_type, "_cmp")
+    eq_calls = _count_calls(monkeypatch, mpf_type, "__eq__")
+    for policy in (Policy.FIFO, Policy.EDD, Policy.THRASHING):
+        before = cmp_calls[0] + eq_calls[0]
+        trace = simulate(inst, PolicySpec(policy), ctx)
+        assert len(trace.completions) == n
+        assert cmp_calls[0] + eq_calls[0] - before <= 6 * n * math.log2(n), policy
+
+
+def test_stretch_crossings_are_computed_once_per_running_job(monkeypatch):
+    ctx = PrecisionContext(128)
+    inst = gen_lssf(241, ctx)
+    calls = _count_calls(monkeypatch, online, "lssf_crossing")
+    trace = simulate(inst, PolicySpec(Policy.LSSF), ctx)
+    assert len(trace.completions) == 241
+    assert 0 < calls[0] <= 11_000
