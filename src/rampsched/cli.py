@@ -15,7 +15,7 @@ import csv
 import os
 import sys
 
-from .core import PrecisionContext, UnsupportedInstanceError
+from .core import PrecisionContext, SchedulingError, UnsupportedInstanceError
 from .fileio import (
     FileFormatError,
     instance_to_record,
@@ -159,7 +159,10 @@ def cmd_simulate(args) -> int:
         spec = _policy_spec(args, ctx)
     except (FileFormatError, ValueError) as exc:
         return _fail_usage(exc)
-    trace = simulate(instance, spec, ctx)
+    try:
+        trace = simulate(instance, spec, ctx)
+    except SchedulingError as exc:
+        return _fail_usage(exc)
     worst = max_stretch(trace)
     missed = missed_due_dates(trace)
     print(f"instance: {instance.name or args.instance}")
@@ -210,7 +213,7 @@ def cmd_gen(args) -> int:
             print(f"policy missed a due date: {outcome.missed}")
         else:  # pragma: no cover - argparse restricts choices
             return _fail_usage(f"unknown family {args.family}")
-    except ValueError as exc:
+    except (ValueError, SchedulingError) as exc:
         return _fail_usage(exc)
     if args.out:
         save_instance(instance, args.out, ctx)

@@ -10,17 +10,19 @@ adversary extend an instance mid-run and trust the prefix.
 
 Each event costs work only for what changed.  FIFO, EDD and thrashing
 rank jobs by a key fixed at release and dispatch from a heap, so an
-event costs O(log n) comparisons.  LSSF computes the running job's
-stretch crossings with the other released jobs when it starts, and
-adds one per release while it runs.  SRPT's ranking and LSSF's
-stretch-so-far ranking move with time for every job, so those two
-dispatch rules still scan every released job at each event.
+event costs O(log n) comparisons.  SRPT's and LSSF's values move with
+time, but they depend on only a few inputs of each job, so waiting
+jobs that share all of them sit in one bucket and get one evaluation
+per event: a batch of identical jobs costs what one job costs.  LSSF
+computes the running job's stretch crossings with each bucket when it
+starts, and adds one per release that opens a bucket while it runs.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from .core import (
@@ -62,6 +64,8 @@ class PolicySpec:
     def __post_init__(self):
         if not isinstance(self.kind, Policy):
             raise ValueError(f"unknown policy {self.kind!r}")
+        if not self.alpha < math.inf:  # also catches nan
+            raise ValueError("idle threshold must be finite")
         if self.alpha < 1:
             raise ValueError("idle threshold below 1 would idle past due dates")
         if self.speed_cap_factor is not None and not self.speed_cap_factor > 0:
@@ -133,9 +137,17 @@ class SimState:
     `ready`, a heap of (rank, id) with a rank fixed at release, so a
     dispatch costs O(log n); completed jobs leave it lazily.  Thrashing
     holds a job in `pending`, a heap of (activation, id), until its
-    activation time.  Under LSSF, `crossings` holds the future stretch
-    crossings of the running job `crossings_of` with every other
-    released job.
+    activation time.
+
+    SRPT and LSSF file every waiting job (released, unfinished, not
+    running) in a bucket, a heap of ids: `buckets` maps each bucket key
+    seen so far (see `file`) to its bucket, `bucket_of` maps a waiting
+    job to its bucket, and `live` holds the nonempty buckets by
+    identity, so that emptying or refilling one never hashes its key.
+    A job leaves its bucket when it starts and is filed again, under
+    its new remaining work, when it is preempted.  Under LSSF,
+    `crossings` holds the future stretch crossings of the running job
+    `crossings_of` with every live bucket.
     """
 
     spec: PolicySpec
@@ -147,6 +159,9 @@ class SimState:
     caps: dict = field(default_factory=dict)
     ready: list = field(default_factory=list)
     pending: list = field(default_factory=list)
+    buckets: dict = field(default_factory=dict)
+    bucket_of: dict = field(default_factory=dict)
+    live: dict = field(default_factory=dict)
     crossings: list = field(default_factory=list)
     crossings_of: int | None = None
 
@@ -158,6 +173,53 @@ class SimState:
         if kind is Policy.EDD:
             return job.due
         return -job.release
+
+    def file(self, jid):
+        """Put a waiting SRPT or LSSF job in its bucket; True if it was empty.
+
+        The bucket key holds every input of the job's dispatch value.
+        completion_from reads the release, the speed, the remaining
+        work and the cap (the job id only names it in errors); stretch
+        reads the release and the due date.  Waiting jobs with equal
+        keys therefore get bit-identical values from the same
+        arithmetic (the loader and the generators give every number of
+        an instance the context's one scalar type).
+        """
+        job = self.jobs[jid]
+        if self.spec.kind is Policy.LSSF:
+            key = job.release, job.due
+        else:
+            sp = job.speed
+            key = job.release, sp.base, sp.slope, self.caps.get(jid), self.remaining[jid]
+        bucket = self.buckets.get(key)
+        if bucket is None:
+            bucket = self.buckets[key] = []
+        was_empty = not bucket
+        if was_empty:
+            self.live[id(bucket)] = bucket
+        heapq.heappush(bucket, jid)
+        self.bucket_of[jid] = bucket
+        return was_empty
+
+    def start(self, jid):
+        """Run job jid, taking it out of its bucket if it has one."""
+        self.running = jid
+        bucket = self.bucket_of.pop(jid, None)
+        if bucket is not None:
+            if bucket[0] == jid:  # the dispatcher only ever starts a bucket's lowest id
+                heapq.heappop(bucket)
+            else:
+                bucket.remove(jid)
+                heapq.heapify(bucket)
+            if not bucket:
+                del self.live[id(bucket)]
+
+    def preempt(self):
+        """Stop the running job; SRPT and LSSF file it again as waiting."""
+        rid = self.running
+        self.running = None
+        if self.spec.kind is Policy.SRPT or self.spec.kind is Policy.LSSF:
+            self.file(rid)
 
     def admit(self, job: Job):
         """Release a job with work; the current time is its release."""
@@ -173,20 +235,25 @@ class SimState:
                 self.pending, (thrashing_activation(job, spec.alpha), jid)
             )
         elif kind is Policy.LSSF:
+            # A job that joins a live bucket adds no line, so no crossing.
             rid = self.running
-            if rid is not None and rid == self.crossings_of:
+            if self.file(jid) and rid is not None and rid == self.crossings_of:
                 cross = lssf_crossing(self.jobs[rid], job, job.release)
                 if cross is not None:
                     heapq.heappush(self.crossings, cross)
-        elif kind is Policy.FIFO or kind is Policy.EDD:
+        elif kind is Policy.SRPT:
+            self.file(jid)
+        else:
             heapq.heappush(self.ready, (self.rank(job), jid))
 
     def next_crossing(self, t):
         """Earliest stretch crossing of the running job after t, or None.
 
-        The crossings are rebuilt only when the running job changes;
-        each one is a fixed time for its pair, so dropping those at or
-        before t leaves exactly the crossings a fresh scan would find.
+        The crossings are rebuilt only when the running job changes,
+        from one member of each bucket: the members of a bucket share
+        one stretch line.  Each crossing is a fixed time for its pair
+        of lines, so dropping those at or before t leaves exactly the
+        crossings a scan of every released job would find.
         """
         rid = self.running
         if rid != self.crossings_of:
@@ -194,11 +261,10 @@ class SimState:
             heap = []
             if rid is not None:
                 job = self.jobs[rid]
-                for jid in self.released:
-                    if jid != rid:
-                        cross = lssf_crossing(job, self.jobs[jid], t)
-                        if cross is not None:
-                            heap.append(cross)
+                for bucket in self.live.values():
+                    cross = lssf_crossing(job, self.jobs[bucket[0]], t)
+                    if cross is not None:
+                        heap.append(cross)
                 heapq.heapify(heap)
             self.crossings = heap
         heap = self.crossings
@@ -221,9 +287,14 @@ def next_dispatch(spec: PolicySpec, state: SimState, t):
     the order in which candidates are visited cannot change the choice.
 
     FIFO, EDD and thrashing read the top of the state's ready heap.
-    SRPT and LSSF scan every released job: SRPT's key, the time still
-    needed to finish, moves with t for every job, and so does each
-    stretch-so-far, so neither has an order that holds between events.
+    SRPT's key (the time still needed to finish) and LSSF's stretch so
+    far move with t, so they are evaluated at every event, but only
+    for the running job and the lowest id of each bucket.  That is
+    exact: the members of a bucket get bit-identical values, and for
+    LSSF share one interval length, so the full tie-break key of every
+    other member loses to its lowest id on the id alone.  The running
+    job sits in no bucket, so it keeps its preference over any equal
+    candidate, as in a scan of every released job.
     Calls on one state must come with nondecreasing t.
     """
     running = state.running
@@ -241,25 +312,25 @@ def next_dispatch(spec: PolicySpec, state: SimState, t):
         if running is not None and state.rank(state.jobs[running]) == rank:
             return running
         return best
-    cands = [state.jobs[i] for i in state.released]
+    cands = [bucket[0] for bucket in state.live.values()]
+    if running is not None:
+        cands.append(running)
     if not cands:
         return None
+    jobs = state.jobs
     if kind is Policy.SRPT:
-        def rpt(j):
-            done_at = completion_from(
-                j, t, state.remaining[j.id], state.ctx, state.caps.get(j.id)
-            )
-            return done_at - t
+        remaining, caps, ctx = state.remaining, state.caps, state.ctx
 
-        best = min(cands, key=lambda j: (rpt(j), j.id != running, j.id))
-    else:
-        so_far = [stretch(j, t) for j in cands]
-        top = max(so_far)
-        # Stretches are nonnegative, so this is state.ctx.close(s, top).
-        least = -state.ctx.tolerance(top)
-        tied = [j for j, s in zip(cands, so_far) if s == top or s - top >= least]
-        best = min(tied, key=lambda j: (j.length, j.id != running, j.id))
-    return best.id
+        def rpt(i):
+            return completion_from(jobs[i], t, remaining[i], ctx, caps.get(i)) - t
+
+        return min(cands, key=lambda i: (rpt(i), i != running, i))
+    so_far = [stretch(jobs[i], t) for i in cands]
+    top = max(so_far)
+    # Stretches are nonnegative, so this is state.ctx.close(s, top).
+    least = -state.ctx.tolerance(top)
+    tied = [i for i, s in zip(cands, so_far) if s == top or s - top >= least]
+    return min(tied, key=lambda i: (jobs[i].length, i != running, i))
 
 
 # --- the simulator -----------------------------------------------------------
@@ -309,7 +380,7 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
             if rid is not None:
                 _close_segment(segments, state, rid, seg_start, t)
                 events.append(TraceEvent(t, EventKind.PREEMPT, rid))
-                state.running = None
+                state.preempt()
             if choice is None:
                 if not idle and len(completions) < n:
                     idle = True
@@ -320,7 +391,7 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
                     events.append(TraceEvent(t, EventKind.IDLE_END))
                 events.append(TraceEvent(t, EventKind.START, choice))
                 seg_start = t
-                state.running = choice
+                state.start(choice)
         if len(completions) == n:
             break
         # Next event: a release, a finish, an LSSF crossing or an activation.
@@ -347,6 +418,13 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
                 "simulation stalled with unfinished jobs and no upcoming event"
             )
         tn = min(horizon)
+        if not ctx.isfinite(tn):
+            # Every later test against a nan or inf time would fail,
+            # and the loop would never end.
+            raise SchedulingError(
+                f"next event time {ctx.format(tn)} after t={ctx.format(t)} "
+                f"is not finite at {ctx.bits} bits"
+            )
         if rid is not None:
             if tn == finish_at:
                 _close_segment(segments, state, rid, seg_start, tn)

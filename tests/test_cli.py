@@ -430,6 +430,30 @@ def test_closed_stdout_ends_quietly():
     assert not err
 
 
+@pytest.mark.parametrize("command", ["simulate", "gen adversary"])
+def test_non_finite_event_time_is_a_usage_error(tmp_path, command):
+    # At t = 2e200 a job's ramp squares to inf at 53 bits, its finish
+    # time comes out nan, and an unchecked event loop never ends.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    cli = [sys.executable, "-m", "rampsched.cli"]
+    if command == "simulate":
+        inst = tmp_path / "starve5.json"
+        gen = [*cli, "gen", "srpt", "--n", "5", "--precision", "53", "--out", str(inst)]
+        assert subprocess.run(gen, env=env, capture_output=True).returncode == 0
+        argv = ["simulate", str(inst)]
+    else:
+        argv = ["gen", "adversary"]
+    argv += ["--policy", "thrashing", "--alpha", "1e200", "--precision", "53"]
+    proc = subprocess.run(
+        [*cli, *argv], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 64
+    assert proc.stderr.count("\n") == 1
+    assert "not finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # --- imports -------------------------------------------------------------
 
 

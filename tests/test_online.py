@@ -9,10 +9,12 @@ from mpmath.ctx_mp_python import _mpf as mpf_type
 from rampsched import (
     DOUBLE,
     Instance,
+    Job,
     PrecisionContext,
     Schedule,
     SchedulingError,
     Segment,
+    SpeedFunction,
     Verdict,
     lazy_job,
     nonlazy_job,
@@ -51,7 +53,8 @@ def _state(spec, jobs, running=None):
     state = SimState(spec=spec, jobs={j.id: j for j in jobs}, ctx=DOUBLE)
     for j in jobs:
         state.admit(j)
-    state.running = running
+    if running is not None:
+        state.start(running)
     return state
 
 
@@ -136,6 +139,12 @@ def test_policy_spec_validation():
         PolicySpec(Policy.FIFO, speed_cap_factor=0)
     spec = PolicySpec(Policy.FIFO, speed_cap_factor=2)
     assert spec.speed_cap_factor == 2
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_policy_spec_rejects_a_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="finite"):
+        PolicySpec(Policy.THRASHING, alpha=alpha)
 
 
 # --- speed caps in the core kernels -------------------------------------------
@@ -442,6 +451,39 @@ def _scan_simulate(instance, spec, ctx):
     return trace
 
 
+def _bucket_stress(ctx):
+    """Instances where SRPT and LSSF buckets hold several jobs, or nearly do."""
+    x = ctx.real
+
+    def job(jid, release, due, work, base="0", slope="1"):
+        speed = SpeedFunction(x(base), x(slope))
+        return Job(jid, x(release), x(due), x(work), speed)
+
+    # Equal-work twins 1 and 3 arrive while job 2 runs with the same
+    # time left, so only the running-job preference keeps job 2.
+    yield Instance((job(2, "0", "10", "2", base="1", slope="0"),
+                    job(1, "1", "10", "1", base="1", slope="0"),
+                    job(3, "1", "10", "1", base="1", slope="0")), "run-twins")
+    # Job 2 is preempted by job 4 with 0.5 left, the work of the waiting
+    # job 3; job 1 shares job 2's release and speed but not its work.
+    yield Instance((job(1, "0", "10", "1", base="1", slope="0"),
+                    job(2, "0", "10", "0.75", base="1", slope="0"),
+                    job(3, "0.25", "10", "0.5", base="1", slope="0"),
+                    job(4, "0.25", "10", "0.125", base="1", slope="0")), "rem-equals-work")
+    # A batch that differs only in due date: one bucket uncapped, two
+    # buckets once the cap, a multiple of the due-date speed, applies.
+    yield Instance((job(1, "0", "2", "3"), job(2, "0", "4", "3"),
+                    job(3, "0", "2", "3"), job(4, "0.5", "6", "0.25")), "cap-twins")
+    # LSSF twins 2 and 3 on one stretch line, an equal-length job 1 on a
+    # parallel line, and a steep job 4 whose line crosses both.
+    yield Instance((job(2, "0", "4", "1.5"), job(3, "0", "4", "1"),
+                    job(1, "1", "5", "2"), job(4, "0.5", "1.5", "0.3")), "lssf-twins")
+    # Ramps with a base speed: twins 1 and 2, job 3 differing in base only.
+    yield Instance((job(1, "0", "3", "2", base="0.5"), job(2, "0", "3", "2", base="0.5"),
+                    job(3, "0", "3", "2", base="1"),
+                    job(4, "0.5", "2", "0.1", base="0.5")), "base-twins")
+
+
 def _reference_corpus():
     # Ties that only the running-job preference settles: an equal due
     # date released later under a lower id (EDD), and an equal release
@@ -450,6 +492,8 @@ def _reference_corpus():
     yield Instance((lazy_job(1, 0, 4, 1), lazy_job(2, 0, 1, 40)), "thr-tie"), DOUBLE
     for bits, seeds in ((53, range(1, 13)), (128, range(1, 4))):
         ctx = PrecisionContext(bits)
+        for inst in _bucket_stress(ctx):
+            yield inst, ctx
         for seed in seeds:
             yield gen_random_feasible(3 + (seed * 7) % 30, seed, ctx), ctx
         for n in (5, 17):
@@ -514,3 +558,42 @@ def test_stretch_crossings_are_computed_once_per_running_job(monkeypatch):
     trace = simulate(inst, PolicySpec(Policy.LSSF), ctx)
     assert len(trace.completions) == 241
     assert 0 < calls[0] <= 11_000
+
+
+def test_srpt_evaluates_each_bucket_once_per_event(monkeypatch):
+    # 240 identical half-unit jobs and one unit job, all released at 0.
+    ctx = PrecisionContext(128)
+    inst = gen_srpt(241, ctx)
+    calls = _count_calls(monkeypatch, online, "completion_from")
+    trace = simulate(inst, PolicySpec(Policy.SRPT), ctx)
+    assert len(trace.completions) == 241
+    assert 0 < calls[0] <= 3 * len(trace.events)
+
+
+def test_lssf_evaluates_each_bucket_once_per_event(monkeypatch):
+    ctx = PrecisionContext(128)
+    inst = gen_srpt(241, ctx)
+    stretches = _count_calls(monkeypatch, online, "stretch")
+    crossings = _count_calls(monkeypatch, online, "lssf_crossing")
+    trace = simulate(inst, PolicySpec(Policy.LSSF), ctx)
+    assert len(trace.completions) == 241
+    assert 0 < stretches[0] <= 3 * len(trace.events)
+    assert crossings[0] <= 241
+
+
+def test_ten_thousand_job_batch_at_double(monkeypatch):
+    n = 10_000
+    inst = gen_srpt(n, DOUBLE)
+    kernels = {name: _count_calls(monkeypatch, online, name)
+               for name in ("completion_from", "stretch", "lssf_crossing")}
+    for policy in (Policy.SRPT, Policy.LSSF):
+        for count in kernels.values():
+            count[0] = 0
+        trace = simulate(inst, PolicySpec(policy), DOUBLE)
+        assert len(trace.completions) == n
+        assert sum(count[0] for count in kernels.values()) <= 4 * len(trace.events)
+        report = validate_schedule(inst, Schedule(trace.segments), DOUBLE)
+        assert report.ok and not report.incomplete, (policy, report.violations[:1])
+        if policy is Policy.SRPT:
+            closed_form = DOUBLE.sqrt(n + 1) / 2
+            assert DOUBLE.close(max_stretch(trace), closed_form)
