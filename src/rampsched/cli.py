@@ -11,7 +11,7 @@ ends the command quietly with exit 141.
 from __future__ import annotations
 
 import argparse
-import csv
+import json
 import os
 import sys
 
@@ -25,18 +25,8 @@ from .fileio import (
     save_trace,
     write_plot_data,
 )
-from .generators import (
-    SsrQuery,
-    adaptive_adversary,
-    check_reduction,
-    gen_edd,
-    gen_fifo,
-    gen_lssf,
-    gen_random_feasible,
-    gen_srpt,
-    recover_ssr_query,
-    reduce_ssr,
-)
+# Commands that use rampsched.generators (and csv) import them
+# themselves, so `simulate` starts without compiling or running them.
 from .offline import Feasibility, lrtb, total_busy_time
 from .online import (
     Policy,
@@ -117,6 +107,8 @@ def _finish(verdict, bits) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .generators import check_reduction, recover_ssr_query
+
     ctx = _context(args)
     try:
         instance = load_instance(args.instance, ctx)
@@ -188,6 +180,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .generators import (
+        SsrQuery,
+        adaptive_adversary,
+        gen_edd,
+        gen_fifo,
+        gen_lssf,
+        gen_random_feasible,
+        gen_srpt,
+        reduce_ssr,
+    )
+
     ctx = _context(args)
     trace = None
     try:
@@ -219,8 +222,6 @@ def cmd_gen(args) -> int:
         save_instance(instance, args.out, ctx)
         print(f"instance written to {args.out}")
     else:
-        import json
-
         json.dump(instance_to_record(instance, ctx), sys.stdout, indent=2)
         print()
     if trace is not None and args.trace_out:
@@ -258,6 +259,8 @@ def _parse_seed_spec(text):
 
 
 def cmd_check(args) -> int:
+    from .generators import SsrQuery, check_reduction
+
     ctx = _context(args)
     try:
         query = SsrQuery(_parse_int_list(args.xs), args.threshold)
@@ -275,6 +278,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import csv
+
+    from .generators import gen_lssf, gen_random_feasible
+
     ctx = _context(args)
     try:
         seeds = _parse_seed_spec(args.seeds)

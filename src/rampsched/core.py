@@ -14,7 +14,6 @@ without being exactly equal.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -158,6 +157,8 @@ class Job:
     due: object
     work: object
     speed: SpeedFunction
+    # due - release, computed once: every stretch divides by it.
+    length: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.release < self.due:
@@ -166,10 +167,7 @@ class Job:
             raise ValueError(f"job {self.id}: negative work")
         if self.speed.base == 0 and self.speed.slope == 0 and self.work != 0:
             raise ValueError(f"job {self.id}: zero speed with positive work")
-
-    @functools.cached_property
-    def length(self):
-        return self.due - self.release
+        object.__setattr__(self, "length", self.due - self.release)
 
     @property
     def is_lazy(self) -> bool:

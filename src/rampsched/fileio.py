@@ -3,8 +3,9 @@
 Numeric fields are exact decimal strings produced by the precision
 context, so save/load round-trips are bit-identical at a given
 precision and files written at high precision do not silently decay
-to doubles.  Parsers report the JSON location for syntax errors and
-the offending field for schema errors.
+to doubles.  Files are compact JSON, written in bounded slices.
+Parsers report the JSON location for syntax errors and the offending
+field for schema errors.
 """
 
 from __future__ import annotations
@@ -35,10 +36,44 @@ def _read_json(path):
         raise FileFormatError(f"{path}: {exc.strerror or exc}") from exc
 
 
+# Items per C-encoder call when a file's long lists and maps are written.
+SLICE = 256
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _write_json(record, path):
+    """Write record to path as compact JSON, a bounded slice at a time.
+
+    Only a one-shot, unindented encode runs CPython's C encoder, and
+    encoding a whole record at once would hold all of its text in
+    memory.  So the record's top two levels of objects are written key
+    by key, a list or object longer than SLICE in slices of SLICE
+    items, and everything else in one call.
+    """
     with open(path, "w") as fh:
-        json.dump(record, fh, indent=2)
+        _write_value(fh.write, record, 2)
         fh.write("\n")
+
+
+def _write_value(write, value, depth):
+    """Write value's JSON text; objects `depth` levels down go key by key."""
+    if isinstance(value, dict) and depth > 0:
+        write("{")
+        for i, (key, item) in enumerate(value.items()):
+            write(f"{',' if i else ''}{_encode(str(key))}:")
+            _write_value(write, item, depth - 1)
+        write("}")
+    elif isinstance(value, (list, dict)) and len(value) > SLICE:
+        is_list = isinstance(value, list)
+        items = value if is_list else list(value.items())
+        write("[" if is_list else "{")
+        for i in range(0, len(items), SLICE):
+            part = items[i : i + SLICE]
+            write(("," if i else "") + _encode(part if is_list else dict(part))[1:-1])
+        write("]" if is_list else "}")
+    else:
+        write(_encode(value))
 
 
 def _expect(record, field, kinds, where):

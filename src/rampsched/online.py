@@ -349,7 +349,9 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
     Events at one timestamp are processed completion first, then
     releases, then the dispatch change they trigger, so event times in
     the trace are nondecreasing with a deterministic order inside a
-    tie.
+    tie.  Raises SchedulingError when an event time is not finite, or
+    when a job's finish time rounds onto its start while more than
+    roundoff of its work is left.
     """
     if not instance.jobs:
         raise ValueError("empty instance")
@@ -427,6 +429,15 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
             )
         if rid is not None:
             if tn == finish_at:
+                left = state.remaining[rid]
+                if not seg_start < tn and left > ctx.tolerance(job.work):
+                    # The finish time rounded onto the start: the run
+                    # would record no segment, yet mark the work done.
+                    raise SchedulingError(
+                        f"job {rid} cannot run its remaining work "
+                        f"{ctx.format(left)} from t={ctx.format(tn)}: "
+                        f"its finish time rounds onto its start at {ctx.bits} bits"
+                    )
                 _close_segment(segments, state, rid, seg_start, tn)
                 state.running = None
                 state.released.discard(rid)

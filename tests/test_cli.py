@@ -430,10 +430,8 @@ def test_closed_stdout_ends_quietly():
     assert not err
 
 
-@pytest.mark.parametrize("command", ["simulate", "gen adversary"])
-def test_non_finite_event_time_is_a_usage_error(tmp_path, command):
-    # At t = 2e200 a job's ramp squares to inf at 53 bits, its finish
-    # time comes out nan, and an unchecked event loop never ends.
+def _huge_threshold_run(tmp_path, command, bits):
+    """`simulate` of a starvation instance, or `gen adversary`, at alpha 1e200."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     cli = [sys.executable, "-m", "rampsched.cli"]
@@ -444,14 +442,30 @@ def test_non_finite_event_time_is_a_usage_error(tmp_path, command):
         argv = ["simulate", str(inst)]
     else:
         argv = ["gen", "adversary"]
-    argv += ["--policy", "thrashing", "--alpha", "1e200", "--precision", "53"]
+    argv += ["--policy", "thrashing", "--alpha", "1e200", "--precision", bits]
     proc = subprocess.run(
         [*cli, *argv], env=env, capture_output=True, text=True, timeout=30
     )
     assert proc.returncode == 64
     assert proc.stderr.count("\n") == 1
-    assert "not finite" in proc.stderr
     assert "Traceback" not in proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("command", ["simulate", "gen adversary"])
+def test_non_finite_event_time_is_a_usage_error(tmp_path, command):
+    # At t = 2e200 a job's ramp squares to inf at 53 bits, its finish
+    # time comes out nan, and an unchecked event loop never ends.
+    proc = _huge_threshold_run(tmp_path, command, "53")
+    assert "not finite" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "gen adversary"])
+def test_finish_lost_to_rounding_is_a_usage_error(tmp_path, command):
+    # At 128 bits the ramp stays finite, but each finish time, ~1e-200
+    # after its start at ~2e200, rounds onto the start: no work could run.
+    proc = _huge_threshold_run(tmp_path, command, "128")
+    assert "rounds onto its start at 128 bits" in proc.stderr
 
 
 # --- imports -------------------------------------------------------------
@@ -476,3 +490,24 @@ def test_double_precision_run_does_not_load_mpmath():
     assert proc.returncode == 0, proc.stderr
     assert "rampsched.core" in proc.stderr
     assert "mpmath" not in proc.stderr
+
+
+def test_simulate_does_not_load_the_generators(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    inst = write_instance(tmp_path, (lazy_job(1, 0, 2, 1), lazy_job(2, 1, 3, 1)))
+    argv = ["simulate", inst, "--policy", "srpt", "--trace-out", str(tmp_path / "t.json")]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "rampsched.cli", *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # Each importtime line ends in "| <module name>".
+    modules = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "rampsched.online" in modules
+    assert "rampsched.generators" not in modules
+    assert "csv" not in modules

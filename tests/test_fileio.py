@@ -1,21 +1,26 @@
 """JSON instance/schedule/trace files and the plot CSV writer."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from rampsched import DOUBLE, Instance, PrecisionContext, lazy_job, nonlazy_job
+from rampsched import DOUBLE, Instance, PrecisionContext, Schedule, lazy_job, nonlazy_job
 from rampsched.fileio import (
+    SLICE,
     FileFormatError,
+    _write_json,
+    instance_to_record,
     load_instance,
     load_trace,
     save_instance,
     save_schedule,
     save_trace,
+    schedule_to_record,
     trace_to_record,
     write_plot_data,
 )
-from rampsched.generators import gen_random_feasible
+from rampsched.generators import gen_random_feasible, gen_srpt
 from rampsched.offline import lrtb
 from rampsched.online import Policy, PolicySpec, simulate
 
@@ -216,3 +221,78 @@ def test_trace_survives_precision_change(tmp_path):
     save_trace(trace, path, DOUBLE)
     rec = load_trace(path, PrecisionContext(128))
     assert rec.missed == []
+
+
+# --- the file writer ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_written_files_load_back_to_their_records(tmp_path, bits):
+    ctx = PrecisionContext(bits)
+    inst = gen_srpt(300, ctx)  # more jobs, segments and events than one slice
+    schedule, verdict = lrtb(inst, ctx)
+    trace = simulate(inst, PolicySpec(Policy.THRASHING), ctx)
+    files = {
+        "inst.json": (instance_to_record(inst, ctx), save_instance, (inst,)),
+        "sched.json": (
+            schedule_to_record(inst, schedule, verdict, ctx),
+            save_schedule,
+            (inst, schedule, verdict),
+        ),
+        "trace.json": (trace_to_record(trace, ctx), save_trace, (trace,)),
+    }
+    for name, (record, save, args) in files.items():
+        path = tmp_path / name
+        save(*args, path, ctx)
+        text = path.read_text()
+        assert json.loads(text) == record, name
+        assert text.count("\n") == 1 and text.endswith("}\n"), name  # compact
+    assert load_instance(tmp_path / "inst.json", ctx).jobs == inst.jobs
+    rec = load_trace(tmp_path / "trace.json", ctx)
+    assert rec.completions == trace.completions
+    assert rec.busy_time == trace.busy_time
+
+
+def test_writer_edge_cases_load_back(tmp_path):
+    # Empty segments and deficits.
+    inst = Instance((lazy_job(1, 0, 2, 1),))
+    _, verdict = lrtb(inst, CTX)
+    path = tmp_path / "empty.json"
+    save_schedule(inst, Schedule(()), verdict, path, CTX)
+    record = json.loads(path.read_text())
+    assert record == schedule_to_record(inst, Schedule(()), verdict, CTX)
+    assert record["segments"] == [] and record["verdict"]["deficits"] == {}
+    # Lists and maps of one slice, one slice plus one, and several slices,
+    # at the top level and one level down.
+    sizes = (0, 1, SLICE, SLICE + 1, 3 * SLICE + 5)
+    record = {
+        "kind": "edges",
+        "none": None,
+        **{f"list{n}": [{"i": i, "s": str(i)} for i in range(n)] for n in sizes},
+        **{f"map{n}": {str(i): [i] for i in range(n)} for n in sizes},
+        "nested": {
+            "list": list(range(SLICE + 1)),
+            "map": {str(i): i for i in range(2 * SLICE)},
+            "deeper": {"list": list(range(SLICE + 1)), "text": "\u00e9\"\n"},
+        },
+    }
+    path = tmp_path / "edges.json"
+    _write_json(record, path)
+    assert json.loads(path.read_text()) == record
+
+
+def test_writer_memory_stays_below_the_file_size(tmp_path):
+    # Encoding a whole record in one call holds all of its text at once.
+    ctx = PrecisionContext(53)
+    trace = simulate(gen_srpt(2000, ctx), PolicySpec(Policy.THRASHING), ctx)
+    record = trace_to_record(trace, ctx)
+    path = tmp_path / "trace.json"
+    tracemalloc.start()
+    try:
+        _write_json(record, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < size, f"peak {peak} bytes for a {size}-byte file"
+    assert json.loads(path.read_text()) == record

@@ -320,6 +320,28 @@ def test_simulate_rejects_an_empty_instance():
         simulate(Instance(()), PolicySpec(Policy.FIFO), DOUBLE)
 
 
+def test_finish_lost_to_rounding_is_an_error():
+    # At t ~ 2e200 a finish time 1e-200 later rounds onto the start at
+    # 128 bits; completing anyway would report work that never ran.
+    ctx = PrecisionContext(128)
+    inst = gen_srpt(5, ctx)
+    spec = PolicySpec(Policy.THRASHING, alpha=ctx.parse("1e200"))
+    with pytest.raises(SchedulingError, match="rounds onto its start at 128 bits"):
+        simulate(inst, spec, ctx)
+
+
+def test_roundoff_remainder_completes_without_a_segment():
+    # Job 2 arrives one ulp before job 1 finishes, so EDD preempts job 1
+    # with a roundoff remainder that its restart cannot fit into a segment.
+    first = lazy_job(1, 0.0, 10.0, 1.0)
+    almost = math.nextafter(completion_from(first, 0.0, 1.0, DOUBLE), 0)
+    inst = Instance((first, lazy_job(2, almost, almost + 3, 4.0)))
+    trace = simulate(inst, PolicySpec(Policy.EDD), DOUBLE)
+    assert trace.completions[1] == trace.completions[2]
+    assert [seg.job for seg in trace.segments] == [1, 2]
+    assert trace.segments[0].end == almost
+
+
 def test_high_precision_run_matches_double_closely():
     inst = Instance((lazy_job(1, 0, 4, 2), lazy_job(2, 1, 2, 0.375)))
     wide = simulate(inst, PolicySpec(Policy.EDD), PrecisionContext(128))
