@@ -136,6 +136,31 @@ class PrecisionContext:
 DOUBLE = PrecisionContext(bits=53)
 
 
+def dyadic(x):
+    """(mantissa, exponent) of ints with x == mantissa * 2**exponent, exactly.
+
+    Every rampsched scalar is a dyadic rational: an int, a float, or an
+    mpf, whose public man_exp drops the sign, so the sign is read from
+    the same (sign, man, exp, bc) tuple.  Exact tests on the inputs
+    (crossings, stretch orders) start here.  Raises ValueError for a
+    non-finite value and TypeError for any other type.
+    """
+    if isinstance(x, int):
+        return x, 0
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite value {x}")
+        num, den = x.as_integer_ratio()
+        return num, 1 - den.bit_length()
+    try:
+        sign, man, exp, _ = x._mpf_
+    except AttributeError:
+        raise TypeError(f"not a rampsched scalar: {x!r}") from None
+    if not man and exp:  # mpmath's encoding of inf and nan
+        raise ValueError(f"non-finite value {x}")
+    return (-man if sign else man), exp
+
+
 @dataclass(frozen=True)
 class SpeedFunction:
     """Execution speed base + slope*(t - r) for t >= r, the job's release."""

@@ -106,8 +106,13 @@ def gen_lssf(
     late; from job 3 on, each job's window is sized so its
     stretch-so-far when it finally starts is exactly sqrt(j-2), making
     it complete at stretch sqrt(j-1).  Every window from job 3 on is
-    full (work = length^2/2), so the backward sweep certifies
-    feasibility with zero slack but exact arithmetic.
+    full (work = length^2/2) at the working precision, but not exactly:
+    without `rationalize`, the rounded work of some of those jobs exceeds
+    the capacity of their rounded window by about an ulp, so the stored
+    instance is infeasible in exact arithmetic even though the backward
+    sweep, with its tolerance, calls it feasible.  `rationalize` rounds
+    each width up and each work down to a decimal grid, which leaves
+    every window room to spare.
     """
     if n < 3:
         raise ValueError("the cascade needs at least three jobs")

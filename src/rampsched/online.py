@@ -16,6 +16,16 @@ jobs that share all of them sit in one bucket and get one evaluation
 per event: a batch of identical jobs costs what one job costs.  LSSF
 computes the running job's stretch crossings with each bucket when it
 starts, and adds one per release that opens a bucket while it runs.
+
+Above double precision, LSSF screens both of its decisions in exact
+integers first (see StretchScreen).  Every input is dyadic, so each
+stretch line (t - release)/length is exact on a common 2**-grid, and a
+bound on the rounding of `stretch` and `lssf_crossing` tells which of
+their results can matter.  Those two mpf functions still take every
+decision, with the same arguments, on a superset of the candidates
+that can affect it, so traces are bit-identical to an unscreened run;
+the screen only skips evaluations whose outcome the bound settles.
+At 53 bits and below nothing is screened.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from .core import (
     SchedulingError,
     Segment,
     completion_from,
+    dyadic,
     speed_at,
     stretch,
     work_in,
@@ -128,6 +139,117 @@ def thrashing_activation(job: Job, alpha):
     return job.release + alpha * (job.due - job.release)
 
 
+class StretchScreen:
+    """Every job's stretch line in exact integers, for LSSF above 53 bits.
+
+    Job j's line is held as (R, L) with release = R / 2**grid and
+    length = L / 2**grid, so stretches and crossings compare exactly by
+    cross-multiplication.  `stretch` and `lssf_crossing` round each of
+    their (at most five) operations to at least `bits` bits, the
+    smallest precision among the context and the inputs (53 for an int
+    or a float, whose division gives a float; float results are assumed
+    normal, neither subnormal nor overflowing).  With u = 2**-bits:
+
+    - A computed stretch lies within a factor (1 ± 3u) of the exact
+      one, so a candidate whose exact stretch is below the exact top E
+      by more than (rel_tol + 8u)·max(E, 1) is neither the computed
+      maximum nor inside its tolerance tie (`near_top`).
+    - A computed crossing lies within 4u·(|r_a·l_b| + |r_b·l_a| +
+      |numerator|)/|l_b - l_a| of the exact one, which covers the
+      cancellation of nearly parallel lines (`crossing_entries`).
+    """
+
+    __slots__ = ("grid", "bits", "lines", "tie_num", "tie_shift", "cross_shift")
+
+    def __init__(self, jobs, ctx):
+        parts = {jid: (dyadic(j.release), dyadic(j.length)) for jid, j in jobs.items()}
+        grid = max((-e for pair in parts.values() for _, e in pair), default=0)
+        self.grid = grid
+        self.lines = {
+            jid: (rm << (re + grid), lm << (le + grid))
+            for jid, ((rm, re), (lm, le)) in parts.items()
+        }
+        bits = ctx.bits
+        for job in jobs.values():
+            for x in (job.release, job.length):
+                mp = getattr(x, "context", None)  # an mpf's context
+                bits = min(bits, 53 if mp is None else mp.prec)
+        self.bits = bits
+        # Tie window plus stretch rounding, rel_tol + 2**-(bits-3), as
+        # tie_num / 2**tie_shift.
+        rm, re = dyadic(ctx.rel_tol)
+        shift = max(-re, bits - 3)
+        self.tie_num = (rm << (re + shift)) + (1 << (shift - bits + 3))
+        self.tie_shift = shift
+        self.cross_shift = bits - 2  # crossing rounding: 4u = 2**-(bits-2)
+
+    def scaled(self, t):
+        """(T, k) with t == T / 2**(grid + k) exactly and k >= 0."""
+        m, e = dyadic(t)
+        e += self.grid
+        return (m << e, 0) if e >= 0 else (m, -e)
+
+    def near_top(self, cands, t):
+        """The candidates whose computed stretch at t may be the top or tie it.
+
+        Every other candidate's exact stretch is below the exact
+        maximum E by more than the tie window plus the rounding bound,
+        so next_dispatch's choice over the rest is the same choice.
+        """
+        if len(cands) < 2:
+            return cands
+        big_t, k = self.scaled(t)
+        lines = self.lines
+        rows = []
+        top_n, top_l = -1, 1  # stretches are >= 0, so any row beats this
+        for i in cands:
+            r, length = lines[i]
+            num = big_t - (r << k)  # stretch = num / (length << k)
+            rows.append((num, length, i))
+            if num * top_l > top_n * length:
+                top_n, top_l = num, length
+        shift = self.tie_shift
+        # stretch >= E - c·max(E, 1), times length·top_l·2**(k + shift):
+        floor = (top_n << shift) - self.tie_num * max(top_n, top_l << k)
+        return [i for num, length, i in rows if (num * top_l) << shift >= length * floor]
+
+    def key(self, x):
+        """floor(x * 2**(grid + bits)): the integer unit of crossing keys."""
+        m, e = dyadic(x)
+        e += self.grid + self.bits
+        return m << e if e >= 0 else m >> -e
+
+    def crossing_entries(self, rid, jids, now):
+        """Heap entries for the crossings of job rid's line with each of jids'.
+
+        An entry (key, 0, jid, now) stands for lssf_crossing(rid's job,
+        jid's job, now), and its key is at most key() of that crossing.  No entry is made where that call would return None:
+        the lines are parallel, or the crossing plus its rounding bound
+        is at or before now.
+        """
+        lines, shift, bits = self.lines, self.cross_shift, self.bits
+        ra, la = lines[rid]
+        big_now, k = self.scaled(now)
+        out = []
+        for jid in jids:
+            rb, lb = lines[jid]
+            den = lb - la
+            if not den:
+                continue
+            p, q = ra * lb, rb * la
+            num = p - q  # crossing = num / (den << grid)
+            spread = abs(p) + abs(q) + abs(num)  # rounding <= spread / 2**shift, same units
+            if den < 0:
+                num, den = -num, -den
+            num <<= shift
+            den <<= shift
+            if (num + spread) << k <= big_now * den:
+                continue
+            # floor((crossing - bound) * 2**(grid + bits))
+            out.append((((num - spread) << bits) // den, 0, jid, now))
+        return out
+
+
 @dataclass
 class SimState:
     """Dispatcher-visible snapshot: released unfinished jobs and progress.
@@ -146,8 +268,19 @@ class SimState:
     identity, so that emptying or refilling one never hashes its key.
     A job leaves its bucket when it starts and is filed again, under
     its new remaining work, when it is preempted.  Under LSSF,
-    `crossings` holds the future stretch crossings of the running job
-    `crossings_of` with every live bucket.
+    `crossings` is a heap of the future stretch crossings of the
+    running job `crossings_of` with every live bucket.
+
+    Under LSSF above 53 bits, `screen` holds every job's exact stretch
+    line, and its invariant is that a skipped evaluation cannot change
+    the trace.  A crossing enters the heap only when the screen cannot
+    prove that lssf_crossing would return None for it, as (integer
+    lower bound, 0, bucket job, rebuild time); lssf_crossing computes
+    it, with those arguments, only when the entry reaches the top, and
+    it goes back in as (key of the crossing, 1, crossing, bucket job).
+    The bucket jobs in one heap are distinct, so entries never compare
+    past them.  Every other state runs unscreened: `screen` is None and
+    `crossings` holds the crossings themselves.
     """
 
     spec: PolicySpec
@@ -164,6 +297,11 @@ class SimState:
     live: dict = field(default_factory=dict)
     crossings: list = field(default_factory=list)
     crossings_of: int | None = None
+    screen: StretchScreen | None = field(default=None, init=False)
+
+    def __post_init__(self):
+        if self.spec.kind is Policy.LSSF and self.ctx.bits > 53:
+            self.screen = StretchScreen(self.jobs, self.ctx)
 
     def rank(self, job: Job):
         """Static dispatch key of FIFO, EDD and thrashing; lower runs first."""
@@ -238,9 +376,13 @@ class SimState:
             # A job that joins a live bucket adds no line, so no crossing.
             rid = self.running
             if self.file(jid) and rid is not None and rid == self.crossings_of:
-                cross = lssf_crossing(self.jobs[rid], job, job.release)
-                if cross is not None:
-                    heapq.heappush(self.crossings, cross)
+                if self.screen is None:
+                    cross = lssf_crossing(self.jobs[rid], job, job.release)
+                    if cross is not None:
+                        heapq.heappush(self.crossings, cross)
+                else:
+                    for entry in self.screen.crossing_entries(rid, (jid,), job.release):
+                        heapq.heappush(self.crossings, entry)
         elif kind is Policy.SRPT:
             self.file(jid)
         else:
@@ -253,24 +395,46 @@ class SimState:
         from one member of each bucket: the members of a bucket share
         one stretch line.  Each crossing is a fixed time for its pair
         of lines, so dropping those at or before t leaves exactly the
-        crossings a scan of every released job would find.
+        crossings a scan of every released job would find.  Screened
+        entries are computed as they reach the top of the heap; each
+        key is at most its crossing, so the first computed crossing
+        after t at the top is the earliest one.
         """
         rid = self.running
         if rid != self.crossings_of:
             self.crossings_of = rid
             heap = []
             if rid is not None:
-                job = self.jobs[rid]
-                for bucket in self.live.values():
-                    cross = lssf_crossing(job, self.jobs[bucket[0]], t)
-                    if cross is not None:
-                        heap.append(cross)
+                if self.screen is None:
+                    job = self.jobs[rid]
+                    for bucket in self.live.values():
+                        cross = lssf_crossing(job, self.jobs[bucket[0]], t)
+                        if cross is not None:
+                            heap.append(cross)
+                else:
+                    heads = [bucket[0] for bucket in self.live.values()]
+                    heap = self.screen.crossing_entries(rid, heads, t)
                 heapq.heapify(heap)
             self.crossings = heap
         heap = self.crossings
-        while heap and heap[0] <= t:
-            heapq.heappop(heap)
-        return heap[0] if heap else None
+        if self.screen is None:
+            while heap and heap[0] <= t:
+                heapq.heappop(heap)
+            return heap[0] if heap else None
+        while heap:
+            entry = heap[0]
+            if entry[1]:
+                if entry[2] > t:
+                    return entry[2]
+                heapq.heappop(heap)
+                continue
+            _, _, jid, now = entry
+            cross = lssf_crossing(self.jobs[rid], self.jobs[jid], now)
+            if cross is None or cross <= t:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, (self.screen.key(cross), 1, cross, jid))
+        return None
 
 
 def next_dispatch(spec: PolicySpec, state: SimState, t):
@@ -294,7 +458,11 @@ def next_dispatch(spec: PolicySpec, state: SimState, t):
     LSSF share one interval length, so the full tie-break key of every
     other member loses to its lowest id on the id alone.  The running
     job sits in no bucket, so it keeps its preference over any equal
-    candidate, as in a scan of every released job.
+    candidate, as in a scan of every released job.  Above 53 bits, LSSF
+    first drops every candidate whose exact stretch is further below
+    the exact maximum than the tie window plus the rounding bound of
+    `stretch` (StretchScreen.near_top); such a candidate can be neither
+    the computed maximum nor tied with it, so the choice is unchanged.
     Calls on one state must come with nondecreasing t.
     """
     running = state.running
@@ -325,6 +493,8 @@ def next_dispatch(spec: PolicySpec, state: SimState, t):
             return completion_from(jobs[i], t, remaining[i], ctx, caps.get(i)) - t
 
         return min(cands, key=lambda i: (rpt(i), i != running, i))
+    if state.screen is not None:
+        cands = state.screen.near_top(cands, t)
     so_far = [stretch(jobs[i], t) for i in cands]
     top = max(so_far)
     # Stretches are nonnegative, so this is state.ctx.close(s, top).
@@ -350,8 +520,10 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
     releases, then the dispatch change they trigger, so event times in
     the trace are nondecreasing with a deterministic order inside a
     tie.  Raises SchedulingError when an event time is not finite, or
-    when a job's finish time rounds onto its start while more than
-    roundoff of its work is left.
+    when the work a job runs from the last event to its rounded finish
+    time differs from its remaining work by more than roundoff
+    (ctx.tolerance of its work), as when the finish rounds onto its
+    start.
     """
     if not instance.jobs:
         raise ValueError("empty instance")
@@ -430,15 +602,25 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
         if rid is not None:
             if tn == finish_at:
                 left = state.remaining[rid]
-                if not seg_start < tn and left > ctx.tolerance(job.work):
-                    # The finish time rounded onto the start: the run
-                    # would record no segment, yet mark the work done.
+                _close_segment(segments, state, rid, seg_start, tn)
+                if seg_start is t and t < tn:  # that segment began at t
+                    done = segments[-1].work_done
+                else:
+                    done = work_in(job, t, tn, state.caps.get(rid))
+                tol = ctx.tolerance(job.work)
+                if not -tol <= done - left <= tol:
+                    # The rounded finish time does not fit the work left:
+                    # completing would record work that never ran.
+                    if tn == t:
+                        how = "its finish time rounds onto its start"
+                    else:
+                        how = (f"the span to its rounded finish time "
+                               f"{ctx.format(tn)} holds work {ctx.format(done)}")
                     raise SchedulingError(
                         f"job {rid} cannot run its remaining work "
-                        f"{ctx.format(left)} from t={ctx.format(tn)}: "
-                        f"its finish time rounds onto its start at {ctx.bits} bits"
+                        f"{ctx.format(left)} from t={ctx.format(t)}: "
+                        f"{how} at {ctx.bits} bits"
                     )
-                _close_segment(segments, state, rid, seg_start, tn)
                 state.running = None
                 state.released.discard(rid)
                 del state.remaining[rid]

@@ -430,8 +430,8 @@ def test_closed_stdout_ends_quietly():
     assert not err
 
 
-def _huge_threshold_run(tmp_path, command, bits):
-    """`simulate` of a starvation instance, or `gen adversary`, at alpha 1e200."""
+def _thrashing_run(tmp_path, command, bits, alpha, code=64):
+    """`simulate` of a starvation instance, or `gen adversary`, under thrashing."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     cli = [sys.executable, "-m", "rampsched.cli"]
@@ -442,13 +442,14 @@ def _huge_threshold_run(tmp_path, command, bits):
         argv = ["simulate", str(inst)]
     else:
         argv = ["gen", "adversary"]
-    argv += ["--policy", "thrashing", "--alpha", "1e200", "--precision", bits]
+    argv += ["--policy", "thrashing", "--alpha", alpha, "--precision", bits]
     proc = subprocess.run(
         [*cli, *argv], env=env, capture_output=True, text=True, timeout=30
     )
-    assert proc.returncode == 64
-    assert proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    if code == 64:
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
     return proc
 
 
@@ -456,7 +457,7 @@ def _huge_threshold_run(tmp_path, command, bits):
 def test_non_finite_event_time_is_a_usage_error(tmp_path, command):
     # At t = 2e200 a job's ramp squares to inf at 53 bits, its finish
     # time comes out nan, and an unchecked event loop never ends.
-    proc = _huge_threshold_run(tmp_path, command, "53")
+    proc = _thrashing_run(tmp_path, command, "53", "1e200")
     assert "not finite" in proc.stderr
 
 
@@ -464,8 +465,20 @@ def test_non_finite_event_time_is_a_usage_error(tmp_path, command):
 def test_finish_lost_to_rounding_is_a_usage_error(tmp_path, command):
     # At 128 bits the ramp stays finite, but each finish time, ~1e-200
     # after its start at ~2e200, rounds onto the start: no work could run.
-    proc = _huge_threshold_run(tmp_path, command, "128")
+    proc = _thrashing_run(tmp_path, command, "128", "1e200")
     assert "rounds onto its start at 128 bits" in proc.stderr
+
+
+@pytest.mark.parametrize("alpha", ["1e2", "1e5", "1e7"])
+def test_finish_off_its_remaining_work_is_a_usage_error(tmp_path, alpha):
+    # At t ~ 2·alpha a finish time a few ulps after its start carries
+    # work far from the job's remaining work at 53 bits.
+    proc = _thrashing_run(tmp_path, "simulate", "53", alpha)
+    assert "holds work" in proc.stderr and "at 53 bits" in proc.stderr
+
+
+def test_small_threshold_run_still_succeeds(tmp_path):
+    _thrashing_run(tmp_path, "simulate", "53", "2", code=0)
 
 
 # --- imports -------------------------------------------------------------

@@ -23,6 +23,7 @@ from rampsched import (
     SpeedFunction,
     Verdict,
     completion_from,
+    dyadic,
     lazy_job,
     nonlazy_job,
     rightmost_running_time,
@@ -298,3 +299,20 @@ def test_format_parse_roundtrip_surds(x):
     ctx = CTX128
     v = ctx.sqrt(x)
     assert ctx.parse(ctx.format(v)) == v
+
+
+def test_dyadic_is_exact_for_every_scalar_type():
+    from fractions import Fraction
+
+    for v in (0, -7, 3 * 2**70, 0.1, -2.5e-300, 5e300):
+        m, e = dyadic(v)
+        assert Fraction(m) * Fraction(2) ** e == Fraction(v)
+    x = CTX128.sqrt(2)
+    for v in (x, -x, x * 2**-500, CTX128.real(0)):
+        m, e = dyadic(v)
+        assert abs(m) < 2**128 and CTX128.real(m) * CTX128.real(2) ** e == v
+    for bad in (float("inf"), float("nan"), CTX128.real("inf"), CTX128.real("nan")):
+        with pytest.raises(ValueError):
+            dyadic(bad)
+    with pytest.raises(TypeError):
+        dyadic("1")

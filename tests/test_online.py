@@ -1,7 +1,10 @@
 """Dispatcher, capped-speed kernels, and event-driven simulator tests."""
 
+import hashlib
+import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath.ctx_mp_python import _mpf as mpf_type
@@ -19,6 +22,7 @@ from rampsched import (
     lazy_job,
     nonlazy_job,
     completion_from,
+    dyadic,
     speed_at,
     stretch,
     work_in,
@@ -506,6 +510,133 @@ def _bucket_stress(ctx):
                     job(4, "0.5", "2", "0.1", base="0.5")), "base-twins")
 
 
+def _exact(v):
+    m, e = dyadic(v)
+    return Fraction(m) * Fraction(2) ** e
+
+
+def _exact_crossing(a, b):
+    ra, la, rb, lb = map(_exact, (a.release, a.length, b.release, b.length))
+    return (ra * lb - rb * la) / (lb - la)
+
+
+def _ulp(v, ctx):
+    """Spacing of ctx's numbers at the positive number v."""
+    m, e = dyadic(v)
+    return ctx.real(2) ** (m.bit_length() + e - ctx.bits)
+
+
+def _window_edge(ctx):
+    """LSSF: at job 3's release, job 2's stretch rounds onto job 1's tie window.
+
+    Exactly, job 2's stretch lies below the window, so only the rounding
+    of `stretch` puts job 2 in the tie, where its shorter window wins.
+    """
+    x = ctx.real
+    t = x(3) / 2
+    first = lazy_job(1, x(0), x(1), x(2))
+    edge = t - ctx.tolerance(t)  # the computed top is t, exactly
+    length = x(9) / 10
+    release = t - edge * length
+    step = _ulp(release, ctx)
+    for i in range(64):  # stretch at t falls as the release rises
+        r = release + i * step
+        second = lazy_job(2, r, r + length, x(1) / 100)
+        if ctx.close(stretch(second, t), stretch(first, t)):
+            tied = second
+    assert _exact(tied.release) > _exact(t) - _exact(edge) * _exact(tied.length)
+    return Instance((first, tied, lazy_job(3, t, t + 5, x(1) / 10)), "window-edge")
+
+
+def _past_crossing(ctx):
+    """LSSF: a crossing at or before a rebuild time that rounds to after it.
+
+    Steep job 4 runs until t, when job 1 starts.  Job 2's line is nearly
+    parallel to job 1's and meets it, exactly, at or before t; but
+    lssf_crossing cancels and rounds that crossing to some t' > t, which
+    becomes an event of the run.  Job 3's line meets job 1's just after
+    t', inside the tie window, so job 3 takes over at t'; without the
+    event at t', it would take over only at its own crossing.
+    """
+    x = ctx.real
+    steep = lazy_job(4, x(0), x(1) / 8, x(2) / 5)
+    rb, rd, length = x(1) / 3, x(7) / 8, ctx.sqrt(x(5))
+    best = None
+    for k in range(64):
+        ra = rb + rb * x(2) ** -20 + k * _ulp(rb, ctx)
+        # Job 4's finish as simulate computes it, across the releases.
+        left = steep.work
+        for lo, hi in ((x(0), rb), (rb, ra), (ra, rd)):
+            left -= work_in(steep, lo, hi)
+        t = completion_from(steep, rd, left, ctx)
+        first = lazy_job(1, ra, ra + length, length * length / 2)
+        due = rb + length + (ra - rb) * length / (t - ra)  # lines meet near t
+        second = lazy_job(2, rb, due, x(1) / 4)
+        cross = lssf_crossing(first, second, t)
+        gap = _exact(t) - _exact_crossing(first, second)
+        if cross is not None and gap >= 0 and (best is None or gap > best[0]):
+            best = gap, first, second, t, cross
+    _, first, second, t, cross = best
+    top = stretch(first, cross)
+    slopes = top / (cross - rd) - 1 / first.length  # job 3's slope less job 1's
+    meet = cross + ctx.tolerance(top) / slopes / 2
+    third = lazy_job(3, rd, rd + (meet - rd) * first.length / (meet - first.release),
+                     x(1) / 4)
+    assert not ctx.close(stretch(third, t), stretch(first, t))
+    assert ctx.close(stretch(third, cross), stretch(first, cross))
+    return Instance((first, second, third, steep), "past-crossing")
+
+
+def _int_window_edge(ctx):
+    """The same with int releases and due dates: stretches at int times are floats.
+
+    The speeds are the context's numbers, so that completion times do
+    not pass through floats.
+    """
+    one = ctx.real(1)
+    big = 2**57
+    t = 3 * big
+    first = nonlazy_job(1, 0, big, 4 * big, base=one)  # still running at t
+    length = big - 3
+    for r in range(10, 100):  # from release 9, stretch 3 at t exactly, it falls
+        if (t - r) / length != t / big:
+            break
+        tied = nonlazy_job(2, r, r + length, big, base=one)
+    assert Fraction(t - tied.release, length) < Fraction(t, big)
+    third = nonlazy_job(3, t, t + big, big, base=one)
+    return Instance((first, tied, third), "int-window-edge")
+
+
+def _screen_stress(ctx):
+    """LSSF instances on which the screen's rounding bounds are nearly tight."""
+    x = ctx.real
+    third = x(1) / 3
+    # Releases and lengths a few ulps apart: nearly parallel lines, whose
+    # mpf crossings cancel to roundoff noise the size of the releases.
+    ur, ul = _ulp(third, ctx), _ulp(2 * third, ctx)
+    jobs = []
+    shifts = ((0, 0), (3, -1), (1, 2), (5, 1), (2, -2), (4, 3), (6, -3), (7, 4))
+    for jid, (dr, dl) in enumerate(shifts, 1):
+        r = third + dr * ur
+        length = 2 * third + dl * ul
+        jobs.append(lazy_job(jid, r, r + length, length * length / 4))
+    yield Instance(tuple(jobs), "ulp-lengths")
+    # Lines 1 and 2 meet at stretch 1 at t = 2f, where job 3 is released:
+    # a rounded crossing near the release (f = 1/3), and an exact one.
+    for name, f in (("tie-at-release", third), ("exact-crossing", x(3) / 4)):
+        yield Instance((lazy_job(1, x(0), 2 * f, 4 * f * f),
+                        lazy_job(2, f, 2 * f, f * f / 4),
+                        lazy_job(3, 2 * f, 5 * f, f * f / 8)), name)
+    yield _past_crossing(ctx)
+    yield _window_edge(ctx)
+    yield _int_window_edge(ctx)
+    # Int releases, due dates and work: crossings, and stretches at int
+    # times, are floats.
+    one = ctx.real(1)
+    yield Instance(tuple(lazy_job(jid, r, d, w, slope=one) for jid, r, d, w in (
+        (1, 0, 7, 20), (2, 1, 4, 2), (3, 2, 5, 3), (4, 3, 6, 1), (5, 3, 10, 4))), "int-lines")
+
+
 def _reference_corpus():
     # Ties that only the running-job preference settles: an equal due
     # date released later under a lower id (EDD), and an equal release
@@ -523,6 +654,13 @@ def _reference_corpus():
             yield gen_srpt(n, ctx), ctx
             yield gen_fifo(n, ctx), ctx
             yield gen_edd(n, ctx), ctx
+    # Above 53 bits LSSF screens in exact integers; at 64 bits the tie
+    # window, 2**-48, is wider than a double's spacing.
+    for bits in (64, 128, 200):
+        ctx = PrecisionContext(bits)
+        for inst in _screen_stress(ctx):
+            yield inst, ctx
+        yield gen_lssf(17, ctx), ctx
 
 
 def test_simulate_matches_the_scan_reference():
@@ -580,6 +718,36 @@ def test_stretch_crossings_are_computed_once_per_running_job(monkeypatch):
     trace = simulate(inst, PolicySpec(Policy.LSSF), ctx)
     assert len(trace.completions) == 241
     assert 0 < calls[0] <= 11_000
+
+
+def test_lssf_cascade_screens_its_mpf_kernels(monkeypatch):
+    # Unscreened, each event evaluated ~29 stretches and ~14 crossings.
+    ctx = PrecisionContext(128)
+    inst = gen_lssf(241, ctx)
+    stretches = _count_calls(monkeypatch, online, "stretch")
+    crossings = _count_calls(monkeypatch, online, "lssf_crossing")
+    trace = simulate(inst, PolicySpec(Policy.LSSF), ctx)
+    assert len(trace.completions) == 241
+    assert 0 < stretches[0] <= 3 * len(trace.events)
+    assert 0 < crossings[0] <= 3 * len(trace.events)
+
+
+# sha256 of the canonical JSON of each cascade's LSSF trace, as test_golden
+# hashes records, recorded from the simulator before LSSF was screened.
+UNSCREENED_CASCADES = {
+    (241, 128): "04028e4d70992802c44c80845a71f20d295822fda484f3b7820a773bc3a69cc6",
+    (800, 128): "f119d61341f9f90fb4b1d206432b706cf7d0e5d3d481291bf0d72e7992c03d2e",
+    (400, 53): "fabc61ed331fa1a5341adde26823bd19f03add7d516203e3d071f22eafc8ec2e",
+}
+
+
+@pytest.mark.parametrize("n,bits", list(UNSCREENED_CASCADES))
+def test_cascade_traces_match_the_unscreened_simulator(n, bits):
+    ctx = PrecisionContext(bits)
+    trace = simulate(gen_lssf(n, ctx), PolicySpec(Policy.LSSF), ctx)
+    record = trace_to_record(trace, ctx)
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == UNSCREENED_CASCADES[n, bits]
 
 
 def test_srpt_evaluates_each_bucket_once_per_event(monkeypatch):
