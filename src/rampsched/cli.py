@@ -69,6 +69,13 @@ def _add_precision(parser):
     )
 
 
+def _add_policy(parser):
+    """The options that _policy_spec reads."""
+    parser.add_argument("--policy", required=True, choices=[p.value for p in Policy])
+    parser.add_argument("--alpha", default="2", help="idle threshold")
+    parser.add_argument("--cap", default=None, help="cap speeds at CAP * speed(due date)")
+
+
 def _context(args) -> PrecisionContext:
     try:
         return PrecisionContext(bits=args.precision)
@@ -350,13 +357,7 @@ def build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="run an online policy")
     p_sim.add_argument("instance", help="instance JSON file")
-    p_sim.add_argument(
-        "--policy", required=True, choices=[p.value for p in Policy]
-    )
-    p_sim.add_argument("--alpha", default="2", help="idle threshold")
-    p_sim.add_argument(
-        "--cap", default=None, help="cap speeds at CAP * speed(due date)"
-    )
+    _add_policy(p_sim)
     p_sim.add_argument("--trace-out", metavar="FILE")
     p_sim.add_argument("--plot-out", metavar="FILE", help="CSV plot data")
     _add_precision(p_sim)
@@ -385,11 +386,7 @@ def build_parser() -> _Parser:
     f_red.add_argument("--xs", required=True, help="comma-separated integers")
     f_red.add_argument("--threshold", type=int, required=True)
     f_adv = fam.add_parser("adversary", help="adaptive two-phase adversary")
-    f_adv.add_argument(
-        "--policy", required=True, choices=[p.value for p in Policy]
-    )
-    f_adv.add_argument("--alpha", default="2")
-    f_adv.add_argument("--cap", default=None)
+    _add_policy(f_adv)
     f_adv.add_argument("--trace-out", metavar="FILE")
     for f in (f_lssf, f_srpt, f_fifo, f_edd, f_rand, f_red, f_adv):
         f.add_argument("--out", metavar="FILE", help="write instance JSON here")

@@ -8,14 +8,17 @@ no drift.  Everything is deterministic; rerunning a simulation from
 scratch reproduces the same trace bit for bit, which is what lets an
 adversary extend an instance mid-run and trust the prefix.
 
-Each event costs work only for what changed.  FIFO, EDD and thrashing
-rank jobs by a key fixed at release and dispatch from a heap, so an
-event costs O(log n) comparisons.  SRPT's and LSSF's values move with
-time, but they depend on only a few inputs of each job, so waiting
-jobs that share all of them sit in one bucket and get one evaluation
-per event: a batch of identical jobs costs what one job costs.  LSSF
-computes the running job's stretch crossings with each bucket when it
-starts, and adds one per release that opens a bucket while it runs.
+SimState owns every piece of policy state: simulate asks it which job
+to run (`dispatch`) and when the policy next acts on its own
+(`next_event`), and never names a policy.  Each event costs work only
+for what changed.  FIFO, EDD and thrashing rank jobs by a key fixed at
+release and dispatch from a heap, so an event costs O(log n)
+comparisons.  SRPT's and LSSF's values move with time, but they depend
+on only a few inputs of each job, so waiting jobs that share all of
+them sit in one bucket and get one evaluation per event: a batch of
+identical jobs costs what one job costs.  LSSF computes the running
+job's stretch crossings with each bucket when it starts, and adds one
+per release that opens a bucket while it runs.
 
 Above double precision, LSSF screens both of its decisions in exact
 integers first (see StretchScreen).  Every input is dyadic, so each
@@ -194,7 +197,7 @@ class StretchScreen:
 
         Every other candidate's exact stretch is below the exact
         maximum E by more than the tie window plus the rounding bound,
-        so next_dispatch's choice over the rest is the same choice.
+        so SimState.dispatch's choice over the rest is the same choice.
         """
         if len(cands) < 2:
             return cands
@@ -223,9 +226,10 @@ class StretchScreen:
         """Heap entries for the crossings of job rid's line with each of jids'.
 
         An entry (key, 0, jid, now) stands for lssf_crossing(rid's job,
-        jid's job, now), and its key is at most key() of that crossing.  No entry is made where that call would return None:
-        the lines are parallel, or the crossing plus its rounding bound
-        is at or before now.
+        jid's job, now), and its key is at most key() of that crossing.
+        No entry is made where that call would return None: the lines
+        are parallel, or the crossing plus its rounding bound is at or
+        before now.
         """
         lines, shift, bits = self.lines, self.cross_shift, self.bits
         ra, la = lines[rid]
@@ -252,51 +256,50 @@ class StretchScreen:
 
 @dataclass
 class SimState:
-    """Dispatcher-visible snapshot: released unfinished jobs and progress.
+    """Every piece of policy state, behind dispatch(t) and next_event(t).
 
-    caps maps job id to its absolute speed cap; a job without an entry
-    runs uncapped.  FIFO, EDD and thrashing keep their candidates in
-    `ready`, a heap of (rank, id) with a rank fixed at release, so a
-    dispatch costs O(log n); completed jobs leave it lazily.  Thrashing
-    holds a job in `pending`, a heap of (activation, id), until its
-    activation time.
+    The constructor takes only spec, jobs and ctx.  admit releases a
+    job, start and preempt move the machine, and simulate updates
+    `remaining` (each released unfinished job's work left) and clears
+    `running` on completion.  caps maps job id to its absolute speed
+    cap; a job without an entry runs uncapped.  FIFO, EDD and thrashing
+    keep their candidates in `ready`, a heap of (rank, id) with a rank
+    fixed at release, so a dispatch costs O(log n); completed jobs
+    leave it lazily.  Thrashing holds a job in `pending`, a heap of
+    (activation, id), until its activation time.
 
     SRPT and LSSF file every waiting job (released, unfinished, not
-    running) in a bucket, a heap of ids: `buckets` maps each bucket key
-    seen so far (see `file`) to its bucket, `bucket_of` maps a waiting
-    job to its bucket, and `live` holds the nonempty buckets by
-    identity, so that emptying or refilling one never hashes its key.
-    A job leaves its bucket when it starts and is filed again, under
-    its new remaining work, when it is preempted.  Under LSSF,
-    `crossings` is a heap of the future stretch crossings of the
-    running job `crossings_of` with every live bucket.
+    running) in a bucket, a heap of ids: `buckets` maps the key (see
+    `file`) of each nonempty bucket to it, and `bucket_of` maps a
+    waiting job to its bucket's key.  start drops a bucket that it
+    empties; a preempted job is filed again under its new remaining
+    work.  Under LSSF, `crossings` is a heap of the future stretch
+    crossings of the running job `crossings_of` with every bucket, one
+    entry shape per precision: at 53 bits and below, (crossing, 1,
+    crossing, bucket job).
 
-    Under LSSF above 53 bits, `screen` holds every job's exact stretch
-    line, and its invariant is that a skipped evaluation cannot change
-    the trace.  A crossing enters the heap only when the screen cannot
-    prove that lssf_crossing would return None for it, as (integer
-    lower bound, 0, bucket job, rebuild time); lssf_crossing computes
-    it, with those arguments, only when the entry reaches the top, and
-    it goes back in as (key of the crossing, 1, crossing, bucket job).
-    The bucket jobs in one heap are distinct, so entries never compare
-    past them.  Every other state runs unscreened: `screen` is None and
-    `crossings` holds the crossings themselves.
+    Above 53 bits, `screen` holds every job's exact stretch line, and
+    its invariant is that a skipped evaluation cannot change the trace.
+    A crossing enters the heap only when the screen cannot prove that
+    lssf_crossing would return None for it, as (integer lower bound, 0,
+    bucket job, rebuild time); lssf_crossing computes it, with those
+    arguments, only when the entry reaches the top, and it goes back in
+    as (key of the crossing, 1, crossing, bucket job).  The bucket jobs
+    in one heap are distinct, so entries never compare past them.
     """
 
     spec: PolicySpec
     jobs: dict
     ctx: PrecisionContext
-    remaining: dict = field(default_factory=dict)
-    released: set = field(default_factory=set)
-    running: int | None = None
-    caps: dict = field(default_factory=dict)
-    ready: list = field(default_factory=list)
-    pending: list = field(default_factory=list)
-    buckets: dict = field(default_factory=dict)
-    bucket_of: dict = field(default_factory=dict)
-    live: dict = field(default_factory=dict)
-    crossings: list = field(default_factory=list)
-    crossings_of: int | None = None
+    remaining: dict = field(default_factory=dict, init=False)
+    running: int | None = field(default=None, init=False)
+    caps: dict = field(default_factory=dict, init=False)
+    ready: list = field(default_factory=list, init=False)
+    pending: list = field(default_factory=list, init=False)
+    buckets: dict = field(default_factory=dict, init=False)
+    bucket_of: dict = field(default_factory=dict, init=False)
+    crossings: list = field(default_factory=list, init=False)
+    crossings_of: int | None = field(default=None, init=False)
     screen: StretchScreen | None = field(default=None, init=False)
 
     def __post_init__(self):
@@ -313,7 +316,7 @@ class SimState:
         return -job.release
 
     def file(self, jid):
-        """Put a waiting SRPT or LSSF job in its bucket; True if it was empty.
+        """Put a waiting SRPT or LSSF job in its bucket; True if it opened one.
 
         The bucket key holds every input of the job's dispatch value.
         completion_from reads the release, the speed, the remaining
@@ -329,28 +332,27 @@ class SimState:
         else:
             sp = job.speed
             key = job.release, sp.base, sp.slope, self.caps.get(jid), self.remaining[jid]
+        self.bucket_of[jid] = key
         bucket = self.buckets.get(key)
         if bucket is None:
-            bucket = self.buckets[key] = []
-        was_empty = not bucket
-        if was_empty:
-            self.live[id(bucket)] = bucket
+            self.buckets[key] = [jid]
+            return True
         heapq.heappush(bucket, jid)
-        self.bucket_of[jid] = bucket
-        return was_empty
+        return False
 
     def start(self, jid):
         """Run job jid, taking it out of its bucket if it has one."""
         self.running = jid
-        bucket = self.bucket_of.pop(jid, None)
-        if bucket is not None:
-            if bucket[0] == jid:  # the dispatcher only ever starts a bucket's lowest id
+        key = self.bucket_of.pop(jid, None)
+        if key is not None:
+            bucket = self.buckets[key]
+            if len(bucket) == 1:
+                del self.buckets[key]
+            elif bucket[0] == jid:  # the dispatcher only ever starts a bucket's lowest id
                 heapq.heappop(bucket)
             else:
                 bucket.remove(jid)
                 heapq.heapify(bucket)
-            if not bucket:
-                del self.live[id(bucket)]
 
     def preempt(self):
         """Stop the running job; SRPT and LSSF file it again as waiting."""
@@ -362,31 +364,35 @@ class SimState:
     def admit(self, job: Job):
         """Release a job with work; the current time is its release."""
         jid = job.id
-        self.released.add(jid)
         self.remaining[jid] = job.work
         spec = self.spec
         if spec.speed_cap_factor is not None:
             self.caps[jid] = spec.speed_cap_factor * speed_at(job, job.due)
         kind = spec.kind
         if kind is Policy.THRASHING:
-            heapq.heappush(
-                self.pending, (thrashing_activation(job, spec.alpha), jid)
-            )
+            heapq.heappush(self.pending, (thrashing_activation(job, spec.alpha), jid))
         elif kind is Policy.LSSF:
-            # A job that joins a live bucket adds no line, so no crossing.
+            # A job that joins a bucket adds no line, so no crossing.
             rid = self.running
-            if self.file(jid) and rid is not None and rid == self.crossings_of:
-                if self.screen is None:
-                    cross = lssf_crossing(self.jobs[rid], job, job.release)
-                    if cross is not None:
-                        heapq.heappush(self.crossings, cross)
-                else:
-                    for entry in self.screen.crossing_entries(rid, (jid,), job.release):
-                        heapq.heappush(self.crossings, entry)
+            if self.file(jid) and rid is not None:
+                for entry in self.crossing_entries(rid, (jid,), job.release):
+                    heapq.heappush(self.crossings, entry)
         elif kind is Policy.SRPT:
             self.file(jid)
         else:
             heapq.heappush(self.ready, (self.rank(job), jid))
+
+    def crossing_entries(self, rid, jids, now):
+        """Crossing-heap entries of job rid's stretch line with each of jids'."""
+        if self.screen is not None:
+            return self.screen.crossing_entries(rid, jids, now)
+        job, jobs = self.jobs[rid], self.jobs
+        out = []
+        for jid in jids:
+            cross = lssf_crossing(job, jobs[jid], now)
+            if cross is not None:
+                out.append((cross, 1, cross, jid))
+        return out
 
     def next_crossing(self, t):
         """Earliest stretch crossing of the running job after t, or None.
@@ -398,29 +404,16 @@ class SimState:
         crossings a scan of every released job would find.  Screened
         entries are computed as they reach the top of the heap; each
         key is at most its crossing, so the first computed crossing
-        after t at the top is the earliest one.
+        after t at the top is the earliest one.  A crossing pushed by
+        admit while the heap is stale is discarded with it.
         """
         rid = self.running
         if rid != self.crossings_of:
             self.crossings_of = rid
-            heap = []
-            if rid is not None:
-                if self.screen is None:
-                    job = self.jobs[rid]
-                    for bucket in self.live.values():
-                        cross = lssf_crossing(job, self.jobs[bucket[0]], t)
-                        if cross is not None:
-                            heap.append(cross)
-                else:
-                    heads = [bucket[0] for bucket in self.live.values()]
-                    heap = self.screen.crossing_entries(rid, heads, t)
-                heapq.heapify(heap)
-            self.crossings = heap
+            heads = [bucket[0] for bucket in self.buckets.values()]
+            self.crossings = [] if rid is None else self.crossing_entries(rid, heads, t)
+            heapq.heapify(self.crossings)
         heap = self.crossings
-        if self.screen is None:
-            while heap and heap[0] <= t:
-                heapq.heappop(heap)
-            return heap[0] if heap else None
         while heap:
             entry = heap[0]
             if entry[1]:
@@ -436,71 +429,80 @@ class SimState:
                 heapq.heapreplace(heap, (self.screen.key(cross), 1, cross, jid))
         return None
 
+    def next_event(self, t):
+        """The policy's own next event after dispatch(t), or None.
 
-def next_dispatch(spec: PolicySpec, state: SimState, t):
-    """Job id the policy runs at time t, or None to idle.
+        That is the running job's next stretch crossing under LSSF, and
+        the earliest pending activation under thrashing; FIFO, EDD and
+        SRPT change their choice only at releases and completions.
+        """
+        if self.spec.kind is Policy.LSSF:
+            return self.next_crossing(t)
+        return self.pending[0][0] if self.pending else None
 
-    Ties prefer the currently running job, then the lowest id, except
-    that the stretch-so-far rule first prefers the faster-growing
-    stretch (shorter interval): at the instant two stretch lines meet,
-    the steeper one is about to lead, and picking it is what makes a
-    takeover at the crossing actually happen.  Stretches within the
-    context's comparison tolerance count as meeting; an exact test
-    would let one ulp of roundoff at the crossing event mask the tie
-    and silently skip the takeover.  Every key ends in the job id, so
-    the order in which candidates are visited cannot change the choice.
+    def dispatch(self, t):
+        """Job id the policy runs at time t, or None to idle.
 
-    FIFO, EDD and thrashing read the top of the state's ready heap.
-    SRPT's key (the time still needed to finish) and LSSF's stretch so
-    far move with t, so they are evaluated at every event, but only
-    for the running job and the lowest id of each bucket.  That is
-    exact: the members of a bucket get bit-identical values, and for
-    LSSF share one interval length, so the full tie-break key of every
-    other member loses to its lowest id on the id alone.  The running
-    job sits in no bucket, so it keeps its preference over any equal
-    candidate, as in a scan of every released job.  Above 53 bits, LSSF
-    first drops every candidate whose exact stretch is further below
-    the exact maximum than the tie window plus the rounding bound of
-    `stretch` (StretchScreen.near_top); such a candidate can be neither
-    the computed maximum nor tied with it, so the choice is unchanged.
-    Calls on one state must come with nondecreasing t.
-    """
-    running = state.running
-    kind = spec.kind
-    if kind is not Policy.SRPT and kind is not Policy.LSSF:
-        ready, pending = state.ready, state.pending
-        while pending and pending[0][0] <= t:
-            _, jid = heapq.heappop(pending)
-            heapq.heappush(ready, (state.rank(state.jobs[jid]), jid))
-        while ready and ready[0][1] not in state.released:
-            heapq.heappop(ready)
-        if not ready:
+        Ties prefer the currently running job, then the lowest id, except
+        that the stretch-so-far rule first prefers the faster-growing
+        stretch (shorter interval): at the instant two stretch lines meet,
+        the steeper one is about to lead, and picking it is what makes a
+        takeover at the crossing actually happen.  Stretches within the
+        context's comparison tolerance count as meeting; an exact test
+        would let one ulp of roundoff at the crossing event mask the tie
+        and silently skip the takeover.  Every key ends in the job id, so
+        the order in which candidates are visited cannot change the choice.
+
+        FIFO, EDD and thrashing read the top of the state's ready heap.
+        SRPT's key (the time still needed to finish) and LSSF's stretch so
+        far move with t, so they are evaluated at every event, but only
+        for the running job and the lowest id of each bucket.  That is
+        exact: the members of a bucket get bit-identical values, and for
+        LSSF share one interval length, so the full tie-break key of every
+        other member loses to its lowest id on the id alone.  The running
+        job sits in no bucket, so it keeps its preference over any equal
+        candidate, as in a scan of every released job.  Above 53 bits, LSSF
+        first drops every candidate whose exact stretch is further below
+        the exact maximum than the tie window plus the rounding bound of
+        `stretch` (StretchScreen.near_top); such a candidate can be neither
+        the computed maximum nor tied with it, so the choice is unchanged.
+        Calls on one state must come with nondecreasing t.
+        """
+        running = self.running
+        kind = self.spec.kind
+        if kind is not Policy.SRPT and kind is not Policy.LSSF:
+            ready, pending, remaining = self.ready, self.pending, self.remaining
+            while pending and pending[0][0] <= t:
+                _, jid = heapq.heappop(pending)
+                heapq.heappush(ready, (self.rank(self.jobs[jid]), jid))
+            while ready and ready[0][1] not in remaining:
+                heapq.heappop(ready)
+            if not ready:
+                return None
+            rank, best = ready[0]
+            if running is not None and self.rank(self.jobs[running]) == rank:
+                return running
+            return best
+        cands = [bucket[0] for bucket in self.buckets.values()]
+        if running is not None:
+            cands.append(running)
+        if not cands:
             return None
-        rank, best = ready[0]
-        if running is not None and state.rank(state.jobs[running]) == rank:
-            return running
-        return best
-    cands = [bucket[0] for bucket in state.live.values()]
-    if running is not None:
-        cands.append(running)
-    if not cands:
-        return None
-    jobs = state.jobs
-    if kind is Policy.SRPT:
-        remaining, caps, ctx = state.remaining, state.caps, state.ctx
+        jobs = self.jobs
+        if kind is Policy.SRPT:
+            remaining, caps, ctx = self.remaining, self.caps, self.ctx
 
-        def rpt(i):
-            return completion_from(jobs[i], t, remaining[i], ctx, caps.get(i)) - t
-
-        return min(cands, key=lambda i: (rpt(i), i != running, i))
-    if state.screen is not None:
-        cands = state.screen.near_top(cands, t)
-    so_far = [stretch(jobs[i], t) for i in cands]
-    top = max(so_far)
-    # Stretches are nonnegative, so this is state.ctx.close(s, top).
-    least = -state.ctx.tolerance(top)
-    tied = [i for i, s in zip(cands, so_far) if s == top or s - top >= least]
-    return min(tied, key=lambda i: (jobs[i].length, i != running, i))
+            def rpt(i):
+                return completion_from(jobs[i], t, remaining[i], ctx, caps.get(i)) - t
+            return min(cands, key=lambda i: (rpt(i), i != running, i))
+        if self.screen is not None:
+            cands = self.screen.near_top(cands, t)
+        so_far = [stretch(jobs[i], t) for i in cands]
+        top = max(so_far)
+        # Stretches are nonnegative, so this is self.ctx.close(s, top).
+        least = -self.ctx.tolerance(top)
+        tied = [i for i, s in zip(cands, so_far) if s == top or s - top >= least]
+        return min(tied, key=lambda i: (jobs[i].length, i != running, i))
 
 
 # --- the simulator -----------------------------------------------------------
@@ -548,7 +550,7 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
             else:
                 state.admit(j)
         # Dispatch: preempt, then idle or start, unless the choice stands.
-        choice = next_dispatch(spec, state, t)
+        choice = state.dispatch(t)
         rid = state.running
         if choice is None or choice != rid:
             if rid is not None:
@@ -568,7 +570,7 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
                 state.start(choice)
         if len(completions) == n:
             break
-        # Next event: a release, a finish, an LSSF crossing or an activation.
+        # Next event: a release, a finish or the policy's own event.
         horizon = []
         if idx < n:
             horizon.append(order[idx].release)
@@ -581,12 +583,9 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
             if finish_at < t:
                 finish_at = t
             horizon.append(finish_at)
-        if spec.kind is Policy.LSSF:
-            cross = state.next_crossing(t)
-            if cross is not None:
-                horizon.append(cross)
-        elif state.pending:
-            horizon.append(state.pending[0][0])
+        own = state.next_event(t)
+        if own is not None:
+            horizon.append(own)
         if not horizon:
             raise SchedulingError(
                 "simulation stalled with unfinished jobs and no upcoming event"
@@ -622,7 +621,6 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
                         f"{how} at {ctx.bits} bits"
                     )
                 state.running = None
-                state.released.discard(rid)
                 del state.remaining[rid]
                 completions[rid] = tn
                 events.append(TraceEvent(tn, EventKind.COMPLETE, rid))

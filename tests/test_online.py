@@ -47,14 +47,13 @@ from rampsched.online import (
     busy_time_in_window,
     lssf_crossing,
     max_stretch,
-    next_dispatch,
     simulate,
     thrashing_activation,
 )
 
 
-def _state(spec, jobs, running=None):
-    state = SimState(spec=spec, jobs={j.id: j for j in jobs}, ctx=DOUBLE)
+def _state(spec, jobs, running=None, ctx=DOUBLE):
+    state = SimState(spec=spec, jobs={j.id: j for j in jobs}, ctx=ctx)
     for j in jobs:
         state.admit(j)
     if running is not None:
@@ -86,14 +85,14 @@ def test_thrashing_activation_point():
 def test_fifo_picks_earliest_release():
     jobs = (lazy_job(1, 1, 9, 1), lazy_job(2, 0, 3, 1), lazy_job(3, 0, 2, 1))
     spec = PolicySpec(Policy.FIFO)
-    assert next_dispatch(spec, _state(spec, jobs), 1) == 2
+    assert _state(spec, jobs).dispatch(1) == 2
 
 
 def test_edd_picks_earliest_due_and_sticks_on_ties():
     jobs = (lazy_job(1, 0, 4, 1), lazy_job(2, 0.5, 4, 1))
     spec = PolicySpec(Policy.EDD)
-    assert next_dispatch(spec, _state(spec, jobs), 1) == 1
-    assert next_dispatch(spec, _state(spec, jobs, running=2), 1) == 2
+    assert _state(spec, jobs).dispatch(1) == 1
+    assert _state(spec, jobs, running=2).dispatch(1) == 2
 
 
 def test_srpt_ranks_by_time_to_finish_not_work():
@@ -102,13 +101,13 @@ def test_srpt_ranks_by_time_to_finish_not_work():
     # sqrt(5.01) ~ 2.24 units.  Remaining work alone would choose job 2.
     jobs = (lazy_job(1, 0, 10, 8), lazy_job(2, 2.9, 10, 2.5))
     spec = PolicySpec(Policy.SRPT)
-    assert next_dispatch(spec, _state(spec, jobs), 3) == 1
+    assert _state(spec, jobs).dispatch(3) == 1
 
 
 def test_stretch_rule_chases_the_largest_stretch():
     jobs = (lazy_job(1, 0, 10, 1), lazy_job(2, 0, 12.5, 1))
     spec = PolicySpec(Policy.LSSF)
-    assert next_dispatch(spec, _state(spec, jobs), 11) == 1
+    assert _state(spec, jobs).dispatch(11) == 1
 
 
 def test_stretch_tie_goes_to_the_faster_growing_job():
@@ -116,24 +115,82 @@ def test_stretch_tie_goes_to_the_faster_growing_job():
     # faster and must win even while the other job holds the machine.
     jobs = (lazy_job(1, 0, 4, 1), lazy_job(2, 1, 2, 0.4))
     spec = PolicySpec(Policy.LSSF)
-    assert next_dispatch(spec, _state(spec, jobs, running=1), 4 / 3) == 2
+    assert _state(spec, jobs, running=1).dispatch(4 / 3) == 2
 
 
 def test_full_tie_prefers_the_running_job():
     jobs = (lazy_job(1, 0, 4, 1), lazy_job(2, 0, 4, 1))
     spec = PolicySpec(Policy.LSSF)
-    assert next_dispatch(spec, _state(spec, jobs, running=2), 1) == 2
-    assert next_dispatch(spec, _state(spec, jobs), 1) == 1
+    assert _state(spec, jobs, running=2).dispatch(1) == 2
+    assert _state(spec, jobs).dispatch(1) == 1
 
 
 def test_thrashing_waits_for_activation():
     jobs = (lazy_job(1, 0, 2, 1), lazy_job(2, 1, 2, 0.2))
     spec = PolicySpec(Policy.THRASHING, alpha=2)
     state = _state(spec, jobs)
-    assert next_dispatch(spec, state, 1) is None  # activations at 4 and 3
-    assert next_dispatch(spec, state, 3) == 2  # later release activates first
-    assert next_dispatch(spec, state, 4.5) == 2
-    assert next_dispatch(spec, _state(spec, ()), 0) is None
+    assert state.dispatch(1) is None  # activations at 4 and 3
+    assert state.dispatch(3) == 2  # later release activates first
+    assert state.dispatch(4.5) == 2
+    assert _state(spec, ()).dispatch(0) is None
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_next_event_is_the_policys_own(bits):
+    ctx = PrecisionContext(bits)
+    x = ctx.real
+    # Thrashing: the earliest activation still pending after dispatch.
+    jobs = (lazy_job(1, x(0), x(2), x(1)), lazy_job(2, x(1), x(2), x(0.2)))
+    spec = PolicySpec(Policy.THRASHING, alpha=2)
+    state = _state(spec, jobs, ctx=ctx)
+    assert state.dispatch(1) is None
+    assert state.next_event(1) == 3
+    # LSSF: the running job's next stretch crossing.
+    jobs = (lazy_job(1, x(0), x(4), x(1)), lazy_job(2, x(1), x(2), x(0.4)))
+    spec = PolicySpec(Policy.LSSF)
+    state = _state(spec, jobs, running=1, ctx=ctx)
+    assert state.next_event(1) == x(4) / 3
+    # The others act only at releases and completions.
+    for policy in (Policy.FIFO, Policy.EDD, Policy.SRPT):
+        spec = PolicySpec(policy)
+        state = _state(spec, jobs, ctx=ctx)
+        state.start(state.dispatch(1))
+        assert state.next_event(1) is None, policy
+
+
+def test_srpt_buckets_hold_only_waiting_jobs():
+    # Jobs 1 and 2 share every input, so they share a bucket.
+    jobs = (lazy_job(1, 0, 4, 1), lazy_job(2, 0, 4, 1), lazy_job(3, 0, 5, 2))
+    state = _state(PolicySpec(Policy.SRPT), jobs)
+
+    def filed():
+        assert all(state.buckets.values())
+        assert len(state.bucket_of) == sum(map(len, state.buckets.values()))
+        return sorted(sorted(bucket) for bucket in state.buckets.values())
+
+    def finish():
+        del state.remaining[state.running]
+        state.running = None
+
+    assert filed() == [[1, 2], [3]]
+    state.start(1)
+    assert filed() == [[2], [3]]
+    state.remaining[1] = 0.5
+    state.preempt()  # refiled under its new remaining work
+    assert filed() == [[1], [2], [3]]
+    state.start(3)
+    assert filed() == [[1], [2]]
+    finish()
+    state.start(1)
+    assert filed() == [[2]]
+    finish()
+    state.start(2)
+    assert filed() == [] and state.bucket_of == {}
+
+
+def test_sim_state_takes_only_spec_jobs_and_ctx():
+    with pytest.raises(TypeError):
+        SimState(spec=PolicySpec(Policy.SRPT), jobs={}, ctx=DOUBLE, remaining={})
 
 
 def test_policy_spec_validation():
