@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .core import PrecisionContext, SchedulingError, UnsupportedInstanceError
+from .core import PrecisionContext, SchedulingError, UnsupportedInstanceError, total_busy_time
 from .fileio import (
     FileFormatError,
     instance_to_record,
@@ -26,8 +26,9 @@ from .fileio import (
     write_plot_data,
 )
 # Commands that use rampsched.generators (and csv) import them
-# themselves, so `simulate` starts without compiling or running them.
-from .offline import Feasibility, lrtb, total_busy_time
+# themselves, so `solve` and `simulate` start without compiling or
+# running them.
+from .offline import Feasibility, SsrQuery, check_reduction, reduce_ssr, solve
 from .online import (
     Policy,
     PolicySpec,
@@ -67,6 +68,12 @@ def _add_precision(parser):
         help="working precision in bits (default 128; <=53 uses doubles); "
         "the comparison tolerance is 2**-(BITS-16)",
     )
+
+
+def _add_query(parser):
+    """The surd-sum query options, read by `gen reduction` and `check`."""
+    parser.add_argument("--xs", required=True, help="comma-separated integers")
+    parser.add_argument("--threshold", type=int, required=True)
 
 
 def _add_policy(parser):
@@ -114,22 +121,15 @@ def _finish(verdict, bits) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .generators import check_reduction, recover_ssr_query
-
     ctx = _context(args)
     try:
         instance = load_instance(args.instance, ctx)
     except FileFormatError as exc:
         return _fail_usage(exc)
-    query = recover_ssr_query(instance)
-    if query is not None:
-        verdict = check_reduction(query, ctx)
-        schedule = verdict.witness
-    else:
-        try:
-            schedule, verdict = lrtb(instance, ctx)
-        except UnsupportedInstanceError as exc:
-            return _fail_usage(f"{args.instance}: {exc}")
+    try:
+        schedule, verdict = solve(instance, ctx)
+    except UnsupportedInstanceError as exc:
+        return _fail_usage(f"{args.instance}: {exc}")
     print(f"instance: {instance.name or args.instance}")
     print(f"status: {verdict.status.value}")
     if verdict.margin is not None:
@@ -188,14 +188,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_gen(args) -> int:
     from .generators import (
-        SsrQuery,
         adaptive_adversary,
         gen_edd,
         gen_fifo,
         gen_lssf,
         gen_random_feasible,
         gen_srpt,
-        reduce_ssr,
     )
 
     ctx = _context(args)
@@ -266,8 +264,6 @@ def _parse_seed_spec(text):
 
 
 def cmd_check(args) -> int:
-    from .generators import SsrQuery, check_reduction
-
     ctx = _context(args)
     try:
         query = SsrQuery(_parse_int_list(args.xs), args.threshold)
@@ -367,24 +363,22 @@ def build_parser() -> _Parser:
     fam = p_gen.add_subparsers(dest="family", required=True)
 
     f_lssf = fam.add_parser("lssf", help="stretch cascade family")
-    f_lssf.add_argument("--n", type=int, required=True)
-    f_lssf.add_argument(
-        "--rationalize", default=None, metavar="REL",
-        help="round parameters to nearby decimals (relative error bound)",
-    )
     f_srpt = fam.add_parser("srpt", help="shortest-remaining-time starvation family")
-    f_srpt.add_argument("--n", type=int, required=True)
-    f_srpt.add_argument("--rationalize", default=None, metavar="REL")
+    for f in (f_lssf, f_srpt):
+        f.add_argument("--n", type=int, required=True)
+        f.add_argument(
+            "--rationalize", default=None, metavar="REL",
+            help="round parameters to nearby decimals (relative error bound)",
+        )
     f_fifo = fam.add_parser("fifo", help="first-in-first-out sliver family")
-    f_fifo.add_argument("--target", required=True)
     f_edd = fam.add_parser("edd", help="earliest-due-date sliver family")
-    f_edd.add_argument("--target", required=True)
+    for f in (f_fifo, f_edd):
+        f.add_argument("--target", required=True)
     f_rand = fam.add_parser("random", help="random feasible instance")
     f_rand.add_argument("--n", type=int, required=True)
     f_rand.add_argument("--seed", type=int, required=True)
     f_red = fam.add_parser("reduction", help="surd-sum reduction instance")
-    f_red.add_argument("--xs", required=True, help="comma-separated integers")
-    f_red.add_argument("--threshold", type=int, required=True)
+    _add_query(f_red)
     f_adv = fam.add_parser("adversary", help="adaptive two-phase adversary")
     _add_policy(f_adv)
     f_adv.add_argument("--trace-out", metavar="FILE")
@@ -394,8 +388,7 @@ def build_parser() -> _Parser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_check = sub.add_parser("check", help="decide sum(sqrt(x)) >= threshold")
-    p_check.add_argument("--xs", required=True, help="comma-separated integers")
-    p_check.add_argument("--threshold", type=int, required=True)
+    _add_query(p_check)
     _add_precision(p_check)
     p_check.set_defaults(func=cmd_check)
 

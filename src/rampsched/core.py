@@ -263,6 +263,14 @@ class Schedule:
         object.__setattr__(self, "segments", segs)
 
 
+def total_busy_time(schedule):
+    """Sum of the segment lengths of a Schedule or SimTrace, in order."""
+    total = 0
+    for s in schedule.segments:
+        total = total + s.length
+    return total
+
+
 def speed_at(job: Job, t):
     """Instantaneous speed of job at time t (t >= release)."""
     if t < job.release:

@@ -13,8 +13,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import Instance, Job, PrecisionContext, Schedule, SpeedFunction, stretch
-from .offline import FeasibilityVerdict, total_busy_time
+from .core import (
+    Instance,
+    Job,
+    PrecisionContext,
+    Schedule,
+    SpeedFunction,
+    stretch,
+    total_busy_time,
+)
+from .offline import FeasibilityVerdict
 from .online import EventKind, Policy, PolicySpec, SimTrace, missed_due_dates
 
 SCHEMA_VERSION = 1
@@ -324,14 +332,18 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
     if isinstance(file_bits, int) and 24 <= file_bits < ctx.bits:
         check = PrecisionContext(bits=file_bits)
     inst_block = _expect(record, "instance", dict, path)
-    jobs = {}
+    rows = []
     for where, row in _rows(inst_block, "jobs", path, "instance.jobs"):
         jid = _expect(row, "id", int, where)
         release = _parse_number(row.get("release"), ctx, where, "release")
         due = _parse_number(row.get("due"), ctx, where, "due")
-        jobs[jid] = _job(record, ctx, where, jid, release, due, 0, 0, 1)
-    if not jobs:
+        rows.append(_job(record, ctx, where, jid, release, due, 0, 0, 1))
+    if not rows:
         raise FileFormatError(f"{path}: trace instance has no jobs")
+    try:
+        jobs = Instance(tuple(rows)).by_id
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
     pol = _expect(record, "policy", dict, path)
     try:
         kind = Policy(_expect(pol, "kind", str, f"{path}: policy"))

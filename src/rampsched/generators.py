@@ -1,11 +1,14 @@
-"""Instance generators: adversarial families, reductions, random corpora.
+"""Instance generators: adversarial families and random corpora.
 
-The adversarial families are built by co-simulation: each generator
-chases the policy's own dynamics (takeover points, completion chains,
-observed lateness) rather than hard-coding closed forms, then verifies
-the achieved stretch by simulating the finished instance.  All of them
-produce instances the backward sweep certifies feasible, so the bad
-stretch is the policy's fault, not the instance's.
+gen_srpt and gen_lssf are closed forms: the stretch their policy
+reaches is derived, and neither simulates nor runs the backward sweep.
+gen_fifo and gen_edd shrink a sliver window until simulating the policy
+reaches the target stretch, and keep only instances the backward sweep
+certifies feasible, so the bad stretch is the policy's fault, not the
+instance's.  gen_random_feasible redraws until the sweep certifies its
+draw, and adaptive_adversary extends a seed instance after watching the
+policy run on it.  The sum-of-square-roots reduction lives in
+`offline`, beside its decider.
 
 Where a construction needs exact boundary algebra (a job that fills
 its window with zero slack), intervals are re-derived from the stored
@@ -23,28 +26,21 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from .core import (
     Instance,
     PrecisionContext,
-    Schedule,
     SchedulingError,
-    Segment,
     Verdict,
     lazy_job,
-    nonlazy_job,
-    rightmost_running_time,
     work_in,
 )
-from .offline import Feasibility, FeasibilityVerdict, lrtb
+from .offline import Feasibility, lrtb
 from .online import Policy, PolicySpec, max_stretch, simulate
 
 __all__ = [
-    "SsrQuery",
     "AdversaryOutcome",
     "gen_srpt",
     "gen_lssf",
     "gen_fifo",
     "gen_edd",
     "gen_random_feasible",
-    "reduce_ssr",
-    "check_reduction",
     "adaptive_adversary",
 ]
 
@@ -167,15 +163,15 @@ def _sliver_target(target, ctx):
     return target
 
 
-def _verified_family(build, kind, target, ctx, tries=8):
-    """Shrink the knob until the simulated stretch reaches the target.
+def _verified_family(build, knob, kind, target, ctx):
+    """Halve the knob until the simulated stretch reaches the target.
 
-    build(knob) returns (jobs, knob); a None knob asks for its start value.
+    build(knob) returns the jobs; `knob` is the first value tried, and
+    8 values are tried at most.
     """
-    knob = None
-    for _ in range(tries):
+    for _ in range(8):
         try:
-            jobs, knob = build(knob)
+            jobs = build(knob)
         except ValueError as exc:  # the sliver window collapsed onto its release
             raise ValueError(
                 f"target stretch {ctx.format(target)} needs a sliver window "
@@ -208,15 +204,13 @@ def gen_fifo(target, ctx: PrecisionContext) -> Instance:
     target = _sliver_target(target, ctx)
 
     def build(delta):
-        if delta is None:
-            delta = ctx.real(2) ** -math.ceil(math.log2(float(target)))
-        jobs = (
+        return (
             lazy_job(1, ctx.real(0), ctx.real(3), ctx.real(2)),
             lazy_job(2, ctx.real(1), 1 + delta, delta * delta / 2),
         )
-        return jobs, delta
 
-    return _verified_family(build, Policy.FIFO, target, ctx)
+    start = ctx.real(2) ** -math.ceil(math.log2(float(target)))
+    return _verified_family(build, start, Policy.FIFO, target, ctx)
 
 
 def gen_edd(target, ctx: PrecisionContext) -> Instance:
@@ -238,14 +232,9 @@ def gen_edd(target, ctx: PrecisionContext) -> Instance:
         raise SchedulingError("prefix failed to delay the anchor job")
 
     def build(delta):
-        if delta is None:
-            delta = lateness / target
-        jobs = pair + (
-            lazy_job(3, ctx.real(2), 2 + delta, delta * delta / 4),
-        )
-        return jobs, delta
+        return pair + (lazy_job(3, ctx.real(2), 2 + delta, delta * delta / 4),)
 
-    return _verified_family(build, Policy.EDD, target, ctx)
+    return _verified_family(build, lateness / target, Policy.EDD, target, ctx)
 
 
 def gen_random_feasible(n: int, seed: int, ctx: PrecisionContext) -> Instance:
@@ -289,145 +278,6 @@ def gen_random_feasible(n: int, seed: int, ctx: PrecisionContext) -> Instance:
                 for j in jobs
             ]
     raise SchedulingError(f"no feasible draw for n={n}, seed={seed}")
-
-
-# --- sum-of-square-roots reduction -------------------------------------------
-
-
-@dataclass(frozen=True)
-class SsrQuery:
-    """Decide whether sum(sqrt(x)) >= threshold for positive integers x."""
-
-    xs: tuple
-    threshold: int
-
-    def __post_init__(self):
-        xs = tuple(int(x) for x in self.xs)
-        object.__setattr__(self, "xs", xs)
-        if not xs or any(x < 1 for x in xs):
-            raise ValueError("xs must be positive integers")
-        if int(self.threshold) < 1:
-            raise ValueError("threshold must be a positive integer")
-        object.__setattr__(self, "threshold", int(self.threshold))
-
-
-def reduce_ssr(query: SsrQuery, ctx: PrecisionContext) -> Instance:
-    """Scheduling instance feasible iff sum(sqrt(x_i)) >= threshold.
-
-    Surd i becomes a ramp job with window length x_i + 2 and work
-    (x_i^2 + 3x_i + 4)/2: pushed flush against its due date it runs
-    for exactly (x_i + 2) - sqrt(x_i), leaving sqrt(x_i) of idle room
-    in its window.  Windows tile [0, sum(x_i + 2)]; a constant-speed
-    filler job due at the end needs `threshold` units of that room.
-    """
-    jobs = []
-    t = ctx.real(0)
-    for i, x in enumerate(query.xs, start=1):
-        length = ctx.real(x + 2)
-        w = ctx.real(x * x + 3 * x + 4) / 2
-        jobs.append(lazy_job(i, t, t + length, w))
-        t = t + length
-    filler = len(query.xs) + 1
-    jobs.append(nonlazy_job(filler, ctx.real(0), t, ctx.real(query.threshold)))
-    xs_text = ",".join(str(x) for x in query.xs)
-    return Instance(
-        tuple(jobs),
-        name=f"ssr-{len(query.xs)}",
-        provenance=f"reduce_ssr(xs=[{xs_text}], threshold={query.threshold})",
-    )
-
-
-def recover_ssr_query(instance: Instance):
-    """Recognize an instance produced by reduce_ssr; None if it is not one.
-
-    The shape is strict: unit-slope ramp jobs tiling [0, T] with the
-    integer window/work pattern of the reduction, plus one unit-speed
-    constant job spanning the whole horizon with integer work.
-    """
-    fillers = [j for j in instance.jobs if j.speed.slope == 0]
-    surds = [j for j in instance.jobs if j.speed.slope != 0]
-    if len(fillers) != 1 or not surds:
-        return None
-    filler = fillers[0]
-    if filler.speed.base != 1 or filler.release != 0:
-        return None
-    if filler.work != int(filler.work) or int(filler.work) < 1:
-        return None
-    surds = sorted(surds, key=lambda j: j.release)
-    cursor = 0
-    xs = []
-    for j in surds:
-        if j.speed.slope != 1 or j.speed.base != 0 or j.release != cursor:
-            return None
-        length = j.due - j.release
-        if length != int(length):
-            return None
-        x = int(length) - 2
-        if x < 1 or j.work * 2 != x * x + 3 * x + 4:
-            return None
-        xs.append(x)
-        cursor = j.due
-    if filler.due != cursor:
-        return None
-    return SsrQuery(tuple(xs), int(filler.work))
-
-
-def check_reduction(query: SsrQuery, ctx: PrecisionContext) -> FeasibilityVerdict:
-    """Feasibility verdict for the reduced instance.
-
-    All-perfect-square queries resolve exactly through integer square
-    roots.  Otherwise the surd sum is compared at working precision;
-    a difference inside tolerance yields Indeterminate, since equality
-    of an irrational sum cannot be certified numerically.
-    """
-    roots = [math.isqrt(x) for x in query.xs]
-    threshold = query.threshold
-    if all(r * r == x for r, x in zip(roots, query.xs)):
-        surplus = sum(roots) - threshold
-        margin, deficit = ctx.real(abs(surplus)), ctx.real(-surplus)
-        cmp = Verdict.LESS if surplus < 0 else Verdict.GREATER
-    else:
-        total = ctx.real(0)
-        for x in query.xs:
-            total = total + ctx.sqrt(x)
-        margin, deficit = abs(total - threshold), ctx.real(threshold) - total
-        cmp = ctx.compare(total, ctx.real(threshold))
-    if cmp is Verdict.GREATER:
-        return FeasibilityVerdict(
-            Feasibility.FEASIBLE, _reduction_witness(query, ctx), {}, margin
-        )
-    if cmp is Verdict.LESS:
-        return FeasibilityVerdict(
-            Feasibility.INFEASIBLE, None, {len(query.xs) + 1: deficit}, margin
-        )
-    return FeasibilityVerdict(Feasibility.INDETERMINATE, None, {}, margin)
-
-
-def _reduction_witness(query: SsrQuery, ctx: PrecisionContext) -> Schedule:
-    """Push every surd job flush right, pour the filler into the gaps."""
-    inst = reduce_ssr(query, ctx)
-    filler = inst.by_id[len(query.xs) + 1]
-    segments = []
-    gaps = []
-    for i in range(1, len(query.xs) + 1):
-        job = inst.by_id[i]
-        t = rightmost_running_time(job.length, job.work, ctx)
-        lo = job.due - t
-        segments.append(Segment(job.id, lo, job.due, job.work))
-        if lo > job.release:
-            gaps.append((job.release, lo))
-    left = ctx.real(query.threshold)
-    for lo, hi in gaps:
-        if left <= 0:
-            break
-        room = hi - lo
-        if room >= left:
-            segments.append(Segment(filler.id, lo, lo + left, left))
-            left = 0
-        else:
-            segments.append(Segment(filler.id, lo, hi, room))
-            left = left - room
-    return Schedule(tuple(segments))
 
 
 # --- adaptive adversary ------------------------------------------------------

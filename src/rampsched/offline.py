@@ -8,6 +8,12 @@ place some work only when every schedule fails, which makes it both a
 busy-time minimizer and a feasibility decider.  That equivalence is
 what the verdict logic below relies on.  The sweep costs O(n log n)
 comparisons: one sort by due date, plus a heap keyed on release.
+
+The module holds both feasibility deciders: the sweep, and the
+sum-of-square-roots reduction with its checker, which decides an
+instance built by `reduce_ssr` from the surd sum it encodes.  `solve`
+routes an instance to one of them.  Busy time of a schedule is
+`core.total_busy_time`.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -27,6 +34,9 @@ from .core import (
     Segment,
     UnsupportedInstanceError,
     Verdict,
+    lazy_job,
+    nonlazy_job,
+    rightmost_running_time,
     work_in,
 )
 
@@ -152,12 +162,158 @@ def lrtb(instance: Instance, ctx: PrecisionContext):
     return schedule, FeasibilityVerdict(status, witness, deficits, margin)
 
 
-def total_busy_time(schedule):
-    """Sum of the segment lengths of a Schedule or SimTrace, in order."""
-    total = 0
-    for s in schedule.segments:
-        total = total + s.length
-    return total
+# --- sum-of-square-roots reduction -------------------------------------------
+
+
+@dataclass(frozen=True)
+class SsrQuery:
+    """Decide whether sum(sqrt(x)) >= threshold for positive integers x."""
+
+    xs: tuple
+    threshold: int
+
+    def __post_init__(self):
+        xs = tuple(int(x) for x in self.xs)
+        object.__setattr__(self, "xs", xs)
+        if not xs or any(x < 1 for x in xs):
+            raise ValueError("xs must be positive integers")
+        if int(self.threshold) < 1:
+            raise ValueError("threshold must be a positive integer")
+        object.__setattr__(self, "threshold", int(self.threshold))
+
+
+def reduce_ssr(query: SsrQuery, ctx: PrecisionContext) -> Instance:
+    """Scheduling instance feasible iff sum(sqrt(x_i)) >= threshold.
+
+    Surd i becomes a ramp job with window length x_i + 2 and work
+    (x_i^2 + 3x_i + 4)/2: pushed flush against its due date it runs
+    for exactly (x_i + 2) - sqrt(x_i), leaving sqrt(x_i) of idle room
+    in its window.  Windows tile [0, sum(x_i + 2)]; a constant-speed
+    filler job due at the end needs `threshold` units of that room.
+    """
+    jobs = []
+    t = ctx.real(0)
+    for i, x in enumerate(query.xs, start=1):
+        length = ctx.real(x + 2)
+        w = ctx.real(x * x + 3 * x + 4) / 2
+        jobs.append(lazy_job(i, t, t + length, w))
+        t = t + length
+    filler = len(query.xs) + 1
+    jobs.append(nonlazy_job(filler, ctx.real(0), t, ctx.real(query.threshold)))
+    xs_text = ",".join(str(x) for x in query.xs)
+    return Instance(
+        tuple(jobs),
+        name=f"ssr-{len(query.xs)}",
+        provenance=f"reduce_ssr(xs=[{xs_text}], threshold={query.threshold})",
+    )
+
+
+def recover_ssr_query(instance: Instance):
+    """Recognize an instance produced by reduce_ssr; None if it is not one.
+
+    The shape is strict: unit-slope ramp jobs tiling [0, T] with the
+    integer window/work pattern of the reduction, plus one unit-speed
+    constant job spanning the whole horizon with integer work.
+    """
+    fillers = [j for j in instance.jobs if j.speed.slope == 0]
+    surds = [j for j in instance.jobs if j.speed.slope != 0]
+    if len(fillers) != 1 or not surds:
+        return None
+    filler = fillers[0]
+    if filler.speed.base != 1 or filler.release != 0:
+        return None
+    if filler.work != int(filler.work) or int(filler.work) < 1:
+        return None
+    surds = sorted(surds, key=lambda j: j.release)
+    cursor = 0
+    xs = []
+    for j in surds:
+        if j.speed.slope != 1 or j.speed.base != 0 or j.release != cursor:
+            return None
+        length = j.due - j.release
+        if length != int(length):
+            return None
+        x = int(length) - 2
+        if x < 1 or j.work * 2 != x * x + 3 * x + 4:
+            return None
+        xs.append(x)
+        cursor = j.due
+    if filler.due != cursor:
+        return None
+    return SsrQuery(tuple(xs), int(filler.work))
+
+
+def check_reduction(query: SsrQuery, ctx: PrecisionContext) -> FeasibilityVerdict:
+    """Feasibility verdict for the reduced instance.
+
+    All-perfect-square queries resolve exactly through integer square
+    roots.  Otherwise the surd sum is compared at working precision;
+    a difference inside tolerance yields Indeterminate, since equality
+    of an irrational sum cannot be certified numerically.
+    """
+    roots = [math.isqrt(x) for x in query.xs]
+    threshold = query.threshold
+    if all(r * r == x for r, x in zip(roots, query.xs)):
+        surplus = sum(roots) - threshold
+        margin, deficit = ctx.real(abs(surplus)), ctx.real(-surplus)
+        cmp = Verdict.LESS if surplus < 0 else Verdict.GREATER
+    else:
+        total = ctx.real(0)
+        for x in query.xs:
+            total = total + ctx.sqrt(x)
+        margin, deficit = abs(total - threshold), ctx.real(threshold) - total
+        cmp = ctx.compare(total, ctx.real(threshold))
+    if cmp is Verdict.GREATER:
+        return FeasibilityVerdict(
+            Feasibility.FEASIBLE, _reduction_witness(query, ctx), {}, margin
+        )
+    if cmp is Verdict.LESS:
+        return FeasibilityVerdict(
+            Feasibility.INFEASIBLE, None, {len(query.xs) + 1: deficit}, margin
+        )
+    return FeasibilityVerdict(Feasibility.INDETERMINATE, None, {}, margin)
+
+
+def _reduction_witness(query: SsrQuery, ctx: PrecisionContext) -> Schedule:
+    """Push every surd job flush right, pour the filler into the gaps."""
+    inst = reduce_ssr(query, ctx)
+    filler = inst.by_id[len(query.xs) + 1]
+    segments = []
+    gaps = []
+    for i in range(1, len(query.xs) + 1):
+        job = inst.by_id[i]
+        t = rightmost_running_time(job.length, job.work, ctx)
+        lo = job.due - t
+        segments.append(Segment(job.id, lo, job.due, job.work))
+        if lo > job.release:
+            gaps.append((job.release, lo))
+    left = ctx.real(query.threshold)
+    for lo, hi in gaps:
+        if left <= 0:
+            break
+        room = hi - lo
+        if room >= left:
+            segments.append(Segment(filler.id, lo, lo + left, left))
+            left = 0
+        else:
+            segments.append(Segment(filler.id, lo, hi, room))
+            left = left - room
+    return Schedule(tuple(segments))
+
+
+def solve(instance: Instance, ctx: PrecisionContext):
+    """Decide feasibility of any instance: (schedule or None, verdict).
+
+    An instance built by reduce_ssr is decided by check_reduction, whose
+    schedule is its witness (None unless feasible); every other instance
+    goes to lrtb, whose schedule holds whatever work it could place.
+    Raises UnsupportedInstanceError where lrtb does.
+    """
+    query = recover_ssr_query(instance)
+    if query is not None:
+        verdict = check_reduction(query, ctx)
+        return verdict.witness, verdict
+    return lrtb(instance, ctx)
 
 
 @dataclass

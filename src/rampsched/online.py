@@ -48,9 +48,9 @@ from .core import (
     dyadic,
     speed_at,
     stretch,
+    total_busy_time,
     work_in,
 )
-from .offline import total_busy_time
 
 
 class Policy(enum.Enum):
@@ -599,13 +599,10 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
                 f"is not finite at {ctx.bits} bits"
             )
         if rid is not None:
+            done = work_in(job, t, tn, state.caps.get(rid))
             if tn == finish_at:
                 left = state.remaining[rid]
                 _close_segment(segments, state, rid, seg_start, tn)
-                if seg_start is t and t < tn:  # that segment began at t
-                    done = segments[-1].work_done
-                else:
-                    done = work_in(job, t, tn, state.caps.get(rid))
                 tol = ctx.tolerance(job.work)
                 if not -tol <= done - left <= tol:
                     # The rounded finish time does not fit the work left:
@@ -625,8 +622,7 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
                 completions[rid] = tn
                 events.append(TraceEvent(tn, EventKind.COMPLETE, rid))
             else:
-                used = work_in(job, t, tn, state.caps.get(rid))
-                left = state.remaining[rid] - used
+                left = state.remaining[rid] - done
                 state.remaining[rid] = left if left > 0 else 0
         t = tn
 

@@ -23,24 +23,24 @@ from rampsched.core import (
     SpeedFunction,
     completion_from,
     lazy_job,
+    total_busy_time,
     work_in,
 )
 from rampsched.generators import (
-    SsrQuery,
     adaptive_adversary,
-    check_reduction,
     gen_edd,
     gen_fifo,
     gen_lssf,
     gen_random_feasible,
     gen_srpt,
-    reduce_ssr,
 )
 from rampsched.offline import (
     Feasibility,
+    SsrQuery,
     brute_force_optimal,
+    check_reduction,
     lrtb,
-    total_busy_time,
+    reduce_ssr,
     validate_schedule,
 )
 from rampsched.online import (

@@ -509,18 +509,21 @@ def test_simulate_does_not_load_the_generators(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     inst = write_instance(tmp_path, (lazy_job(1, 0, 2, 1), lazy_job(2, 1, 3, 1)))
-    argv = ["simulate", inst, "--policy", "srpt", "--trace-out", str(tmp_path / "t.json")]
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "rampsched.cli", *argv],
-        env=env, capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    # Each importtime line ends in "| <module name>".
-    modules = {
-        line.rsplit("|", 1)[1].strip()
-        for line in proc.stderr.splitlines()
-        if line.startswith("import time:")
-    }
-    assert "rampsched.online" in modules
-    assert "rampsched.generators" not in modules
-    assert "csv" not in modules
+    for argv in (
+        ["simulate", inst, "--policy", "srpt", "--trace-out", str(tmp_path / "t.json")],
+        ["solve", inst, "--out", str(tmp_path / "s.json")],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "rampsched.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # Each importtime line ends in "| <module name>".
+        modules = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "rampsched.online" in modules
+        assert "rampsched.generators" not in modules, argv[0]
+        assert "csv" not in modules

@@ -74,6 +74,8 @@ def test_load_instance_rejects_malformed_files(tmp_path):
     path.write_text("{not json")
     with pytest.raises(FileFormatError, match="line"):
         load_instance(path, CTX)
+    with pytest.raises(FileFormatError, match="missing.json"):
+        load_instance(tmp_path / "missing.json", CTX)
 
     with pytest.raises(FileFormatError, match="schema_version"):
         load_instance(_write(path, {**ok, "schema_version": 99}), CTX)
@@ -85,6 +87,10 @@ def test_load_instance_rejects_malformed_files(tmp_path):
     row = dict(ok["jobs"][0])
     del row["work"]
     with pytest.raises(FileFormatError, match="work"):
+        load_instance(_write(path, {**ok, "jobs": [row]}), CTX)
+    row = dict(ok["jobs"][0])
+    del row["id"]
+    with pytest.raises(FileFormatError, match="missing field 'id'"):
         load_instance(_write(path, {**ok, "jobs": [row]}), CTX)
 
     backwards = {"id": 1, "release": "2", "due": "1", "work": "1"}
@@ -154,11 +160,11 @@ def test_tampered_summaries_are_rejected(tmp_path):
     trace = _ship_trace()
     path = tmp_path / "trace.json"
 
-    def corrupt(edit):
+    def corrupt(edit, match=None):
         record = trace_to_record(trace, CTX)
         edit(record)
         path.write_text(json.dumps(record))
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError, match=match):
             load_trace(path, CTX)
 
     corrupt(lambda r: r["summary"].__setitem__("busy_time", "99"))
@@ -195,6 +201,12 @@ def test_tampered_summaries_are_rejected(tmp_path):
     # JSON booleans are not integers.
     corrupt(lambda r: r["instance"]["jobs"][0].__setitem__("id", True))
     corrupt(lambda r: r.__setitem__("schema_version", True))
+    # A job table with a row twice, or with no rows.
+    corrupt(lambda r: r["instance"]["jobs"].append(r["instance"]["jobs"][0]), "duplicate")
+    corrupt(lambda r: r["instance"]["jobs"].clear(), "no jobs")
+    # Events 3 and 5 preempt job 1 at t=1 and complete job 2 at about 1.87.
+    corrupt(lambda r: r["events"][3].__setitem__("job", 2), "not running")
+    corrupt(lambda r: r["instance"]["jobs"][1].__setitem__("release", "1.9"), "before release")
 
 
 def test_plot_data_layout(tmp_path):

@@ -7,18 +7,22 @@ import pytest
 from rampsched import DOUBLE, Instance, PrecisionContext, lazy_job, nonlazy_job
 from rampsched.generators import (
     AdversaryOutcome,
-    SsrQuery,
     adaptive_adversary,
-    check_reduction,
     gen_edd,
     gen_fifo,
     gen_lssf,
     gen_random_feasible,
     gen_srpt,
+)
+from rampsched.offline import (
+    Feasibility,
+    SsrQuery,
+    check_reduction,
+    lrtb,
     recover_ssr_query,
     reduce_ssr,
+    validate_schedule,
 )
-from rampsched.offline import Feasibility, lrtb, validate_schedule
 from rampsched.online import Policy, PolicySpec, max_stretch, simulate
 
 CTX = PrecisionContext(128)

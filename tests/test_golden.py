@@ -19,18 +19,14 @@ from rampsched import Instance, Job, PrecisionContext, Schedule, SpeedFunction
 from rampsched import UnsupportedInstanceError, lazy_job, nonlazy_job
 from rampsched.fileio import instance_to_record, schedule_to_record, trace_to_record
 from rampsched.generators import (
-    SsrQuery,
     adaptive_adversary,
-    check_reduction,
     gen_edd,
     gen_fifo,
     gen_lssf,
     gen_random_feasible,
     gen_srpt,
-    recover_ssr_query,
-    reduce_ssr,
 )
-from rampsched.offline import lrtb
+from rampsched.offline import SsrQuery, reduce_ssr, solve
 from rampsched.online import Policy, PolicySpec, simulate
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -80,16 +76,11 @@ def _digest(records):
 
 def _solve_record(instance, ctx):
     """The verdict and schedule `rampsched solve` would report."""
-    query = recover_ssr_query(instance)
-    if query is not None:
-        verdict = check_reduction(query, ctx)
-        schedule = verdict.witness or Schedule(())
-    else:
-        try:
-            schedule, verdict = lrtb(instance, ctx)
-        except UnsupportedInstanceError:
-            return "unsupported"
-    return schedule_to_record(instance, schedule, verdict, ctx)
+    try:
+        schedule, verdict = solve(instance, ctx)
+    except UnsupportedInstanceError:
+        return "unsupported"
+    return schedule_to_record(instance, schedule or Schedule(()), verdict, ctx)
 
 
 def _case_digests(bits, name):

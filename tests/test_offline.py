@@ -20,13 +20,13 @@ from rampsched import (
     nonlazy_job,
     work_in,
 )
+from rampsched.core import total_busy_time
 from rampsched.generators import gen_lssf, gen_random_feasible, gen_srpt
 from rampsched.offline import (
     Feasibility,
     _claim_sweep,
     brute_force_optimal,
     lrtb,
-    total_busy_time,
     validate_schedule,
 )
 

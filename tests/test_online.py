@@ -28,6 +28,7 @@ from rampsched import (
     work_in,
 )
 from rampsched import online
+from rampsched.core import total_busy_time
 from rampsched.fileio import trace_to_record
 from rampsched.generators import (
     gen_edd,
@@ -36,7 +37,7 @@ from rampsched.generators import (
     gen_random_feasible,
     gen_srpt,
 )
-from rampsched.offline import total_busy_time, validate_schedule
+from rampsched.offline import validate_schedule
 from rampsched.online import (
     EventKind,
     Policy,
