@@ -17,7 +17,6 @@ from .core import (
     dyadic,
     lazy_job,
     nonlazy_job,
-    rightmost_running_time,
     speed_at,
     stretch,
     work_in,
@@ -42,7 +41,6 @@ __all__ = [
     "dyadic",
     "lazy_job",
     "nonlazy_job",
-    "rightmost_running_time",
     "speed_at",
     "stretch",
     "work_in",

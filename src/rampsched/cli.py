@@ -267,9 +267,9 @@ def cmd_check(args) -> int:
     ctx = _context(args)
     try:
         query = SsrQuery(_parse_int_list(args.xs), args.threshold)
+        verdict = check_reduction(query, ctx)
     except ValueError as exc:
         return _fail_usage(exc)
-    verdict = check_reduction(query, ctx)
     total = " + ".join(f"sqrt({x})" for x in query.xs)
     print(f"query: {total} >= {query.threshold}")
     print(f"status: {verdict.status.value}")

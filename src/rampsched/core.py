@@ -338,27 +338,6 @@ def completion_from(job: Job, start, remaining, ctx: PrecisionContext, cap=None)
     return job.release + u
 
 
-def rightmost_running_time(length, work, ctx: PrecisionContext):
-    """Time needed to finish `work` when run flush against the deadline.
-
-    For a unit-slope lazy job with window length `length`, running only
-    during the last t time units yields (length^2 - (length-t)^2)/2
-    work; this inverts that.  Uses 2w/(l + sqrt(l^2 - 2w)) to stay
-    accurate when work is much smaller than the window capacity.
-    """
-    if work < 0:
-        raise ValueError("negative work")
-    if work == 0:
-        return work
-    disc = length * length - 2 * work
-    if disc < 0:
-        raise InfeasibleIntervalError(
-            f"interval of length {length} holds at most {length * length / 2} work"
-        )
-    # Rounding can push a full window's time past the window itself.
-    return min(2 * work / (length + ctx.sqrt(disc)), length)
-
-
 def stretch(job: Job, completion):
     """Interval stretch (completion - release)/(due - release)."""
     if completion < job.release:

@@ -121,9 +121,9 @@ def gen_lssf(
 
     jobs = [lazy_job(2, ctx.real(0), one, one / 2)]
     completion = ctx.sqrt(1 + s * s)  # job 2 runs [s, C2]
-    releases_dues = [(ctx.real(0), one)]
+    d = one  # due date of the job before j; job j is released there
     for j in range(3, n + 1):
-        r = releases_dues[-1][1]
+        r = d
         q = ctx.sqrt(j - 2)  # stretch-so-far target at takeover
         width = (completion - r) / q
         if rationalize is not None:
@@ -134,7 +134,6 @@ def gen_lssf(
         if rationalize is not None:
             w = _round_decimal(w, ctx.real(rationalize), ctx, up=False)
         jobs.append(lazy_job(j, r, d, w))
-        releases_dues.append((r, d))
         completion = r + ctx.sqrt(j - 1) * width
 
     # Job 1 runs [-1, s], is overtaken, and resumes after the cascade.

@@ -36,7 +36,6 @@ from .core import (
     Verdict,
     lazy_job,
     nonlazy_job,
-    rightmost_running_time,
     work_in,
 )
 
@@ -185,21 +184,31 @@ class SsrQuery:
 def reduce_ssr(query: SsrQuery, ctx: PrecisionContext) -> Instance:
     """Scheduling instance feasible iff sum(sqrt(x_i)) >= threshold.
 
-    Surd i becomes a ramp job with window length x_i + 2 and work
-    (x_i^2 + 3x_i + 4)/2: pushed flush against its due date it runs
-    for exactly (x_i + 2) - sqrt(x_i), leaving sqrt(x_i) of idle room
-    in its window.  Windows tile [0, sum(x_i + 2)]; a constant-speed
-    filler job due at the end needs `threshold` units of that room.
+    Surd i becomes job i, a ramp job with window length x_i + 2 and work
+    (x_i^2 + 3x_i + 4)/2.  Since (x_i + 2)^2 - 2 * work == x_i, pushed
+    flush against its due date it runs for exactly (x_i + 2) - sqrt(x_i),
+    leaving sqrt(x_i) of idle room in its window.  Windows tile
+    [0, sum(x_i + 2)]; for k surds, a constant-speed filler job k+1 due
+    at the end needs `threshold` units of that room.
+
+    This is the one definition of the reduction, and it is exact or
+    refused: raises ValueError naming the precision to retry at when
+    (x_i + 2)^2, x_i^2 + 3x_i + 4, a window end or the threshold is not
+    a number of ctx.
     """
-    jobs = []
-    t = ctx.real(0)
-    for i, x in enumerate(query.xs, start=1):
-        length = ctx.real(x + 2)
-        w = ctx.real(x * x + 3 * x + 4) / 2
-        jobs.append(lazy_job(i, t, t + length, w))
-        t = t + length
-    filler = len(query.xs) + 1
-    jobs.append(nonlazy_job(filler, ctx.real(0), t, ctx.real(query.threshold)))
+    ends = list(itertools.accumulate(x + 2 for x in query.xs))
+    works = [x * x + 3 * x + 4 for x in query.xs]
+    exact = [(x + 2) ** 2 for x in query.xs] + works + ends + [query.threshold]
+    misfits = [n for n in exact if not _is_number_of(n, ctx)]
+    if misfits:
+        raise _needs_bits(misfits, ctx)
+    jobs = [
+        lazy_job(i, ctx.real(start), ctx.real(end), ctx.real(w) / 2)
+        for i, (start, end, w) in enumerate(zip([0] + ends, ends, works), start=1)
+    ]
+    jobs.append(
+        nonlazy_job(len(jobs) + 1, ctx.real(0), ctx.real(ends[-1]), ctx.real(query.threshold))
+    )
     xs_text = ",".join(str(x) for x in query.xs)
     return Instance(
         tuple(jobs),
@@ -208,39 +217,49 @@ def reduce_ssr(query: SsrQuery, ctx: PrecisionContext) -> Instance:
     )
 
 
-def recover_ssr_query(instance: Instance):
-    """Recognize an instance produced by reduce_ssr; None if it is not one.
+def _is_number_of(n: int, ctx: PrecisionContext) -> bool:
+    try:
+        return ctx.real(n) == n
+    except OverflowError:  # past a double's range
+        return False
 
-    The shape is strict: unit-slope ramp jobs tiling [0, T] with the
-    integer window/work pattern of the reduction, plus one unit-speed
-    constant job spanning the whole horizon with integer work.
+
+def _needs_bits(numbers, ctx: PrecisionContext) -> ValueError:
+    """The error for a query whose integers `numbers` ctx cannot hold.
+
+    Every int of at most b bits is exact at b bits, so the precision
+    named holds all of them.
     """
-    fillers = [j for j in instance.jobs if j.speed.slope == 0]
-    surds = [j for j in instance.jobs if j.speed.slope != 0]
-    if len(fillers) != 1 or not surds:
-        return None
-    filler = fillers[0]
-    if filler.speed.base != 1 or filler.release != 0:
-        return None
-    if filler.work != int(filler.work) or int(filler.work) < 1:
-        return None
-    surds = sorted(surds, key=lambda j: j.release)
-    cursor = 0
-    xs = []
-    for j in surds:
-        if j.speed.slope != 1 or j.speed.base != 0 or j.release != cursor:
+    bits = max(n.bit_length() for n in numbers)
+    return ValueError(
+        f"the surd-sum query needs {bits} bits to be exact, not {ctx.bits}; "
+        f"retry with --precision {bits}"
+    )
+
+
+def recover_ssr_query(instance: Instance, ctx: PrecisionContext):
+    """The query q with reduce_ssr(q, ctx).jobs == instance.jobs, or None.
+
+    For k + 1 jobs the only candidate reads x_i from the window length of
+    job i, i = 1..k, and the threshold from the work of job k+1.  It is
+    the answer only when reduce_ssr rebuilds the instance from it exactly,
+    ids included.
+    """
+    def x(i):
+        return int(instance.by_id[i].length) - 2
+
+    k = len(instance.jobs) - 1
+    try:
+        # Job i of the reduction depends on x_1..x_i alone, so rebuilding
+        # job 1 turns almost every other instance away in O(1).
+        if reduce_ssr(SsrQuery((x(1),), 1), ctx).by_id[1] != instance.by_id[1]:
             return None
-        length = j.due - j.release
-        if length != int(length):
-            return None
-        x = int(length) - 2
-        if x < 1 or j.work * 2 != x * x + 3 * x + 4:
-            return None
-        xs.append(x)
-        cursor = j.due
-    if filler.due != cursor:
-        return None
-    return SsrQuery(tuple(xs), int(filler.work))
+        query = SsrQuery([x(i) for i in range(1, k + 1)], int(instance.by_id[k + 1].work))
+        if reduce_ssr(query, ctx).jobs == instance.jobs:
+            return query
+    except (KeyError, ValueError, OverflowError):
+        pass
+    return None
 
 
 def check_reduction(query: SsrQuery, ctx: PrecisionContext) -> FeasibilityVerdict:
@@ -249,24 +268,32 @@ def check_reduction(query: SsrQuery, ctx: PrecisionContext) -> FeasibilityVerdic
     All-perfect-square queries resolve exactly through integer square
     roots.  Otherwise the surd sum is compared at working precision;
     a difference inside tolerance yields Indeterminate, since equality
-    of an irrational sum cannot be certified numerically.
+    of an irrational sum cannot be certified numerically.  A feasible
+    verdict carries a witness when reduce_ssr can build the instance
+    at ctx, and None otherwise.  Raises ValueError naming the precision
+    to retry at when a number of the query overflows ctx.
     """
     roots = [math.isqrt(x) for x in query.xs]
     threshold = query.threshold
-    if all(r * r == x for r, x in zip(roots, query.xs)):
-        surplus = sum(roots) - threshold
-        margin, deficit = ctx.real(abs(surplus)), ctx.real(-surplus)
-        cmp = Verdict.LESS if surplus < 0 else Verdict.GREATER
-    else:
-        total = ctx.real(0)
-        for x in query.xs:
-            total = total + ctx.sqrt(x)
-        margin, deficit = abs(total - threshold), ctx.real(threshold) - total
-        cmp = ctx.compare(total, ctx.real(threshold))
+    try:
+        if all(r * r == x for r, x in zip(roots, query.xs)):
+            surplus = sum(roots) - threshold
+            margin, deficit = ctx.real(abs(surplus)), ctx.real(-surplus)
+            cmp = Verdict.LESS if surplus < 0 else Verdict.GREATER
+        else:
+            total = ctx.real(0)
+            for x in query.xs:
+                total = total + ctx.sqrt(x)
+            margin, deficit = abs(total - threshold), ctx.real(threshold) - total
+            cmp = ctx.compare(total, ctx.real(threshold))
+    except OverflowError:  # past a double's range
+        raise _needs_bits((*query.xs, threshold), ctx) from None
     if cmp is Verdict.GREATER:
-        return FeasibilityVerdict(
-            Feasibility.FEASIBLE, _reduction_witness(query, ctx), {}, margin
-        )
+        try:
+            witness = _reduction_witness(query, ctx)
+        except ValueError:  # the instance itself does not fit ctx
+            witness = None
+        return FeasibilityVerdict(Feasibility.FEASIBLE, witness, {}, margin)
     if cmp is Verdict.LESS:
         return FeasibilityVerdict(
             Feasibility.INFEASIBLE, None, {len(query.xs) + 1: deficit}, margin
@@ -280,10 +307,11 @@ def _reduction_witness(query: SsrQuery, ctx: PrecisionContext) -> Schedule:
     filler = inst.by_id[len(query.xs) + 1]
     segments = []
     gaps = []
-    for i in range(1, len(query.xs) + 1):
+    for i, x in enumerate(query.xs, start=1):
         job = inst.by_id[i]
-        t = rightmost_running_time(job.length, job.work, ctx)
-        lo = job.due - t
+        # The last (x + 2) - sqrt(x) of the window, written without
+        # cancellation: (x + 2)^2 - 2 * work == x.
+        lo = job.due - 2 * job.work / (job.length + ctx.sqrt(x))
         segments.append(Segment(job.id, lo, job.due, job.work))
         if lo > job.release:
             gaps.append((job.release, lo))
@@ -304,12 +332,13 @@ def _reduction_witness(query: SsrQuery, ctx: PrecisionContext) -> Schedule:
 def solve(instance: Instance, ctx: PrecisionContext):
     """Decide feasibility of any instance: (schedule or None, verdict).
 
-    An instance built by reduce_ssr is decided by check_reduction, whose
-    schedule is its witness (None unless feasible); every other instance
-    goes to lrtb, whose schedule holds whatever work it could place.
+    An instance that reduce_ssr rebuilds exactly (recover_ssr_query) is
+    decided by check_reduction, whose schedule is its witness (None unless
+    feasible); every other instance goes to lrtb, whose schedule holds
+    whatever work it could place.
     Raises UnsupportedInstanceError where lrtb does.
     """
-    query = recover_ssr_query(instance)
+    query = recover_ssr_query(instance, ctx)
     if query is not None:
         verdict = check_reduction(query, ctx)
         return verdict.witness, verdict

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from rampsched.cli import main
-from rampsched.core import Instance, PrecisionContext, lazy_job, nonlazy_job
+from rampsched.core import Instance, Job, PrecisionContext, lazy_job, nonlazy_job
 from rampsched.fileio import load_instance, load_trace, save_instance
 
 CTX = PrecisionContext(bits=128)
@@ -120,6 +120,18 @@ def test_solve_recovers_reduction_instances(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", inst)
     assert code == 0
     assert "status: feasible" in out
+    # The same jobs under ids 10, 20, 30 are not the reduction, and the
+    # sweep cannot take the constant-speed filler.
+    jobs = tuple(
+        Job(10 * j.id, j.release, j.due, j.work, j.speed)
+        for j in load_instance(inst, CTX).jobs
+    )
+    renumbered = write_instance(tmp_path, jobs, name="renumbered")
+    out_path = tmp_path / "sched.json"
+    code, out, err = run(capsys, "solve", renumbered, "--out", str(out_path))
+    assert code == 64
+    assert "job 30 has a nonzero base speed" in err
+    assert not out_path.exists()
 
 
 def test_solve_infeasible_reduction_has_no_witness(tmp_path, capsys):
@@ -315,6 +327,16 @@ def test_check_near_tie_indeterminate_at_low_precision(capsys):
     assert "status: feasible" in out
 
 
+def test_check_decides_a_query_whose_reduction_needs_more_bits(capsys):
+    # gen reduction refuses this query at 53 bits; the verdict needs no instance.
+    code, out, _ = run(
+        capsys, "check", "--xs", "200000002,3", "--threshold", "5",
+        "--precision", "53",
+    )
+    assert code == 0
+    assert "status: feasible" in out
+
+
 def test_check_rejects_bad_integers(capsys):
     code, _, err = run(capsys, "check", "--xs", "2,x", "--threshold", "3")
     assert code == 64
@@ -364,6 +386,8 @@ def test_bench_rejects_backwards_seed_range(capsys):
     assert "seed range" in err
 
 
+_HUGE = "1" + "7" * 400
+
 USAGE_ERRORS = {
     ("bench", "--suite", "policies", "--seeds", "1", "--jobs", "0"):
         "--jobs must be at least 1",
@@ -379,6 +403,16 @@ USAGE_ERRORS = {
         "target stretch 1e+20 needs a sliver window too narrow for 53 bits",
     ("gen", "edd", "--target", "1e17", "--precision", "53"):
         "target stretch 1e+17 needs a sliver window too narrow for 53 bits",
+    # 2 * work of the first surd, x^2 + 3x + 4, is a 56-bit integer.
+    ("gen", "reduction", "--xs", "200000002,3", "--threshold", "5", "--precision", "53"):
+        "needs 56 bits to be exact, not 53; retry with --precision 56",
+    # Integers past a double's range: 401 digits.
+    ("gen", "reduction", "--xs", _HUGE, "--threshold", "1", "--precision", "53"):
+        "retry with --precision 2660",
+    ("gen", "reduction", "--xs", "2,3", "--threshold", _HUGE, "--precision", "53"):
+        "retry with --precision 1330",
+    ("check", "--xs", _HUGE, "--threshold", "1", "--precision", "53"):
+        "retry with --precision 1330",
 }
 
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from rampsched import (
     DOUBLE,
     Instance,
-    InfeasibleIntervalError,
     Job,
     NeverCompletesError,
     PrecisionContext,
@@ -26,7 +25,6 @@ from rampsched import (
     dyadic,
     lazy_job,
     nonlazy_job,
-    rightmost_running_time,
     speed_at,
     stretch,
     work_in,
@@ -105,22 +103,6 @@ def test_completion_from_small_remainder_is_stable():
     rem = 1e-6
     c = completion_from(j, start, rem, DOUBLE)
     assert (c - start) == pytest.approx(1e-9, rel=1e-9)
-
-
-def test_rightmost_running_time_values():
-    # l=3, w=4: 3 - sqrt(9 - 8) = 2
-    assert rightmost_running_time(3, 4, DOUBLE) == 2.0
-    # full interval exactly: l=2, w=2
-    assert rightmost_running_time(2, 2, DOUBLE) == 2.0
-    assert rightmost_running_time(5, 0, DOUBLE) == 0
-    with pytest.raises(InfeasibleIntervalError):
-        rightmost_running_time(1, 0.6, DOUBLE)
-
-
-def test_rightmost_running_time_small_work_is_stable():
-    # t ~ w/l for w << l^2/2
-    t = rightmost_running_time(100.0, 1e-8, DOUBLE)
-    assert t == pytest.approx(1e-10, rel=1e-9)
 
 
 def test_stretch_values():
@@ -258,15 +240,6 @@ def test_later_windows_absorb_more_work(r, m, d1, d2, width):
     early = work_in(j, r + d1, r + d1 + width)
     late = work_in(j, r + d1 + d2, r + d1 + d2 + width)
     assert late >= early
-
-
-@given(length=pos, frac=st.floats(min_value=0.001, max_value=1))
-def test_rightmost_running_time_inverts_flush_work(length, frac):
-    w = frac * length * length / 2
-    t = rightmost_running_time(length, w, DOUBLE)
-    assert 0 < t <= length * (1 + 1e-12)
-    j = lazy_job(1, 0, length, w)
-    assert work_in(j, length - t, length) == pytest.approx(w, rel=1e-9, abs=1e-12)
 
 
 @given(r=finite, m=pos, da=pos, w=pos)

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from rampsched import DOUBLE, Instance, PrecisionContext, lazy_job, nonlazy_job
+from rampsched import DOUBLE, Instance, Job, PrecisionContext, lazy_job, nonlazy_job
+from rampsched.fileio import load_instance, save_instance
 from rampsched.generators import (
     AdversaryOutcome,
     adaptive_adversary,
@@ -154,30 +155,61 @@ def test_reduction_tiles_the_horizon():
     assert filler.work == 3
 
 
-def test_recover_round_trips_and_rejects_lookalikes():
+def test_recover_round_trips_and_rejects_lookalikes(tmp_path):
     for q in (SsrQuery((2, 5), 3), SsrQuery((1,), 1), SsrQuery((9, 9, 9), 8)):
-        assert recover_ssr_query(reduce_ssr(q, CTX)) == q
+        assert recover_ssr_query(reduce_ssr(q, CTX), CTX) == q
 
     base = reduce_ssr(SsrQuery((2, 5), 3), CTX)
 
-    def mutate(replacement):
+    def mutate(replacement, inst=base):
         jobs = tuple(
-            replacement if j.id == replacement.id else j for j in base.jobs
+            replacement if j.id == replacement.id else j for j in inst.jobs
         )
         return Instance(jobs)
 
     # Wrong surd work for its window.
-    assert recover_ssr_query(mutate(lazy_job(1, 0, 4, 8))) is None
+    assert recover_ssr_query(mutate(lazy_job(1, 0, 4, 8)), CTX) is None
     # Gap in the tiling.
-    assert recover_ssr_query(mutate(lazy_job(2, 5, 12, 22))) is None
+    assert recover_ssr_query(mutate(lazy_job(2, 5, 12, 22)), CTX) is None
     # Fractional filler demand.
-    assert recover_ssr_query(mutate(nonlazy_job(3, 0, 11, 3.5))) is None
+    assert recover_ssr_query(mutate(nonlazy_job(3, 0, 11, 3.5)), CTX) is None
     # Filler must start at 0 and span the horizon.
-    assert recover_ssr_query(mutate(nonlazy_job(3, 1, 11, 3))) is None
-    assert recover_ssr_query(mutate(nonlazy_job(3, 0, 10.5, 3))) is None
+    assert recover_ssr_query(mutate(nonlazy_job(3, 1, 11, 3)), CTX) is None
+    assert recover_ssr_query(mutate(nonlazy_job(3, 0, 10.5, 3)), CTX) is None
     # No filler at all, or a generic instance.
-    assert recover_ssr_query(Instance(base.jobs[:2])) is None
-    assert recover_ssr_query(Instance((lazy_job(1, 0, 2, 1),))) is None
+    assert recover_ssr_query(Instance(base.jobs[:2]), CTX) is None
+    assert recover_ssr_query(Instance((lazy_job(1, 0, 2, 1),)), CTX) is None
+    # The same jobs under other ids.
+    renumbered = Instance(tuple(
+        Job(10 * j.id, j.release, j.due, j.work, j.speed) for j in base.jobs
+    ))
+    assert recover_ssr_query(renumbered, CTX) is None
+    # Surd work one ulp off, at either precision: 22 carries 5 bits.
+    assert recover_ssr_query(mutate(lazy_job(2, 4, 11, 22 + CTX.real(2) ** -123)), CTX) is None
+    narrow = reduce_ssr(SsrQuery((2, 5), 3), DOUBLE)
+    off = lazy_job(2, 4.0, 11.0, math.nextafter(22.0, math.inf))
+    assert recover_ssr_query(mutate(off, narrow), DOUBLE) is None
+    # A written file is still recognised once loaded back.
+    for ctx, q in (
+        (DOUBLE, SsrQuery((2, 3, 5), 5)),
+        (CTX, SsrQuery((2, 3, 5), 5)),
+        (CTX, SsrQuery((200000002, 3), 5)),
+    ):
+        path = tmp_path / f"ssr-{ctx.bits}-{q.xs[0]}.json"
+        save_instance(reduce_ssr(q, ctx), path, ctx)
+        assert recover_ssr_query(load_instance(path, ctx), ctx) == q
+
+
+def test_reduction_refuses_what_the_precision_cannot_hold():
+    # (x^2 + 3x + 4) for x = 200000002 is a 56-bit integer.
+    q = SsrQuery((200000002, 3), 5)
+    with pytest.raises(ValueError, match="needs 56 bits"):
+        reduce_ssr(q, DOUBLE)
+    assert reduce_ssr(q, PrecisionContext(56)) == reduce_ssr(q, CTX)
+    # The verdict needs no instance, so it stands without a witness.
+    verdict = check_reduction(q, DOUBLE)
+    assert verdict.status is Feasibility.FEASIBLE
+    assert verdict.witness is None
 
 
 def test_perfect_square_queries_resolve_exactly():
