@@ -15,7 +15,13 @@ import json
 import os
 import sys
 
-from .core import PrecisionContext, SchedulingError, UnsupportedInstanceError, total_busy_time
+from .core import (
+    Policy,
+    PrecisionContext,
+    SchedulingError,
+    UnsupportedInstanceError,
+    total_busy_time,
+)
 from .fileio import (
     FileFormatError,
     instance_to_record,
@@ -25,18 +31,11 @@ from .fileio import (
     save_trace,
     write_plot_data,
 )
-# Commands that use rampsched.generators (and csv) import them
-# themselves, so `solve` and `simulate` start without compiling or
-# running them.
-from .offline import Feasibility, SsrQuery, check_reduction, reduce_ssr, solve
-from .online import (
-    Policy,
-    PolicySpec,
-    busy_time_in_window,
-    max_stretch,
-    missed_due_dates,
-    simulate,
-)
+
+# Each command imports the layers it runs itself, so a call compiles and
+# runs only those: `solve` loads offline, `simulate` online, and `gen`
+# the generators, which load offline and online only for the families
+# that run the sweep or the simulator.
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
@@ -44,10 +43,11 @@ EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
 EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
 
+# Exit code by the value of an offline.Feasibility.
 _STATUS_EXIT = {
-    Feasibility.FEASIBLE: EXIT_FEASIBLE,
-    Feasibility.INFEASIBLE: EXIT_INFEASIBLE,
-    Feasibility.INDETERMINATE: EXIT_INDETERMINATE,
+    "feasible": EXIT_FEASIBLE,
+    "infeasible": EXIT_INFEASIBLE,
+    "indeterminate": EXIT_INDETERMINATE,
 }
 
 
@@ -90,8 +90,10 @@ def _context(args) -> PrecisionContext:
         raise SystemExit(_fail_usage(exc))
 
 
-def _policy_spec(args, ctx) -> PolicySpec:
-    """The policy options, parsed at the working precision."""
+def _policy_spec(args, ctx):
+    """The policy options as an online.PolicySpec, parsed at the working precision."""
+    from .online import PolicySpec
+
     cap = None if args.cap is None else ctx.parse(args.cap)
     return PolicySpec(
         Policy(args.policy), alpha=ctx.parse(args.alpha), speed_cap_factor=cap
@@ -109,18 +111,21 @@ def _fail_usage(message) -> int:
 
 def _finish(verdict, bits) -> int:
     """Print the retry hint for an indeterminate verdict; return the exit code."""
-    if verdict.status is Feasibility.INDETERMINATE:
+    code = _STATUS_EXIT[verdict.status.value]
+    if code == EXIT_INDETERMINATE:
         print(
             f"margin is inside the comparison tolerance at {bits} "
             f"bits; retry with --precision {2 * bits}"
         )
-    return _STATUS_EXIT[verdict.status]
+    return code
 
 
 # --- solve -------------------------------------------------------------------
 
 
 def cmd_solve(args) -> int:
+    from .offline import solve
+
     ctx = _context(args)
     try:
         instance = load_instance(args.instance, ctx)
@@ -152,6 +157,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .online import busy_time_in_window, max_stretch, missed_due_dates, simulate
+
     ctx = _context(args)
     try:
         instance = load_instance(args.instance, ctx)
@@ -187,32 +194,35 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    from .generators import (
-        adaptive_adversary,
-        gen_edd,
-        gen_fifo,
-        gen_lssf,
-        gen_random_feasible,
-        gen_srpt,
-    )
-
     ctx = _context(args)
     trace = None
     try:
         if args.family in ("lssf", "srpt"):
+            from .generators import gen_lssf, gen_srpt
+
             rel = None if args.rationalize is None else ctx.parse(args.rationalize)
             family = gen_lssf if args.family == "lssf" else gen_srpt
             instance = family(args.n, ctx, rationalize=rel)
         elif args.family == "fifo":
+            from .generators import gen_fifo
+
             instance = gen_fifo(args.target, ctx)
         elif args.family == "edd":
+            from .generators import gen_edd
+
             instance = gen_edd(args.target, ctx)
         elif args.family == "random":
+            from .generators import gen_random_feasible
+
             instance = gen_random_feasible(args.n, args.seed, ctx)
         elif args.family == "reduction":
+            from .offline import SsrQuery, reduce_ssr
+
             query = SsrQuery(_parse_int_list(args.xs), args.threshold)
             instance = reduce_ssr(query, ctx)
         elif args.family == "adversary":
+            from .generators import adaptive_adversary
+
             spec = _policy_spec(args, ctx)
             outcome = adaptive_adversary(spec, ctx)
             instance = outcome.instance
@@ -264,6 +274,8 @@ def _parse_seed_spec(text):
 
 
 def cmd_check(args) -> int:
+    from .offline import SsrQuery, check_reduction
+
     ctx = _context(args)
     try:
         query = SsrQuery(_parse_int_list(args.xs), args.threshold)
@@ -284,6 +296,7 @@ def cmd_bench(args) -> int:
     import csv
 
     from .generators import gen_lssf, gen_random_feasible
+    from .online import PolicySpec, max_stretch, missed_due_dates, simulate
 
     ctx = _context(args)
     try:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 
 
 class SchedulingError(Exception):
@@ -161,38 +160,85 @@ def dyadic(x):
     return (-man if sign else man), exp
 
 
-@dataclass(frozen=True)
-class SpeedFunction:
+class Policy(enum.Enum):
+    """The online dispatch rules that `online.simulate` runs.
+
+    Defined here, not in `online`, so that the CLI can list its
+    --policy choices without loading the simulator.
+    """
+
+    FIFO = "fifo"
+    EDD = "edd"
+    SRPT = "srpt"
+    LSSF = "lssf"
+    THRASHING = "thrashing"
+
+
+class Record:
+    """Value equality, hashing and repr over a class's `_fields`.
+
+    Records are plain __slots__ classes with an explicit __init__, not
+    dataclasses: importing dataclasses loads inspect, ast and dis, a
+    cost every CLI call would pay, and these records are built in hot
+    loops.  Fields are never assigned after __init__, which the hash
+    relies on.  Two records are equal when they are of one class and
+    their _fields are equal; derived fields, such as Job.length, take
+    no part.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class SpeedFunction(Record):
     """Execution speed base + slope*(t - r) for t >= r, the job's release."""
 
-    base: object
-    slope: object
+    __slots__ = _fields = ("base", "slope")
 
-    def __post_init__(self):
-        if self.base < 0 or self.slope < 0:
+    def __init__(self, base, slope):
+        if base < 0 or slope < 0:
             raise ValueError("speed coefficients must be nonnegative")
+        self.base = base
+        self.slope = slope
 
 
-@dataclass(frozen=True)
-class Job:
-    """One preemptible job: a work amount due inside [release, due]."""
+class Job(Record):
+    """One preemptible job: a work amount due inside [release, due].
 
-    id: int
-    release: object
-    due: object
-    work: object
-    speed: SpeedFunction
-    # due - release, computed once: every stretch divides by it.
-    length: object = field(init=False, repr=False, compare=False)
+    length is due - release, computed once: every stretch divides by it.
+    """
 
-    def __post_init__(self):
-        if not self.release < self.due:
-            raise ValueError(f"job {self.id}: release must precede due date")
-        if self.work < 0:
-            raise ValueError(f"job {self.id}: negative work")
-        if self.speed.base == 0 and self.speed.slope == 0 and self.work != 0:
-            raise ValueError(f"job {self.id}: zero speed with positive work")
-        object.__setattr__(self, "length", self.due - self.release)
+    _fields = ("id", "release", "due", "work", "speed")
+    __slots__ = _fields + ("length",)
+
+    def __init__(self, id: int, release, due, work, speed: SpeedFunction):
+        if not release < due:
+            raise ValueError(f"job {id}: release must precede due date")
+        if work < 0:
+            raise ValueError(f"job {id}: negative work")
+        if speed.base == 0 and speed.slope == 0 and work != 0:
+            raise ValueError(f"job {id}: zero speed with positive work")
+        self.id = id
+        self.release = release
+        self.due = due
+        self.work = work
+        self.speed = speed
+        self.length = due - release
 
     @property
     def is_lazy(self) -> bool:
@@ -208,22 +254,21 @@ def nonlazy_job(id: int, release, due, work, base=1) -> Job:
     return Job(id, release, due, work, SpeedFunction(base, 0))
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """A set of jobs, kept sorted by (release, id), with a read-only id index."""
 
-    jobs: tuple
-    name: str = ""
-    provenance: str = ""
-    by_id: dict = field(init=False, repr=False, compare=False)
+    _fields = ("jobs", "name", "provenance")
+    __slots__ = _fields + ("by_id",)
 
-    def __post_init__(self):
-        jobs = tuple(sorted(self.jobs, key=lambda j: (j.release, j.id)))
-        object.__setattr__(self, "jobs", jobs)
+    def __init__(self, jobs, name: str = "", provenance: str = ""):
+        jobs = tuple(sorted(jobs, key=lambda j: (j.release, j.id)))
         by_id = {j.id: j for j in jobs}
         if len(by_id) != len(jobs):
             raise ValueError("duplicate job ids")
-        object.__setattr__(self, "by_id", by_id)
+        self.jobs = jobs
+        self.name = name
+        self.provenance = provenance
+        self.by_id = by_id
 
     @property
     def horizon(self):
@@ -234,33 +279,31 @@ class Instance:
         )
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Record):
     """Uninterrupted run of one job over [start, end]."""
 
-    job: int
-    start: object
-    end: object
-    work_done: object
+    __slots__ = _fields = ("job", "start", "end", "work_done")
 
-    def __post_init__(self):
-        if not self.start < self.end:
+    def __init__(self, job: int, start, end, work_done):
+        if not start < end:
             raise ValueError("empty or reversed segment")
+        self.job = job
+        self.start = start
+        self.end = end
+        self.work_done = work_done
 
     @property
     def length(self):
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """Non-overlapping segments, sorted by start time."""
 
-    segments: tuple
+    __slots__ = _fields = ("segments",)
 
-    def __post_init__(self):
-        segs = tuple(sorted(self.segments, key=lambda s: (s.start, s.job)))
-        object.__setattr__(self, "segments", segs)
+    def __init__(self, segments):
+        self.segments = tuple(sorted(segments, key=lambda s: (s.start, s.job)))
 
 
 def total_busy_time(schedule):

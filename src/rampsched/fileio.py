@@ -11,19 +11,21 @@ field for schema errors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .core import (
     Instance,
     Job,
+    Policy,
     PrecisionContext,
     Schedule,
     SpeedFunction,
     stretch,
     total_busy_time,
 )
-from .offline import FeasibilityVerdict
-from .online import EventKind, Policy, PolicySpec, SimTrace, missed_due_dates
+
+# Neither offline nor online is imported here: `solve` writes schedules
+# without loading the simulator, and `gen` writes instances with
+# neither.  The trace functions import online's names themselves.
 
 SCHEMA_VERSION = 1
 
@@ -191,11 +193,9 @@ def load_instance(path, ctx: PrecisionContext) -> Instance:
 
 
 def schedule_to_record(
-    instance: Instance,
-    schedule: Schedule,
-    verdict: FeasibilityVerdict,
-    ctx: PrecisionContext,
+    instance: Instance, schedule: Schedule, verdict, ctx: PrecisionContext
 ) -> dict:
+    """The schedule file's record; verdict is an offline.FeasibilityVerdict."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "schedule",
@@ -228,21 +228,39 @@ def save_schedule(instance, schedule, verdict, path, ctx):
 # --- traces ------------------------------------------------------------------
 
 
-@dataclass
 class TraceRecord:
     """A trace as loaded from disk, after self-consistency checks."""
 
-    instance_name: str
-    policy: PolicySpec
-    events: list
-    completions: dict
-    stretches: dict
-    max_stretch: object
-    busy_time: object
-    missed: list
+    __slots__ = (
+        "instance_name", "policy", "events", "completions", "stretches",
+        "max_stretch", "busy_time", "missed",
+    )
+
+    def __init__(
+        self,
+        instance_name: str,
+        policy,
+        events: list,
+        completions: dict,
+        stretches: dict,
+        max_stretch,
+        busy_time,
+        missed: list,
+    ):
+        self.instance_name = instance_name
+        self.policy = policy  # an online.PolicySpec
+        self.events = events
+        self.completions = completions
+        self.stretches = stretches
+        self.max_stretch = max_stretch
+        self.busy_time = busy_time
+        self.missed = missed
 
 
-def trace_to_record(trace: SimTrace, ctx: PrecisionContext) -> dict:
+def trace_to_record(trace, ctx: PrecisionContext) -> dict:
+    """The trace file's record of an online.SimTrace."""
+    from .online import missed_due_dates
+
     inst = trace.instance
     spec = trace.policy
     return {
@@ -291,7 +309,7 @@ def trace_to_record(trace: SimTrace, ctx: PrecisionContext) -> dict:
     }
 
 
-def save_trace(trace: SimTrace, path, ctx: PrecisionContext):
+def save_trace(trace, path, ctx: PrecisionContext):
     _write_json(trace_to_record(trace, ctx), path)
 
 
@@ -323,6 +341,8 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
     The stored summary is rejected if it disagrees with what the
     events imply, so a trace file cannot drift from its own log.
     """
+    from .online import EventKind, PolicySpec
+
     record = _read_json(path)
     _check_schema(record, path, "trace")
     # The stored summary is only as accurate as the precision that wrote
@@ -449,7 +469,7 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
 # --- plot data ---------------------------------------------------------------
 
 
-def write_plot_data(trace: SimTrace, path, ctx: PrecisionContext):
+def write_plot_data(trace, path, ctx: PrecisionContext):
     """Two CSVs: per-job summary at `path`, Gantt rows alongside it.
 
     The Gantt file name is the summary name with a .gantt.csv suffix.

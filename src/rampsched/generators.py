@@ -20,19 +20,21 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
 from .core import (
     Instance,
+    Policy,
     PrecisionContext,
     SchedulingError,
     Verdict,
     lazy_job,
     work_in,
 )
-from .offline import Feasibility, lrtb
-from .online import Policy, PolicySpec, max_stretch, simulate
+
+# The closed forms (gen_srpt, gen_lssf) need neither the sweep nor the
+# simulator, so the functions that do import offline and online
+# themselves: `gen lssf` and `gen srpt` load neither.
 
 __all__ = [
     "AdversaryOutcome",
@@ -168,6 +170,9 @@ def _verified_family(build, knob, kind, target, ctx):
     build(knob) returns the jobs; `knob` is the first value tried, and
     8 values are tried at most.
     """
+    from .offline import Feasibility, lrtb
+    from .online import PolicySpec, max_stretch, simulate
+
     for _ in range(8):
         try:
             jobs = build(knob)
@@ -220,6 +225,8 @@ def gen_edd(target, ctx: PrecisionContext) -> Instance:
     amount; a sliver job due just after job 1 then inherits that
     lateness across a window of width lateness/target.
     """
+    from .online import PolicySpec, simulate
+
     target = _sliver_target(target, ctx)
     pair = (
         lazy_job(1, ctx.real(0), ctx.real(2), ctx.real(53) / 32),
@@ -243,6 +250,8 @@ def gen_random_feasible(n: int, seed: int, ctx: PrecisionContext) -> Instance:
     work (and eventually redraws) until the feasibility verdict is
     decisive.  Deterministic in (n, seed).
     """
+    from .offline import Feasibility, lrtb
+
     if n < 1:
         raise ValueError("need at least one job")
     rng = random.Random(seed)
@@ -282,12 +291,19 @@ def gen_random_feasible(n: int, seed: int, ctx: PrecisionContext) -> Instance:
 # --- adaptive adversary ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class AdversaryOutcome:
-    instance: Instance
-    trace: object
-    missed: bool
-    branch: str
+    """The extended instance, the policy's trace on it, and whether it missed.
+
+    branch names the extension the adversary chose.
+    """
+
+    __slots__ = ("instance", "trace", "missed", "branch")
+
+    def __init__(self, instance: Instance, trace, missed: bool, branch: str):
+        self.instance = instance
+        self.trace = trace
+        self.missed = missed
+        self.branch = branch
 
 
 _SEED_LONG = ("0", "10", "26.984375")  # release, due, work
@@ -295,7 +311,7 @@ _SEED_TIGHT = ("2", "4", "1.5")
 _PROBE_TIME = 2
 
 
-def adaptive_adversary(spec: PolicySpec, ctx: PrecisionContext) -> AdversaryOutcome:
+def adaptive_adversary(spec, ctx: PrecisionContext) -> AdversaryOutcome:
     """Watch the policy on a two-job seed, then add the job it cannot absorb.
 
     The seed pairs a long, work-heavy job with a tight one released at
@@ -306,8 +322,10 @@ def adaptive_adversary(spec: PolicySpec, ctx: PrecisionContext) -> AdversaryOutc
     Either extension stays feasible for the backward sweep.  Since
     simulation is deterministic and policies cannot see unreleased
     jobs, rerunning on the extended instance reproduces the observed
-    prefix exactly.
+    prefix exactly.  spec is an online.PolicySpec.
     """
+    from .online import simulate
+
     seed_jobs = (
         lazy_job(1, *(ctx.parse(v) for v in _SEED_LONG)),
         lazy_job(2, *(ctx.parse(v) for v in _SEED_TIGHT)),

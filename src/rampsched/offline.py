@@ -23,13 +23,13 @@ import heapq
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 
 from .core import (
     DOUBLE,
     InfeasibleIntervalError,
     Instance,
     PrecisionContext,
+    Record,
     Schedule,
     Segment,
     UnsupportedInstanceError,
@@ -46,7 +46,6 @@ class Feasibility(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
 class FeasibilityVerdict:
     """Outcome of a feasibility check.
 
@@ -57,10 +56,19 @@ class FeasibilityVerdict:
     the instance is to the boundary, not as a single metric.
     """
 
-    status: Feasibility
-    witness: Schedule | None = None
-    deficits: dict = field(default_factory=dict)
-    margin: object = None
+    __slots__ = ("status", "witness", "deficits", "margin")
+
+    def __init__(
+        self,
+        status: Feasibility,
+        witness: Schedule | None = None,
+        deficits: dict | None = None,
+        margin=None,
+    ):
+        self.status = status
+        self.witness = witness
+        self.deficits = {} if deficits is None else deficits
+        self.margin = margin
 
 
 def _check_sweepable(instance: Instance):
@@ -164,21 +172,20 @@ def lrtb(instance: Instance, ctx: PrecisionContext):
 # --- sum-of-square-roots reduction -------------------------------------------
 
 
-@dataclass(frozen=True)
-class SsrQuery:
+class SsrQuery(Record):
     """Decide whether sum(sqrt(x)) >= threshold for positive integers x."""
 
-    xs: tuple
-    threshold: int
+    __slots__ = _fields = ("xs", "threshold")
 
-    def __post_init__(self):
-        xs = tuple(int(x) for x in self.xs)
-        object.__setattr__(self, "xs", xs)
+    def __init__(self, xs, threshold: int):
+        xs = tuple(int(x) for x in xs)
         if not xs or any(x < 1 for x in xs):
             raise ValueError("xs must be positive integers")
-        if int(self.threshold) < 1:
+        threshold = int(threshold)
+        if threshold < 1:
             raise ValueError("threshold must be a positive integer")
-        object.__setattr__(self, "threshold", int(self.threshold))
+        self.xs = xs
+        self.threshold = threshold
 
 
 def reduce_ssr(query: SsrQuery, ctx: PrecisionContext) -> Instance:
@@ -345,11 +352,19 @@ def solve(instance: Instance, ctx: PrecisionContext):
     return lrtb(instance, ctx)
 
 
-@dataclass
 class ValidationReport:
-    ok: bool
-    violations: list
-    incomplete: dict
+    """validate_schedule's findings: ok is True when violations is empty.
+
+    incomplete maps each job whose placed work falls short to the
+    shortfall.
+    """
+
+    __slots__ = ("ok", "violations", "incomplete")
+
+    def __init__(self, ok: bool, violations: list, incomplete: dict):
+        self.ok = ok
+        self.violations = violations
+        self.incomplete = incomplete
 
 
 def validate_schedule(

@@ -36,12 +36,13 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-from dataclasses import dataclass, field
 
 from .core import (
     Instance,
     Job,
+    Policy,
     PrecisionContext,
+    Record,
     SchedulingError,
     Segment,
     completion_from,
@@ -53,16 +54,7 @@ from .core import (
 )
 
 
-class Policy(enum.Enum):
-    FIFO = "fifo"
-    EDD = "edd"
-    SRPT = "srpt"
-    LSSF = "lssf"
-    THRASHING = "thrashing"
-
-
-@dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(Record):
     """A dispatch rule plus its parameters.
 
     alpha is the stretch threshold below which the thrashing policy
@@ -71,19 +63,20 @@ class PolicySpec:
     ramp unbounded.
     """
 
-    kind: Policy
-    alpha: object = 2
-    speed_cap_factor: object = None
+    __slots__ = _fields = ("kind", "alpha", "speed_cap_factor")
 
-    def __post_init__(self):
-        if not isinstance(self.kind, Policy):
-            raise ValueError(f"unknown policy {self.kind!r}")
-        if not self.alpha < math.inf:  # also catches nan
+    def __init__(self, kind: Policy, alpha=2, speed_cap_factor=None):
+        if not isinstance(kind, Policy):
+            raise ValueError(f"unknown policy {kind!r}")
+        if not alpha < math.inf:  # also catches nan
             raise ValueError("idle threshold must be finite")
-        if self.alpha < 1:
+        if alpha < 1:
             raise ValueError("idle threshold below 1 would idle past due dates")
-        if self.speed_cap_factor is not None and not self.speed_cap_factor > 0:
+        if speed_cap_factor is not None and not speed_cap_factor > 0:
             raise ValueError("speed cap factor must be positive")
+        self.kind = kind
+        self.alpha = alpha
+        self.speed_cap_factor = speed_cap_factor
 
 
 class EventKind(enum.Enum):
@@ -95,14 +88,20 @@ class EventKind(enum.Enum):
     IDLE_END = "idle-end"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    time: object
-    kind: EventKind
-    job: int | None = None
+class TraceEvent(Record):
+    """One event of a run: at `time`, `kind` happened to job `job`.
+
+    job is None for IDLE_BEGIN and IDLE_END.
+    """
+
+    __slots__ = _fields = ("time", "kind", "job")
+
+    def __init__(self, time, kind: EventKind, job: int | None = None):
+        self.time = time
+        self.kind = kind
+        self.job = job
 
 
-@dataclass
 class SimTrace:
     """Everything a simulation run produced.
 
@@ -111,13 +110,28 @@ class SimTrace:
     lengths.
     """
 
-    instance: Instance
-    policy: PolicySpec
-    events: tuple
-    completions: dict
-    stretches: dict
-    segments: tuple
-    busy_time: object
+    __slots__ = (
+        "instance", "policy", "events", "completions", "stretches", "segments",
+        "busy_time",
+    )
+
+    def __init__(
+        self,
+        instance: Instance,
+        policy: PolicySpec,
+        events: tuple,
+        completions: dict,
+        stretches: dict,
+        segments: tuple,
+        busy_time,
+    ):
+        self.instance = instance
+        self.policy = policy
+        self.events = events
+        self.completions = completions
+        self.stretches = stretches
+        self.segments = segments
+        self.busy_time = busy_time
 
 
 # --- policy primitives -------------------------------------------------------
@@ -254,7 +268,6 @@ class StretchScreen:
         return out
 
 
-@dataclass
 class SimState:
     """Every piece of policy state, behind dispatch(t) and next_event(t).
 
@@ -288,23 +301,27 @@ class SimState:
     in one heap are distinct, so entries never compare past them.
     """
 
-    spec: PolicySpec
-    jobs: dict
-    ctx: PrecisionContext
-    remaining: dict = field(default_factory=dict, init=False)
-    running: int | None = field(default=None, init=False)
-    caps: dict = field(default_factory=dict, init=False)
-    ready: list = field(default_factory=list, init=False)
-    pending: list = field(default_factory=list, init=False)
-    buckets: dict = field(default_factory=dict, init=False)
-    bucket_of: dict = field(default_factory=dict, init=False)
-    crossings: list = field(default_factory=list, init=False)
-    crossings_of: int | None = field(default=None, init=False)
-    screen: StretchScreen | None = field(default=None, init=False)
+    __slots__ = (
+        "spec", "jobs", "ctx", "remaining", "running", "caps", "ready", "pending",
+        "buckets", "bucket_of", "crossings", "crossings_of", "screen",
+    )
 
-    def __post_init__(self):
-        if self.spec.kind is Policy.LSSF and self.ctx.bits > 53:
-            self.screen = StretchScreen(self.jobs, self.ctx)
+    def __init__(self, spec: PolicySpec, jobs: dict, ctx: PrecisionContext):
+        self.spec = spec
+        self.jobs = jobs
+        self.ctx = ctx
+        self.remaining = {}
+        self.running = None
+        self.caps = {}
+        self.ready = []
+        self.pending = []
+        self.buckets = {}
+        self.bucket_of = {}
+        self.crossings = []
+        self.crossings_of = None
+        self.screen = (
+            StretchScreen(jobs, ctx) if spec.kind is Policy.LSSF and ctx.bits > 53 else None
+        )
 
     def rank(self, job: Job):
         """Static dispatch key of FIFO, EDD and thrashing; lower runs first."""

@@ -525,39 +525,62 @@ def test_cli_import_does_not_load_numpy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_double_precision_run_does_not_load_mpmath():
+def _loaded_modules(*argv):
+    """Names of the modules a CLI run imports, from -X importtime."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    argv = ["gen", "lssf", "--n", "3", "--precision", "53"]
-    # -X importtime names every module the run imports on stderr.
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "rampsched.cli", *argv],
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "rampsched.core" in proc.stderr
-    assert "mpmath" not in proc.stderr
+    # Each importtime line ends in "| <module name>".
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def test_double_precision_run_does_not_load_mpmath():
+    modules = _loaded_modules("gen", "lssf", "--n", "3", "--precision", "53")
+    assert "rampsched.core" in modules
+    assert not any(name.startswith("mpmath") for name in modules)
 
 
 def test_simulate_does_not_load_the_generators(tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
     inst = write_instance(tmp_path, (lazy_job(1, 0, 2, 1), lazy_job(2, 1, 3, 1)))
-    for argv in (
-        ["simulate", inst, "--policy", "srpt", "--trace-out", str(tmp_path / "t.json")],
-        ["solve", inst, "--out", str(tmp_path / "s.json")],
+    for argv, runs, skips in (
+        (["simulate", inst, "--policy", "srpt", "--trace-out", str(tmp_path / "t.json")],
+         "rampsched.online", "rampsched.offline"),
+        (["solve", inst, "--out", str(tmp_path / "s.json")],
+         "rampsched.offline", "rampsched.online"),
     ):
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "rampsched.cli", *argv],
-            env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        # Each importtime line ends in "| <module name>".
-        modules = {
-            line.rsplit("|", 1)[1].strip()
-            for line in proc.stderr.splitlines()
-            if line.startswith("import time:")
-        }
-        assert "rampsched.online" in modules
+        modules = _loaded_modules(*argv)
+        assert runs in modules, argv[0]
+        assert skips not in modules, argv[0]
         assert "rampsched.generators" not in modules, argv[0]
         assert "csv" not in modules
+
+
+def test_closed_form_families_load_neither_decider():
+    for family in ("lssf", "srpt"):
+        modules = _loaded_modules("gen", family, "--n", "4", "--precision", "53")
+        assert "rampsched.generators" in modules
+        assert "rampsched.offline" not in modules, family
+        assert "rampsched.online" not in modules, family
+
+
+def test_commands_do_not_load_dataclasses(tmp_path):
+    inst = write_instance(tmp_path, (lazy_job(1, 0, 2, 1), lazy_job(2, 1, 3, 1)))
+    for argv in (
+        ["solve", inst],
+        ["simulate", inst, "--policy", "lssf"],
+        ["gen", "lssf", "--n", "3", "--precision", "53"],
+        ["gen", "random", "--n", "3", "--seed", "1", "--precision", "53"],
+        ["check", "--xs", "2,3", "--threshold", "3"],
+    ):
+        modules = _loaded_modules(*argv)
+        assert "rampsched.core" in modules
+        assert "dataclasses" not in modules, argv[:2]
+        assert "inspect" not in modules, argv[:2]

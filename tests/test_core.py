@@ -117,14 +117,16 @@ def test_stretch_values():
 
 
 def test_job_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^job 1: release must precede due date$"):
         lazy_job(1, 2, 2, 1)  # empty window
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^job 1: release must precede due date$"):
         lazy_job(1, 3, 2, 1)  # reversed window
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^job 1: negative work$"):
         lazy_job(1, 0, 2, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^job 1: zero speed with positive work$"):
         Job(1, 0, 2, 1, SpeedFunction(0, 0))  # no speed, positive work
+    with pytest.raises(ValueError, match="^speed coefficients must be nonnegative$"):
+        SpeedFunction(0, -1)
     Job(1, 0, 2, 0, SpeedFunction(0, 0))  # zero work, zero speed is fine
 
 
@@ -135,18 +137,45 @@ def test_instance_sorting_and_ids():
     assert [j.id for j in inst.jobs] == [1, 2]
     assert inst.horizon == (0, 3)
     assert inst.by_id[2] is a
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^duplicate job ids$"):
         Instance((a, lazy_job(2, 0, 5, 1)))
 
 
 def test_segment_and_schedule_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty or reversed segment$"):
         Segment(1, 2, 2, 0)
     s1 = Segment(1, 1, 2, 1.5)
     s0 = Segment(2, 0, 1, 0.5)
     sched = Schedule((s1, s0))
     assert sched.segments[0] is s0
     assert sched.segments == (s0, s1)
+
+
+def test_records_take_keywords_and_compare_by_value():
+    speed = SpeedFunction(base=0, slope=2)
+    job = Job(id=1, release=0, due=2, work=1, speed=speed)
+    assert job == lazy_job(1, 0, 2, 1, slope=2)
+    assert hash(job) == hash(lazy_job(1, 0, 2, 1, slope=2))
+    assert len({job, lazy_job(1, 0, 2, 1, slope=2)}) == 1
+    assert job.length == 2
+    assert job != lazy_job(1, 0, 2, 1)  # another slope
+    assert job != lazy_job(1, 0, 2, 0.5, slope=2)
+    assert job != (1, 0, 2, 1, speed)
+    assert repr(job) == (
+        "Job(id=1, release=0, due=2, work=1, speed=SpeedFunction(base=0, slope=2))"
+    )
+
+    inst = Instance(jobs=[lazy_job(2, 1, 3, 1), job], name="n", provenance="p")
+    assert inst.jobs == (job, lazy_job(2, 1, 3, 1))  # a list is sorted into a tuple
+    assert inst == Instance((lazy_job(2, 1, 3, 1), job), name="n", provenance="p")
+    assert hash(inst) == hash(Instance((job, lazy_job(2, 1, 3, 1)), "n", "p"))
+    assert inst != Instance(inst.jobs, name="other", provenance="p")
+
+    seg = Segment(job=1, start=0, end=1, work_done=0.5)
+    assert seg == Segment(1, 0, 1, 0.5) and hash(seg) == hash(Segment(1, 0, 1, 0.5))
+    sched = Schedule(segments=[Segment(2, 1, 2, 1), seg])
+    assert sched == Schedule((seg, Segment(2, 1, 2, 1)))
+    assert hash(sched) == hash(Schedule((seg, Segment(2, 1, 2, 1))))
 
 
 # --- precision context ------------------------------------------------------

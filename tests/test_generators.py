@@ -135,12 +135,17 @@ def test_random_family_is_deterministic_and_feasible():
 def test_query_validation():
     q = SsrQuery((3, 1, 7), 4)
     assert q.xs == (3, 1, 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^xs must be positive integers$"):
         SsrQuery((), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^xs must be positive integers$"):
         SsrQuery((0, 2), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^threshold must be a positive integer$"):
         SsrQuery((2,), 0)
+    # Keywords and any iterable of integers; equal queries hash alike.
+    same = SsrQuery(xs=[3, 1, 7], threshold=4.0)
+    assert (same.xs, same.threshold) == ((3, 1, 7), 4)
+    assert same == q and hash(same) == hash(q)
+    assert SsrQuery((3, 1, 7), 5) != q
 
 
 def test_reduction_tiles_the_horizon():

@@ -24,6 +24,7 @@ from rampsched.core import total_busy_time
 from rampsched.generators import gen_lssf, gen_random_feasible, gen_srpt
 from rampsched.offline import (
     Feasibility,
+    FeasibilityVerdict,
     _claim_sweep,
     brute_force_optimal,
     lrtb,
@@ -183,6 +184,17 @@ def test_zero_slack_window_is_decisively_feasible():
     assert verdict.margin == 0
     (seg,) = schedule.segments
     assert (seg.start, seg.end) == (0, 2)
+
+
+def test_verdict_defaults():
+    verdict = FeasibilityVerdict(Feasibility.INDETERMINATE)
+    assert (verdict.witness, verdict.deficits, verdict.margin) == (None, {}, None)
+    # Every verdict gets its own deficits map.
+    assert FeasibilityVerdict(Feasibility.FEASIBLE).deficits is not verdict.deficits
+    keyed = FeasibilityVerdict(status=Feasibility.INFEASIBLE, deficits={2: 1}, margin=1)
+    assert (keyed.status, keyed.witness, keyed.deficits, keyed.margin) == (
+        Feasibility.INFEASIBLE, None, {2: 1}, 1,
+    )
 
 
 def test_hairline_deficit_depends_on_precision():

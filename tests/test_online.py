@@ -192,6 +192,16 @@ def test_srpt_buckets_hold_only_waiting_jobs():
 def test_sim_state_takes_only_spec_jobs_and_ctx():
     with pytest.raises(TypeError):
         SimState(spec=PolicySpec(Policy.SRPT), jobs={}, ctx=DOUBLE, remaining={})
+    jobs = {1: lazy_job(1, 0, 2, 1)}
+    state = SimState(spec=PolicySpec(Policy.LSSF), jobs=jobs, ctx=DOUBLE)
+    assert state.jobs is jobs
+    assert (state.remaining, state.running, state.buckets) == ({}, None, {})
+    assert state.screen is None  # 53 bits: nothing to screen
+    # Each state starts with its own containers.
+    other = SimState(PolicySpec(Policy.LSSF), jobs, DOUBLE)
+    assert other.remaining is not state.remaining and other.crossings is not state.crossings
+    # Above 53 bits, LSSF screens its decisions from the start.
+    assert SimState(PolicySpec(Policy.LSSF), jobs, PrecisionContext(128)).screen is not None
 
 
 def test_policy_spec_validation():
@@ -205,8 +215,26 @@ def test_policy_spec_validation():
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
 def test_policy_spec_rejects_a_non_finite_alpha(alpha):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^idle threshold must be finite$"):
         PolicySpec(Policy.THRASHING, alpha=alpha)
+
+
+def test_policy_specs_and_trace_events_compare_by_value():
+    spec = PolicySpec(kind=Policy.THRASHING, alpha=3, speed_cap_factor=2)
+    assert spec == PolicySpec(Policy.THRASHING, 3, 2)
+    assert hash(spec) == hash(PolicySpec(Policy.THRASHING, 3, 2))
+    assert spec != PolicySpec(Policy.THRASHING, 3)
+    default = PolicySpec(Policy.FIFO)
+    assert (default.alpha, default.speed_cap_factor) == (2, None)
+
+    event = TraceEvent(time=1.5, kind=EventKind.START, job=2)
+    assert event == TraceEvent(1.5, EventKind.START, 2)
+    assert hash(event) == hash(TraceEvent(1.5, EventKind.START, 2))
+    assert event != TraceEvent(1.5, EventKind.START, 3)
+    assert event != TraceEvent(1.5, EventKind.PREEMPT, 2)
+    assert TraceEvent(0, EventKind.IDLE_BEGIN).job is None
+    assert [event] == [TraceEvent(1.5, EventKind.START, 2)]
+    assert (event,) != (TraceEvent(2.5, EventKind.START, 2),)
 
 
 # --- speed caps in the core kernels -------------------------------------------
