@@ -42,12 +42,29 @@ class Verdict(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
+_NON_FINITE = frozenset(("inf", "infinity", "nan"))
+
+
+def literal_error(text) -> ValueError:
+    """The error for a string outside the numeric literal grammar.
+
+    A numeric literal, in a file or an option, at every precision, is
+    an optional sign, ASCII digits with an optional fraction, and an
+    optional exponent: `binfloat.LITERAL`.
+    """
+    if text.lower().lstrip("+-") in _NON_FINITE:
+        return ValueError(f"non-finite numeric literal {text!r}")
+    return ValueError(f"could not convert string to float: {text!r}")
+
+
 class PrecisionContext:
     """Working precision, which also fixes the comparison tolerance.
 
     bits <= 53 uses plain Python floats (fast path); anything above
-    gets a private mpmath context so two PrecisionContexts never
-    interfere with each other or with mpmath's global state.
+    uses `binfloat.binary_type(bits)`, exact ints rounded to nearest at
+    bits after every operation, so a context's values carry their
+    precision with them and contexts never share state.  The binfloat
+    module loads only when such a context is made.
 
     rel_tol is 2**-(bits - 16): sixteen bits of headroom below the
     format, so honest roundoff lands in Indeterminate instead of
@@ -55,31 +72,24 @@ class PrecisionContext:
     Indeterminate verdict.
     """
 
-    __slots__ = (
-        "bits", "rel_tol", "decimal_digits", "_mp", "_sqrt", "real", "isfinite"
-    )
+    __slots__ = ("bits", "rel_tol", "decimal_digits", "_sqrt", "real", "isfinite")
 
     def __init__(self, bits: int = 128):
         bits = int(bits)
         if bits < 24:
             raise ValueError("precision below 24 bits leaves no room for tolerances")
         self.bits = bits
-        # real converts x (int, float, str, mpf) to this context's scalar type.
+        # real converts x (int, float, decimal str or scalar) to this context's type.
         if bits <= 53:
-            self._mp = None
             self._sqrt = math.sqrt
             self.real = float
             self.isfinite = math.isfinite
         else:
-            # Imported here so double-precision runs never load mpmath.
-            from mpmath.ctx_mp import MPContext
+            from .binfloat import binary_type, isfinite
 
-            mp = MPContext()
-            mp.prec = bits
-            self._mp = mp
-            self._sqrt = mp.sqrt
-            self.real = mp.mpf
-            self.isfinite = mp.isfinite
+            self.real = binary_type(bits)
+            self._sqrt = self.real.sqrt
+            self.isfinite = isfinite
         self.rel_tol = self.real(2) ** -(bits - 16)
         # Digits needed for a faithful decimal round trip at this precision.
         self.decimal_digits = math.ceil(bits * math.log10(2)) + 2
@@ -120,12 +130,23 @@ class PrecisionContext:
 
     def format(self, x) -> str:
         """Decimal string that parses back to exactly x at this precision."""
-        if self._mp is None:
+        if self.bits <= 53:
             return repr(float(x))
-        return self._mp.nstr(self._mp.mpf(x), self.decimal_digits, strip_zeros=True)
+        return self.real(x).to_str(self.decimal_digits)
 
     def parse(self, s):
-        """Finite scalar from a decimal string (or any value real() takes)."""
+        """Finite scalar from a numeric literal (or any value real() takes).
+
+        Raises ValueError for any other string, with the same message
+        at every precision.
+        """
+        if self.real is float and isinstance(s, str):
+            # float() also takes surrounding whitespace, underscores
+            # between digits, other scripts' digits, and inf and nan,
+            # which the isfinite test below refuses.  Screening the rest
+            # here needs no regular expression, so 53-bit runs compile none.
+            if not s.isascii() or "_" in s or s != s.strip():
+                raise literal_error(s)
         v = self.real(s)
         if not self.isfinite(v):
             raise ValueError(f"non-finite numeric literal {s!r}")
@@ -138,11 +159,11 @@ DOUBLE = PrecisionContext(bits=53)
 def dyadic(x):
     """(mantissa, exponent) of ints with x == mantissa * 2**exponent, exactly.
 
-    Every rampsched scalar is a dyadic rational: an int, a float, or an
-    mpf, whose public man_exp drops the sign, so the sign is read from
-    the same (sign, man, exp, bc) tuple.  Exact tests on the inputs
-    (crossings, stretch orders) start here.  Raises ValueError for a
-    non-finite value and TypeError for any other type.
+    Every rampsched scalar is a dyadic rational: an int, a float, or a
+    binfloat.BinFloat, which stores the pair itself (the mantissa odd,
+    or 0 with exponent 0), and has no non-finite values.  Exact tests
+    on the inputs (crossings, stretch orders) start here.  Raises
+    ValueError for a non-finite float and TypeError for any other type.
     """
     if isinstance(x, int):
         return x, 0
@@ -152,12 +173,9 @@ def dyadic(x):
         num, den = x.as_integer_ratio()
         return num, 1 - den.bit_length()
     try:
-        sign, man, exp, _ = x._mpf_
+        return x.man, x.exp
     except AttributeError:
         raise TypeError(f"not a rampsched scalar: {x!r}") from None
-    if not man and exp:  # mpmath's encoding of inf and nan
-        raise ValueError(f"non-finite value {x}")
-    return (-man if sign else man), exp
 
 
 class Policy(enum.Enum):

@@ -34,6 +34,7 @@ from .core import (
     Segment,
     UnsupportedInstanceError,
     Verdict,
+    dyadic,
     lazy_job,
     nonlazy_job,
     work_in,
@@ -244,6 +245,9 @@ def _needs_bits(numbers, ctx: PrecisionContext) -> ValueError:
     )
 
 
+_THRESHOLD_BITS = 1 << 24  # 2 MB as an int
+
+
 def recover_ssr_query(instance: Instance, ctx: PrecisionContext):
     """The query q with reduce_ssr(q, ctx).jobs == instance.jobs, or None.
 
@@ -252,8 +256,19 @@ def recover_ssr_query(instance: Instance, ctx: PrecisionContext):
     the answer only when reduce_ssr rebuilds the instance from it exactly,
     ids included.
     """
+    def whole(v, bits):
+        # The int v holds, if it has at most `bits` bits.  Reading the
+        # pair first keeps a huge value, such as a due date of 1e1000000,
+        # from being expanded into an int at all.
+        m, e = dyadic(v)
+        if e < 0 or m.bit_length() + e > bits:
+            raise ValueError("not an integer of the reduction")
+        return m << e
+
     def x(i):
-        return int(instance.by_id[i].length) - 2
+        # (x + 2)**2 and the work x**2 + 3x + 4 are both numbers of ctx only
+        # when x + 2 has at most ctx.bits // 2 + 1 bits, so ctx.bits is ample.
+        return whole(instance.by_id[i].length, ctx.bits) - 2
 
     k = len(instance.jobs) - 1
     try:
@@ -261,7 +276,10 @@ def recover_ssr_query(instance: Instance, ctx: PrecisionContext):
         # job 1 turns almost every other instance away in O(1).
         if reduce_ssr(SsrQuery((x(1),), 1), ctx).by_id[1] != instance.by_id[1]:
             return None
-        query = SsrQuery([x(i) for i in range(1, k + 1)], int(instance.by_id[k + 1].work))
+        # The threshold may be any int ctx holds, however many zero bits
+        # end it; one of more than _THRESHOLD_BITS bits is not built.
+        threshold = whole(instance.by_id[k + 1].work, _THRESHOLD_BITS)
+        query = SsrQuery([x(i) for i in range(1, k + 1)], threshold)
         if reduce_ssr(query, ctx).jobs == instance.jobs:
             return query
     except (KeyError, ValueError, OverflowError):

@@ -24,7 +24,7 @@ Above double precision, LSSF screens both of its decisions in exact
 integers first (see StretchScreen).  Every input is dyadic, so each
 stretch line (t - release)/length is exact on a common 2**-grid, and a
 bound on the rounding of `stretch` and `lssf_crossing` tells which of
-their results can matter.  Those two mpf functions still take every
+their results can matter.  Those two rounded functions still take every
 decision, with the same arguments, on a superset of the candidates
 that can affect it, so traces are bit-identical to an unscreened run;
 the screen only skips evaluations whose outcome the bound settles.
@@ -189,8 +189,7 @@ class StretchScreen:
         bits = ctx.bits
         for job in jobs.values():
             for x in (job.release, job.length):
-                mp = getattr(x, "context", None)  # an mpf's context
-                bits = min(bits, 53 if mp is None else mp.prec)
+                bits = min(bits, getattr(x, "prec", 53))  # a BinFloat's precision
         self.bits = bits
         # Tie window plus stretch rounding, rel_tol + 2**-(bits-3), as
         # tie_num / 2**tie_shift.

@@ -153,6 +153,60 @@ def test_solve_malformed_json(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("literal", ["1_0", "\u0661\u0662", " 2 ", "Infinity", "1/3"])
+def test_lax_numeric_literals_are_refused_alike_at_every_precision(tmp_path, capsys, literal):
+    # float() reads the first three as 10, 12 and 2; the grammar takes none of them.
+    record = {
+        "schema_version": 1,
+        "kind": "instance",
+        "jobs": [{"id": 1, "release": "0", "due": literal, "work": "1", "slope": "1"}],
+    }
+    path = tmp_path / "lax.json"
+    path.write_text(json.dumps(record))
+    errors = set()
+    for bits in ("53", "128"):
+        code, _, err = run(capsys, "solve", str(path), "--precision", bits)
+        assert code == 64, bits
+        errors.add(err)
+    assert len(errors) == 1 and "field 'due': " in errors.pop()
+
+
+def test_huge_numbers_are_no_reduction_at_once(tmp_path):
+    # Neither number may be expanded into an int of millions of bits.
+    huge_due = {
+        "schema_version": 1,
+        "kind": "instance",
+        "jobs": [{"id": 1, "release": "0", "due": "1e1000000", "work": "1", "slope": "1"}],
+    }
+    # A reduction of x = 2, 3 whose filler's work is an int of 3.3e9 bits.
+    reduction_jobs = [
+        {"id": 1, "release": "0", "due": "4", "work": "7.0", "slope": "1"},
+        {"id": 2, "release": "4", "due": "9", "work": "11.0", "slope": "1"},
+        {"id": 3, "release": "0", "due": "9", "work": "1e1000000000", "base": "1", "slope": "0"},
+    ]
+    huge_threshold = {"schema_version": 1, "kind": "instance", "jobs": reduction_jobs}
+    code = (
+        "import sys\n"
+        "from rampsched.core import PrecisionContext\n"
+        "from rampsched.fileio import load_instance\n"
+        "from rampsched.offline import recover_ssr_query\n"
+        "ctx = PrecisionContext(128)\n"
+        "for path in sys.argv[1:]:\n"
+        "    print(recover_ssr_query(load_instance(path, ctx), ctx))\n"
+    )
+    paths = []
+    for name, record in (("due", huge_due), ("threshold", huge_threshold)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(record))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, paths)], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "None\nNone\n"
+
+
 def test_low_precision_load_names_the_precision_the_file_needs(tmp_path, capsys):
     # Job 2's window is narrower than a double's spacing at 1.
     record = {
@@ -545,7 +599,60 @@ def _loaded_modules(*argv):
 def test_double_precision_run_does_not_load_mpmath():
     modules = _loaded_modules("gen", "lssf", "--n", "3", "--precision", "53")
     assert "rampsched.core" in modules
+    assert "rampsched.binfloat" not in modules
     assert not any(name.startswith("mpmath") for name in modules)
+
+
+def test_no_command_loads_mpmath(tmp_path):
+    inst = write_instance(tmp_path, (lazy_job(1, 0, 2, 1), lazy_job(2, 1, 3, 1)))
+    for argv in (
+        ["solve", inst],
+        ["simulate", inst, "--policy", "lssf"],
+        ["check", "--xs", "2,3", "--threshold", "3"],
+        ["bench", "--suite", "lssf", "--jobs", "4"],
+        ["gen", "random", "--n", "4", "--seed", "1"],
+        ["gen", "lssf", "--n", "4"],
+        ["gen", "srpt", "--n", "4"],
+        ["gen", "fifo", "--target", "3"],
+        ["gen", "edd", "--target", "3"],
+        ["gen", "reduction", "--xs", "2,3", "--threshold", "3"],
+        ["gen", "adversary", "--policy", "edd"],
+    ):
+        modules = _loaded_modules(*argv, "--precision", "128")
+        assert "rampsched.binfloat" in modules, argv[:2]
+        assert not any(name.startswith("mpmath") for name in modules), argv[:2]
+
+
+def test_every_command_runs_with_mpmath_unimportable(tmp_path):
+    # sys.modules["mpmath"] = None makes any import of mpmath fail.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    blocked = ("import runpy, sys; sys.modules['mpmath'] = None; "
+               "runpy.run_module('rampsched.cli', run_name='__main__')")
+    runs = [
+        ["gen", "random", "--n", "12", "--seed", "2", "--out", "{d}/random.json"],
+        ["gen", "lssf", "--n", "9", "--out", "{d}/lssf.json"],
+        ["gen", "srpt", "--n", "9", "--out", "{d}/srpt.json"],
+        ["solve", "{d}/random.json", "--out", "{d}/schedule.json"],
+        *(["simulate", "{d}/lssf.json", "--policy", policy, "--trace-out", f"{{d}}/trace-{policy}.json"]
+          for policy in ("fifo", "edd", "srpt", "lssf", "thrashing")),
+        ["check", "--xs", "2,3,5", "--threshold", "5"],
+    ]
+    outputs = {}
+    for name, prefix in (("normal", ["-m", "rampsched.cli"]), ("blocked", ["-c", blocked])):
+        d = tmp_path / name
+        d.mkdir()
+        texts = []
+        for argv in runs:
+            argv = [arg.replace("{d}", str(d)) for arg in argv]
+            proc = subprocess.run([sys.executable, *prefix, *argv, "--precision", "128"],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, (name, argv, proc.stderr)
+            texts.append(proc.stdout.replace(str(d), "{d}"))
+        files = {p.name: p.read_text() for p in sorted(d.iterdir())}
+        outputs[name] = (texts, files)
+    assert len(outputs["normal"][1]) == 9
+    assert outputs["blocked"] == outputs["normal"]
 
 
 def test_simulate_does_not_load_the_generators(tmp_path):

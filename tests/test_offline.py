@@ -5,7 +5,6 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.ctx_mp_python import _mpf as mpf_type
 
 from rampsched import (
     DOUBLE,
@@ -20,6 +19,7 @@ from rampsched import (
     nonlazy_job,
     work_in,
 )
+from rampsched.binfloat import BinFloat
 from rampsched.core import total_busy_time
 from rampsched.generators import gen_lssf, gen_random_feasible, gen_srpt
 from rampsched.offline import (
@@ -329,14 +329,17 @@ def test_sweep_comparisons_grow_as_n_log_n(monkeypatch):
     n = 800
     inst = gen_random_feasible(n, 7, CTX)
     calls = 0
-    cmp = mpf_type._cmp
 
-    def counting_cmp(*args):
-        nonlocal calls
-        calls += 1
-        return cmp(*args)
+    def counting(method):
+        def count(*args):
+            nonlocal calls
+            calls += 1
+            return method(*args)
+        return count
 
-    monkeypatch.setattr(mpf_type, "_cmp", counting_cmp)
+    # The ordering operators are a BinFloat's compare entry points.
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(BinFloat, name, counting(getattr(BinFloat, name)))
     _, verdict = lrtb(inst, CTX)
     assert verdict.status is Feasibility.FEASIBLE
     assert 0 < calls <= 4 * n * math.log2(n)

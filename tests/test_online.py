@@ -7,7 +7,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath.ctx_mp_python import _mpf as mpf_type
 
 from rampsched import (
     DOUBLE,
@@ -28,6 +27,7 @@ from rampsched import (
     work_in,
 )
 from rampsched import online
+from rampsched.binfloat import BinFloat
 from rampsched.core import total_busy_time
 from rampsched.fileio import trace_to_record
 from rampsched.generators import (
@@ -788,13 +788,14 @@ def test_static_key_dispatch_comparisons_grow_as_n_log_n(monkeypatch):
         share = ctx.parse(repr(rng.uniform(0.001, 0.01)))
         jobs.append(lazy_job(i, ctx.real(0), due, due * due / 2 * share))
     inst = Instance(tuple(jobs))
-    cmp_calls = _count_calls(monkeypatch, mpf_type, "_cmp")
-    eq_calls = _count_calls(monkeypatch, mpf_type, "__eq__")
+    # A BinFloat's compare entry points: the ordering operators and ==.
+    counts = [_count_calls(monkeypatch, BinFloat, name)
+              for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__")]
     for policy in (Policy.FIFO, Policy.EDD, Policy.THRASHING):
-        before = cmp_calls[0] + eq_calls[0]
+        before = sum(count[0] for count in counts)
         trace = simulate(inst, PolicySpec(policy), ctx)
         assert len(trace.completions) == n
-        assert cmp_calls[0] + eq_calls[0] - before <= 6 * n * math.log2(n), policy
+        assert sum(count[0] for count in counts) - before <= 6 * n * math.log2(n), policy
 
 
 def test_stretch_crossings_are_computed_once_per_running_job(monkeypatch):
