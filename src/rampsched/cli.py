@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -101,7 +102,11 @@ def _policy_spec(args, ctx):
 
 
 def _short(x):
-    return f"{float(x):.12g}"
+    """x to 12 significant digits, from the scalar itself outside float's range."""
+    f = float(x)
+    if not isinstance(x, float) and (math.isinf(f) or (f == 0 and x != 0)):
+        return x.to_str(12)  # float() saturated to inf or flushed to 0
+    return f"{f:.12g}"
 
 
 def _fail_usage(message) -> int:

@@ -3,7 +3,17 @@
 Numeric fields are exact decimal strings produced by the precision
 context, so save/load round-trips are bit-identical at a given
 precision and files written at high precision do not silently decay
-to doubles.  Files are compact JSON, written in bounded slices.
+to doubles.  Files are compact JSON.  The save functions stream each
+file straight from the objects: a row is one f-string, and rows go out
+in slices of SLICE, so no whole record or file text is ever held in
+memory.  The `*_to_record` functions build the same content as dicts;
+a file's text is exactly json.dumps of its record with compact
+separators, which is what the tests hold the writers to, and `gen`
+prints an instance's record when it has no --out.
+
+Loaders parse a table one column at a time.  When any value of a
+column fails, a scan in row order names the first bad row and field,
+so messages and their precedence are those of a row-by-row parse.
 Parsers report the JSON location for syntax errors and the offending
 field for schema errors.
 """
@@ -11,6 +21,8 @@ field for schema errors.
 from __future__ import annotations
 
 import json
+import math
+from itertools import islice, repeat
 
 from .core import (
     Instance,
@@ -46,44 +58,25 @@ def _read_json(path):
         raise FileFormatError(f"{path}: {exc.strerror or exc}") from exc
 
 
-# Items per C-encoder call when a file's long lists and maps are written.
+# Rows per write when a file's lists and maps are streamed.
 SLICE = 256
 
+# The JSON text of a free-text value: names, provenance, status and
+# kind strings.  Numbers come from ctx.format, whose text needs no escaping.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _write_json(record, path):
-    """Write record to path as compact JSON, a bounded slice at a time.
-
-    Only a one-shot, unindented encode runs CPython's C encoder, and
-    encoding a whole record at once would hold all of its text in
-    memory.  So the record's top two levels of objects are written key
-    by key, a list or object longer than SLICE in slices of SLICE
-    items, and everything else in one call.
-    """
-    with open(path, "w") as fh:
-        _write_value(fh.write, record, 2)
-        fh.write("\n")
+def _write_rows(write, rows):
+    """Write the row texts comma-separated, SLICE rows per write call."""
+    rows = iter(rows)
+    lead = ""
+    while part := ",".join(islice(rows, SLICE)):
+        write(lead + part)
+        lead = ","
 
 
-def _write_value(write, value, depth):
-    """Write value's JSON text; objects `depth` levels down go key by key."""
-    if isinstance(value, dict) and depth > 0:
-        write("{")
-        for i, (key, item) in enumerate(value.items()):
-            write(f"{',' if i else ''}{_encode(str(key))}:")
-            _write_value(write, item, depth - 1)
-        write("}")
-    elif isinstance(value, (list, dict)) and len(value) > SLICE:
-        is_list = isinstance(value, list)
-        items = value if is_list else list(value.items())
-        write("[" if is_list else "{")
-        for i in range(0, len(items), SLICE):
-            part = items[i : i + SLICE]
-            write(("," if i else "") + _encode(part if is_list else dict(part))[1:-1])
-        write("]" if is_list else "}")
-    else:
-        write(_encode(value))
+def _null_or(text):
+    return "null" if text is None else f'"{text}"'
 
 
 def _expect(record, field, kinds, where):
@@ -128,6 +121,66 @@ def _job(record, ctx, where, jid, release, due, work, base, slope):
         raise FileFormatError(message) from exc
 
 
+def _number_column(texts, ctx):
+    """The scalars of a column of numeric literals, or None if any fails.
+
+    At 53 bits one pass screens the whole column as ctx.parse screens
+    one literal (ASCII, no underscore; whitespace anywhere sends the
+    column back to the row scan), float() reads it, and one test checks
+    that every value is finite.  Above, ctx.parse reads each literal.
+    """
+    try:
+        joined = "".join(texts)  # TypeError if any value is not a string
+        if ctx.real is not float:
+            return [ctx.parse(text) for text in texts]
+        if not joined.isascii() or "_" in joined or joined.split() != [joined]:
+            return None
+        values = list(map(float, texts))
+    except (TypeError, ValueError, ArithmeticError):
+        return None
+    return values if all(map(math.isfinite, values)) else None
+
+
+# A job row's numeric fields and their defaults, in the order a row is
+# parsed; a trace's job rows hold only the first two.
+_INSTANCE_FIELDS = (("release", None), ("due", None), ("work", None),
+                    ("base", "0"), ("slope", "1"))
+_TRACE_FIELDS = _INSTANCE_FIELDS[:2]
+
+
+def _jobs(record, block, label, ctx, path, fields=_INSTANCE_FIELDS, fixed=()):
+    """The Jobs of the table of job rows at block["jobs"].
+
+    fields names the numeric columns read, with their defaults, and
+    fixed gives the values of the Job arguments after them (a trace's
+    jobs get work 0 and a unit ramp).  The table is parsed column by
+    column; if any value fails, a scan in row order raises for the
+    first bad row and field.
+    """
+    rows = _expect(block, "jobs", list, path)
+    if rows and all(type(row) is dict for row in rows):
+        columns = [[row.get("id") for row in rows]]
+        columns += [_number_column([row.get(field, default) for row in rows], ctx)
+                    for field, default in fields]
+        # type(), not isinstance(): JSON true would pass as id 1.
+        if None not in columns and all(type(jid) is int for jid in columns[0]):
+            try:
+                return [
+                    Job(jid, release, due, work, SpeedFunction(base, slope))
+                    for jid, release, due, work, base, slope
+                    in zip(*columns, *map(repeat, fixed))
+                ]
+            except ValueError:
+                pass
+    jobs = []
+    for where, row in _rows(block, "jobs", path, label):
+        jid = _expect(row, "id", int, where)
+        values = [_parse_number(row.get(field, default), ctx, where, field)
+                  for field, default in fields]
+        jobs.append(_job(record, ctx, where, jid, *values, *fixed))
+    return jobs
+
+
 def _check_schema(record, path, kind):
     version = _expect(record, "schema_version", int, path)
     if version != SCHEMA_VERSION:
@@ -162,21 +215,28 @@ def instance_to_record(instance: Instance, ctx: PrecisionContext) -> dict:
 
 
 def save_instance(instance: Instance, path, ctx: PrecisionContext):
-    _write_json(instance_to_record(instance, ctx), path)
+    """Write instance_to_record's content as compact JSON."""
+    fmt = ctx.format
+    with open(path, "w") as fh:
+        write = fh.write
+        write(
+            f'{{"schema_version":{SCHEMA_VERSION},"kind":"instance",'
+            f'"name":{_encode(instance.name)},"provenance":{_encode(instance.provenance)},'
+            f'"precision_bits":{ctx.bits},"jobs":['
+        )
+        _write_rows(write, (
+            f'{{"id":{j.id},"release":"{fmt(j.release)}","due":"{fmt(j.due)}",'
+            f'"work":"{fmt(j.work)}","base":"{fmt(j.speed.base)}",'
+            f'"slope":"{fmt(j.speed.slope)}"}}'
+            for j in instance.jobs
+        ))
+        write("]}\n")
 
 
 def load_instance(path, ctx: PrecisionContext) -> Instance:
     record = _read_json(path)
     _check_schema(record, path, "instance")
-    jobs = []
-    for where, row in _rows(record, "jobs", path, "jobs"):
-        jid = _expect(row, "id", int, where)
-        release = _parse_number(row.get("release"), ctx, where, "release")
-        due = _parse_number(row.get("due"), ctx, where, "due")
-        work = _parse_number(row.get("work"), ctx, where, "work")
-        base = _parse_number(row.get("base", "0"), ctx, where, "base")
-        slope = _parse_number(row.get("slope", "1"), ctx, where, "slope")
-        jobs.append(_job(record, ctx, where, jid, release, due, work, base, slope))
+    jobs = _jobs(record, record, "jobs", ctx, path)
     if not jobs:
         raise FileFormatError(f"{path}: instance has no jobs")
     try:
@@ -222,7 +282,26 @@ def schedule_to_record(
 
 
 def save_schedule(instance, schedule, verdict, path, ctx):
-    _write_json(schedule_to_record(instance, schedule, verdict, ctx), path)
+    """Write schedule_to_record's content as compact JSON."""
+    fmt = ctx.format
+    margin = None if verdict.margin is None else fmt(verdict.margin)
+    deficits = verdict.deficits
+    with open(path, "w") as fh:
+        write = fh.write
+        write(
+            f'{{"schema_version":{SCHEMA_VERSION},"kind":"schedule",'
+            f'"instance":{_encode(instance.name)},"precision_bits":{ctx.bits},'
+            f'"verdict":{{"status":{_encode(verdict.status.value)},'
+            f'"margin":{_null_or(margin)},"deficits":{{'
+        )
+        _write_rows(write, (f'"{jid}":"{fmt(deficits[jid])}"' for jid in sorted(deficits)))
+        write(f'}}}},"busy_time":"{fmt(total_busy_time(schedule))}","segments":[')
+        _write_rows(write, (
+            f'{{"job":{s.job},"start":"{fmt(s.start)}","end":"{fmt(s.end)}",'
+            f'"work":"{fmt(s.work_done)}"}}'
+            for s in schedule.segments
+        ))
+        write("]}\n")
 
 
 # --- traces ------------------------------------------------------------------
@@ -310,7 +389,58 @@ def trace_to_record(trace, ctx: PrecisionContext) -> dict:
 
 
 def save_trace(trace, path, ctx: PrecisionContext):
-    _write_json(trace_to_record(trace, ctx), path)
+    """Write trace_to_record's content as compact JSON."""
+    from .online import EventKind, missed_due_dates
+
+    fmt = ctx.format
+    inst = trace.instance
+    spec = trace.policy
+    cap = spec.speed_cap_factor
+    # Keyed by value: an Enum member's hash is a Python-level call.
+    kinds = {kind.value: _encode(kind.value) for kind in EventKind}
+    completions, stretches = trace.completions, trace.stretches
+    with open(path, "w") as fh:
+        write = fh.write
+        write(
+            f'{{"schema_version":{SCHEMA_VERSION},"kind":"trace","precision_bits":{ctx.bits},'
+            f'"instance":{{"name":{_encode(inst.name)},"jobs":['
+        )
+        _write_rows(write, (
+            f'{{"id":{j.id},"release":"{fmt(j.release)}","due":"{fmt(j.due)}"}}'
+            for j in inst.jobs
+        ))
+        write(
+            f']}},"policy":{{"kind":{_encode(spec.kind.value)},"alpha":"{fmt(spec.alpha)}",'
+            f'"speed_cap_factor":{_null_or(None if cap is None else fmt(cap))}}},"events":['
+        )
+        _write_rows(write, _event_rows(trace.events, fmt, kinds))
+        write('],"summary":{"completions":{')
+        _write_rows(write, (f'"{jid}":"{fmt(completions[jid])}"' for jid in sorted(completions)))
+        write('},"stretches":{')
+        _write_rows(write, (f'"{jid}":"{fmt(stretches[jid])}"' for jid in sorted(stretches)))
+        write(
+            f'}},"max_stretch":"{fmt(max(stretches.values()))}",'
+            f'"busy_time":"{fmt(trace.busy_time)}","missed_due_dates":['
+        )
+        _write_rows(write, map(str, missed_due_dates(trace)))
+        write("]}}\n")
+
+
+def _event_rows(events, fmt, kinds):
+    """Each event's row text.
+
+    Events at one timestamp are consecutive and share one time object,
+    so the time is formatted once per timestamp.  The test is identity,
+    not value: a value-keyed cache would hold every distinct time, and
+    would merge -0.0 with 0.0.
+    """
+    last = text = None
+    for e in events:
+        t = e.time
+        if t is not last:
+            last, text = t, fmt(t)
+        job = "null" if e.job is None else e.job
+        yield f'{{"time":"{text}","kind":{kinds[e.kind._value_]},"job":{job}}}'
 
 
 def _job_id(value, jobs, where):
@@ -319,6 +449,39 @@ def _job_id(value, jobs, where):
     if type(value) is not int or value not in jobs:
         raise FileFormatError(f"{where}: unknown job {value!r}")
     return value
+
+
+def _events(record, jobs, ctx, path):
+    """The (time, EventKind, job id or None) of each event row.
+
+    The rows are parsed column by column; if any value fails, a scan in
+    row order raises for the first bad row and field.
+    """
+    from .online import EventKind
+
+    rows = _expect(record, "events", list, path)
+    if all(type(row) is dict for row in rows):
+        times = _number_column([row.get("time") for row in rows], ctx)
+        by_value = {kind.value: kind for kind in EventKind}
+        try:
+            kinds = [by_value.get(row.get("kind")) for row in rows]
+        except TypeError:  # a kind that is a list or an object
+            kinds = [None]
+        ids = [row.get("job") for row in rows]
+        if times is not None and None not in kinds and all(
+            jid is None or (type(jid) is int and jid in jobs) for jid in ids
+        ):
+            return list(zip(times, kinds, ids))
+    events = []
+    for where, row in _rows(record, "events", path, "events"):
+        t = _parse_number(row.get("time"), ctx, where, "time")
+        try:
+            kind = EventKind(_expect(row, "kind", str, where))
+        except ValueError as exc:
+            raise FileFormatError(f"{where}: unknown event kind") from exc
+        jid = row.get("job")
+        events.append((t, kind, None if jid is None else _job_id(jid, jobs, where)))
+    return events
 
 
 def _per_job(summary, field, jobs, ctx, path):
@@ -352,12 +515,7 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
     if isinstance(file_bits, int) and 24 <= file_bits < ctx.bits:
         check = PrecisionContext(bits=file_bits)
     inst_block = _expect(record, "instance", dict, path)
-    rows = []
-    for where, row in _rows(inst_block, "jobs", path, "instance.jobs"):
-        jid = _expect(row, "id", int, where)
-        release = _parse_number(row.get("release"), ctx, where, "release")
-        due = _parse_number(row.get("due"), ctx, where, "due")
-        rows.append(_job(record, ctx, where, jid, release, due, 0, 0, 1))
+    rows = _jobs(record, inst_block, "instance.jobs", ctx, path, _TRACE_FIELDS, (0, 0, 1))
     if not rows:
         raise FileFormatError(f"{path}: trace instance has no jobs")
     try:
@@ -377,36 +535,29 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
             None if cap is None else _parse_number(cap, ctx, f"{path}: policy", "cap")
         ),
     )
-    events = []
-    for where, row in _rows(record, "events", path, "events"):
-        t = _parse_number(row.get("time"), ctx, where, "time")
-        try:
-            kind_ev = EventKind(_expect(row, "kind", str, where))
-        except ValueError as exc:
-            raise FileFormatError(f"{where}: unknown event kind") from exc
-        jid = row.get("job")
-        events.append((t, kind_ev, None if jid is None else _job_id(jid, jobs, where)))
+    events = _events(record, jobs, ctx, path)
 
     # replay the event stream
+    start, preempt, complete = EventKind.START, EventKind.PREEMPT, EventKind.COMPLETE
     completions = {}
     busy = ctx.real(0)
     open_run = None
-    last_t = None
+    last_t = events[0][0] if events else None
     for t, kind_ev, jid in events:
-        if last_t is not None and t < last_t:
+        if t < last_t:
             raise FileFormatError(f"{path}: events go backward in time")
         last_t = t
-        if kind_ev is EventKind.START:
+        if kind_ev is start:
             if open_run is not None:
                 raise FileFormatError(f"{path}: start while job {open_run[0]} runs")
             open_run = (jid, t)
-        elif kind_ev in (EventKind.PREEMPT, EventKind.COMPLETE):
+        elif kind_ev is preempt or kind_ev is complete:
             if open_run is not None and open_run[0] == jid:
                 busy = busy + (t - open_run[1])
                 open_run = None
-            elif kind_ev is EventKind.PREEMPT:
+            elif kind_ev is preempt:
                 raise FileFormatError(f"{path}: preempt of a job that is not running")
-            if kind_ev is EventKind.COMPLETE:
+            if kind_ev is complete:
                 if jid in completions:
                     raise FileFormatError(f"{path}: job {jid} completes twice")
                 completions[jid] = t

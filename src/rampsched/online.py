@@ -275,10 +275,12 @@ class SimState:
     `remaining` (each released unfinished job's work left) and clears
     `running` on completion.  caps maps job id to its absolute speed
     cap; a job without an entry runs uncapped.  FIFO, EDD and thrashing
-    keep their candidates in `ready`, a heap of (rank, id) with a rank
-    fixed at release, so a dispatch costs O(log n); completed jobs
-    leave it lazily.  Thrashing holds a job in `pending`, a heap of
-    (activation, id), until its activation time.
+    (the `static` policies) keep their candidates in `ready`, a heap of
+    (rank, id) with a rank fixed at release, so a dispatch costs
+    O(log n); completed jobs leave it lazily.  start keeps the running
+    job's rank in `running_rank` for dispatch's tie test.  Thrashing
+    holds a job in `pending`, a heap of (activation, id), until its
+    activation time.
 
     SRPT and LSSF file every waiting job (released, unfinished, not
     running) in a bucket, a heap of ids: `buckets` maps the key (see
@@ -301,8 +303,8 @@ class SimState:
     """
 
     __slots__ = (
-        "spec", "jobs", "ctx", "remaining", "running", "caps", "ready", "pending",
-        "buckets", "bucket_of", "crossings", "crossings_of", "screen",
+        "spec", "jobs", "ctx", "remaining", "running", "running_rank", "static", "caps",
+        "ready", "pending", "buckets", "bucket_of", "crossings", "crossings_of", "screen",
     )
 
     def __init__(self, spec: PolicySpec, jobs: dict, ctx: PrecisionContext):
@@ -311,6 +313,8 @@ class SimState:
         self.ctx = ctx
         self.remaining = {}
         self.running = None
+        self.running_rank = None
+        self.static = spec.kind is not Policy.SRPT and spec.kind is not Policy.LSSF
         self.caps = {}
         self.ready = []
         self.pending = []
@@ -359,6 +363,8 @@ class SimState:
     def start(self, jid):
         """Run job jid, taking it out of its bucket if it has one."""
         self.running = jid
+        if self.static:
+            self.running_rank = self.rank(self.jobs[jid])
         key = self.bucket_of.pop(jid, None)
         if key is not None:
             bucket = self.buckets[key]
@@ -485,8 +491,7 @@ class SimState:
         Calls on one state must come with nondecreasing t.
         """
         running = self.running
-        kind = self.spec.kind
-        if kind is not Policy.SRPT and kind is not Policy.LSSF:
+        if self.static:
             ready, pending, remaining = self.ready, self.pending, self.remaining
             while pending and pending[0][0] <= t:
                 _, jid = heapq.heappop(pending)
@@ -496,7 +501,7 @@ class SimState:
             if not ready:
                 return None
             rank, best = ready[0]
-            if running is not None and self.rank(self.jobs[running]) == rank:
+            if running is not None and self.running_rank == rank:
                 return running
             return best
         cands = [bucket[0] for bucket in self.buckets.values()]
@@ -505,7 +510,7 @@ class SimState:
         if not cands:
             return None
         jobs = self.jobs
-        if kind is Policy.SRPT:
+        if self.spec.kind is Policy.SRPT:
             remaining, caps, ctx = self.remaining, self.caps, self.ctx
 
             def rpt(i):
@@ -548,66 +553,74 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
     order = instance.jobs
     n = len(order)
     state = SimState(spec=spec, jobs=instance.by_id, ctx=ctx)
+    jobs, remaining, caps = state.jobs, state.remaining, state.caps
+    dispatch, next_event, admit = state.dispatch, state.next_event, state.admit
+    isfinite = ctx.isfinite
+    release, start, preempt, complete = (
+        EventKind.RELEASE, EventKind.START, EventKind.PREEMPT, EventKind.COMPLETE
+    )
     events = []
+    emit = events.append
     segments = []
     completions = {}
     idx = 0
+    release_at = order[0].release  # of order[idx], while idx < n
     seg_start = None
     idle = False
-    t = order[0].release
+    t = release_at
     while True:
-        while idx < n and order[idx].release == t:
+        while idx < n and release_at == t:
             j = order[idx]
             idx += 1
-            events.append(TraceEvent(t, EventKind.RELEASE, j.id))
+            if idx < n:
+                release_at = order[idx].release
+            emit(TraceEvent(t, release, j.id))
             if j.work == 0:
                 completions[j.id] = t
-                events.append(TraceEvent(t, EventKind.COMPLETE, j.id))
+                emit(TraceEvent(t, complete, j.id))
             else:
-                state.admit(j)
+                admit(j)
         # Dispatch: preempt, then idle or start, unless the choice stands.
-        choice = state.dispatch(t)
+        choice = dispatch(t)
         rid = state.running
         if choice is None or choice != rid:
             if rid is not None:
                 _close_segment(segments, state, rid, seg_start, t)
-                events.append(TraceEvent(t, EventKind.PREEMPT, rid))
+                emit(TraceEvent(t, preempt, rid))
                 state.preempt()
             if choice is None:
                 if not idle and len(completions) < n:
                     idle = True
-                    events.append(TraceEvent(t, EventKind.IDLE_BEGIN))
+                    emit(TraceEvent(t, EventKind.IDLE_BEGIN))
             else:
                 if idle:
                     idle = False
-                    events.append(TraceEvent(t, EventKind.IDLE_END))
-                events.append(TraceEvent(t, EventKind.START, choice))
+                    emit(TraceEvent(t, EventKind.IDLE_END))
+                emit(TraceEvent(t, start, choice))
                 seg_start = t
                 state.start(choice)
         if len(completions) == n:
             break
-        # Next event: a release, a finish or the policy's own event.
-        horizon = []
-        if idx < n:
-            horizon.append(order[idx].release)
+        # Next event: the earliest of a release, a finish and the policy's
+        # own event, the first of them on a tie (as min() would pick).
+        tn = release_at if idx < n else None
         rid = state.running
         if rid is not None:
-            job = state.jobs[rid]
-            finish_at = completion_from(
-                job, t, state.remaining[rid], ctx, state.caps.get(rid)
-            )
+            job = jobs[rid]
+            cap = caps.get(rid)
+            finish_at = completion_from(job, t, remaining[rid], ctx, cap)
             if finish_at < t:
                 finish_at = t
-            horizon.append(finish_at)
-        own = state.next_event(t)
-        if own is not None:
-            horizon.append(own)
-        if not horizon:
+            if tn is None or finish_at < tn:
+                tn = finish_at
+        own = next_event(t)
+        if own is not None and (tn is None or own < tn):
+            tn = own
+        if tn is None:
             raise SchedulingError(
                 "simulation stalled with unfinished jobs and no upcoming event"
             )
-        tn = min(horizon)
-        if not ctx.isfinite(tn):
+        if not isfinite(tn):
             # Every later test against a nan or inf time would fail,
             # and the loop would never end.
             raise SchedulingError(
@@ -615,9 +628,9 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
                 f"is not finite at {ctx.bits} bits"
             )
         if rid is not None:
-            done = work_in(job, t, tn, state.caps.get(rid))
+            done = work_in(job, t, tn, cap)
             if tn == finish_at:
-                left = state.remaining[rid]
+                left = remaining[rid]
                 _close_segment(segments, state, rid, seg_start, tn)
                 tol = ctx.tolerance(job.work)
                 if not -tol <= done - left <= tol:
@@ -634,17 +647,15 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
                         f"{how} at {ctx.bits} bits"
                     )
                 state.running = None
-                del state.remaining[rid]
+                del remaining[rid]
                 completions[rid] = tn
-                events.append(TraceEvent(tn, EventKind.COMPLETE, rid))
+                emit(TraceEvent(tn, complete, rid))
             else:
-                left = state.remaining[rid] - done
-                state.remaining[rid] = left if left > 0 else 0
+                left = remaining[rid] - done
+                remaining[rid] = left if left > 0 else 0
         t = tn
 
-    stretches = {
-        jid: stretch(state.jobs[jid], done) for jid, done in completions.items()
-    }
+    stretches = {jid: stretch(jobs[jid], done) for jid, done in completions.items()}
     trace = SimTrace(
         instance=instance,
         policy=spec,

@@ -207,6 +207,28 @@ def test_huge_numbers_are_no_reduction_at_once(tmp_path):
     assert proc.stdout == "None\nNone\n"
 
 
+def test_numbers_beyond_float_range_print_their_digits(tmp_path, capsys):
+    # float() would print this finite margin as inf; the verdict itself is
+    # lrtb's, with the tolerance at the scale of the due date.
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "kind": "instance",
+        "jobs": [{"id": 1, "release": "0", "due": "1e1000000", "work": "1", "slope": "1"}],
+    }))
+    code, out, _ = run(capsys, "solve", str(path), "--precision", "128")
+    assert code == 0
+    assert "margin: 1.0e+1000000\n" in out
+    # Numbers inside float's range print as before.
+    from rampsched.cli import _short
+
+    assert _short(CTX.real("1e308")) == "1e+308"
+    assert _short(CTX.real("2e308")) == "2.0e+308"
+    assert _short(CTX.real("-3e-400")) == "-3.0e-400"
+    assert _short(CTX.real("123456789.123456789")) == "123456789.123"
+    assert _short(CTX.real(0)) == _short(0) == _short(0.0) == "0"
+
+
 def test_low_precision_load_names_the_precision_the_file_needs(tmp_path, capsys):
     # Job 2's window is narrower than a double's spacing at 1.
     record = {

@@ -9,7 +9,6 @@ from rampsched import DOUBLE, Instance, PrecisionContext, Schedule, lazy_job, no
 from rampsched.fileio import (
     SLICE,
     FileFormatError,
-    _write_json,
     instance_to_record,
     load_instance,
     load_trace,
@@ -21,8 +20,8 @@ from rampsched.fileio import (
     write_plot_data,
 )
 from rampsched.generators import gen_random_feasible, gen_srpt
-from rampsched.offline import lrtb
-from rampsched.online import Policy, PolicySpec, simulate
+from rampsched.offline import Feasibility, FeasibilityVerdict, lrtb
+from rampsched.online import EventKind, Policy, PolicySpec, TraceEvent, simulate
 
 CTX = PrecisionContext(128)
 
@@ -274,37 +273,165 @@ def test_writer_edge_cases_load_back(tmp_path):
     record = json.loads(path.read_text())
     assert record == schedule_to_record(inst, Schedule(()), verdict, CTX)
     assert record["segments"] == [] and record["verdict"]["deficits"] == {}
-    # Lists and maps of one slice, one slice plus one, and several slices,
-    # at the top level and one level down.
-    sizes = (0, 1, SLICE, SLICE + 1, 3 * SLICE + 5)
-    record = {
-        "kind": "edges",
-        "none": None,
-        **{f"list{n}": [{"i": i, "s": str(i)} for i in range(n)] for n in sizes},
-        **{f"map{n}": {str(i): [i] for i in range(n)} for n in sizes},
-        "nested": {
-            "list": list(range(SLICE + 1)),
-            "map": {str(i): i for i in range(2 * SLICE)},
-            "deeper": {"list": list(range(SLICE + 1)), "text": "\u00e9\"\n"},
-        },
-    }
-    path = tmp_path / "edges.json"
-    _write_json(record, path)
-    assert json.loads(path.read_text()) == record
+
+
+def _compact(record):
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_writer_text_is_the_records_json(tmp_path, bits):
+    ctx = PrecisionContext(bits)
+    path = tmp_path / "out.json"
+
+    def same_text(save, args, record):
+        save(*args, path, ctx)
+        assert path.read_text() == _compact(record)
+
+    # Free text that needs escaping, a job released at -0.0, and a speed cap.
+    name = 'a "quoted" \\ name\twith\x01control, caf\u00e9 \u2603 \U0001f600'
+    jobs = (lazy_job(1, -0.0, 2, 1), lazy_job(2, 0, 3, ctx.real("0.375")),
+            nonlazy_job(3, 1, 6, 2, base=ctx.real("0.5")))
+    inst = Instance(jobs, name=name, provenance=name[::-1])
+    same_text(save_instance, (inst,), instance_to_record(inst, ctx))
+    ramps = Instance(jobs[:2], name=name)  # the sweep takes pure ramps only
+    schedule, verdict = lrtb(ramps, ctx)
+    same_text(save_schedule, (ramps, schedule, verdict),
+              schedule_to_record(ramps, schedule, verdict, ctx))
+    capped = simulate(inst, PolicySpec(Policy.SRPT, speed_cap_factor=ctx.real("1.5")), ctx)
+    same_text(save_trace, (capped,), trace_to_record(capped, ctx))
+    # Thrashing idles until a job's stretch reaches alpha: events with job null.
+    idle = simulate(Instance((lazy_job(1, 0, 2, 1), lazy_job(2, 5, 9, 1))),
+                    PolicySpec(Policy.THRASHING), ctx)
+    assert {EventKind.IDLE_BEGIN, EventKind.IDLE_END} <= {e.kind for e in idle.events}
+    same_text(save_trace, (idle,), trace_to_record(idle, ctx))
+
+    # Tables of 0, 1, SLICE, SLICE + 1 and several slices of rows.
+    big = gen_srpt(300, ctx)
+    trace = simulate(big, PolicySpec(Policy.THRASHING), ctx)
+    events, segments = trace.events, trace.segments
+    assert len(events) > 3 * SLICE and len(segments) > SLICE + 1
+    for k in (0, 1, SLICE, SLICE + 1, len(big.jobs), len(segments), len(events)):
+        part = Instance(big.jobs[:k], name=big.name)
+        same_text(save_instance, (part,), instance_to_record(part, ctx))
+        sched = Schedule(segments[:k])
+        deficits = {s.job: s.work_done for s in segments[:k]}
+        status = Feasibility.INFEASIBLE if deficits else Feasibility.FEASIBLE
+        verdict = FeasibilityVerdict(status, deficits=deficits,
+                                     margin=None if k % 2 else ctx.real(k))
+        same_text(save_schedule, (big, sched, verdict),
+                  schedule_to_record(big, sched, verdict, ctx))
+        trace.events = events[:k]
+        same_text(save_trace, (trace,), trace_to_record(trace, ctx))
+
+
+def test_trace_writer_formats_each_time_it_is_given(tmp_path):
+    # Two events at equal times that print differently, -0.0 then 0.0:
+    # the writer reuses a time's text only for the very same object.
+    trace = simulate(Instance((lazy_job(1, -0.0, 2, 1),)), PolicySpec(Policy.FIFO), DOUBLE)
+    first = trace.events[0]
+    assert first.time == 0 and str(first.time) == "-0.0"
+    trace.events = (first, TraceEvent(0.0, EventKind.START, 1), *trace.events[2:])
+    record = trace_to_record(trace, DOUBLE)
+    assert [e["time"] for e in record["events"][:2]] == ["-0.0", "0.0"]
+    path = tmp_path / "t.json"
+    save_trace(trace, path, DOUBLE)
+    assert path.read_text() == _compact(record)
 
 
 def test_writer_memory_stays_below_the_file_size(tmp_path):
-    # Encoding a whole record in one call holds all of its text at once.
+    # Building a record, or its whole text, holds several times the file.
     ctx = PrecisionContext(53)
     trace = simulate(gen_srpt(2000, ctx), PolicySpec(Policy.THRASHING), ctx)
-    record = trace_to_record(trace, ctx)
     path = tmp_path / "trace.json"
     tracemalloc.start()
     try:
-        _write_json(record, path)
+        save_trace(trace, path, ctx)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     size = path.stat().st_size
     assert peak < size, f"peak {peak} bytes for a {size}-byte file"
-    assert json.loads(path.read_text()) == record
+    assert path.read_text() == _compact(trace_to_record(trace, ctx))
+
+
+# --- the column loaders ------------------------------------------------------
+
+
+def _rows(n):
+    return [{"id": i, "release": str(i), "due": str(i + 2), "work": "1"} for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_loader_names_the_first_bad_row_and_field(tmp_path, bits):
+    ctx = PrecisionContext(bits)
+    path = tmp_path / "inst.json"
+
+    def message(rows):
+        record = {"schema_version": 1, "kind": "instance", "jobs": rows}
+        with pytest.raises(FileFormatError) as info:
+            load_instance(_write(path, record), ctx)
+        return str(info.value)
+
+    # Bad fields in rows 3 and 1 (the later row's field comes first in a row).
+    rows = _rows(5)
+    rows[3]["release"] = "x"
+    rows[1]["slope"] = "1_0"
+    assert message(rows) == f"{path}: jobs[1]: field 'slope': could not convert string to float: '1_0'"
+    # One row with a bad due date and a bad slope reports the due date.
+    rows = _rows(5)
+    rows[2].update(due="nan", slope=" 1")
+    assert message(rows) == f"{path}: jobs[2]: field 'due': non-finite numeric literal 'nan'"
+    rows = _rows(3)
+    rows[1]["id"] = True
+    assert message(rows) == f"{path}: jobs[1]: field 'id' has the wrong type"
+    rows = _rows(3)
+    rows[2]["work"] = 1
+    assert message(rows) == f"{path}: jobs[2]: field 'work' must be a decimal string, got int"
+    rows = _rows(3)
+    rows[1]["due"] = "1"
+    assert message(rows) == f"{path}: jobs[1]: job 2: release must precede due date"
+    rows = _rows(3)
+    rows[2] = [rows[2]]
+    assert message(rows) == f"{path}: jobs[2]: expected an object"
+    # Leading or trailing whitespace, and other scripts' digits, are refused.
+    for text in ("2 ", "\t2", "\u0662"):
+        rows = _rows(3)
+        rows[0]["due"] = text
+        assert message(rows) == f"{path}: jobs[0]: field 'due': could not convert string to float: {text!r}"
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_trace_loader_names_the_first_bad_row(tmp_path, bits):
+    ctx = PrecisionContext(bits)
+    trace = _ship_trace(ctx)
+    path = tmp_path / "trace.json"
+
+    def message(edit):
+        record = trace_to_record(trace, ctx)
+        edit(record)
+        with pytest.raises(FileFormatError) as info:
+            load_trace(_write(path, record), ctx)
+        return str(info.value)
+
+    def two_bad_events(record):
+        record["events"][3]["kind"] = "warp"
+        record["events"][2]["time"] = "later"
+
+    assert message(two_bad_events) == (
+        f"{path}: events[2]: field 'time': could not convert string to float: 'later'"
+    )
+
+    def bad_kind_and_job(record):
+        record["events"][1].update(kind="warp", job=9)
+
+    assert message(bad_kind_and_job) == f"{path}: events[1]: unknown event kind"
+    assert message(lambda r: r["events"][4].__setitem__("job", True)) == (
+        f"{path}: events[4]: unknown job True"
+    )
+    assert message(lambda r: r["instance"]["jobs"][1].__setitem__("due", "-")) == (
+        f"{path}: instance.jobs[1]: field 'due': could not convert string to float: '-'"
+    )
+    assert message(lambda r: r["summary"]["completions"].__setitem__("2", "x")) == (
+        f"{path}: summary.completions: field '2': could not convert string to float: 'x'"
+    )
