@@ -57,6 +57,18 @@ def literal_error(text) -> ValueError:
     return ValueError(f"could not convert string to float: {text!r}")
 
 
+def _float_only(text) -> bool:
+    """True for a string outside the literal grammar that float() may read.
+
+    float() also takes other scripts' digits, underscores between
+    digits and surrounding whitespace (inf and nan are left to a
+    finiteness test).  Whitespace anywhere counts, so a concatenation
+    of literals fails the test when one of them does.  No regular
+    expression is needed, so 53-bit runs compile none.
+    """
+    return not text.isascii() or "_" in text or text.split() != [text]
+
+
 class PrecisionContext:
     """Working precision, which also fixes the comparison tolerance.
 
@@ -140,17 +152,32 @@ class PrecisionContext:
         Raises ValueError for any other string, with the same message
         at every precision.
         """
-        if self.real is float and isinstance(s, str):
-            # float() also takes surrounding whitespace, underscores
-            # between digits, other scripts' digits, and inf and nan,
-            # which the isfinite test below refuses.  Screening the rest
-            # here needs no regular expression, so 53-bit runs compile none.
-            if not s.isascii() or "_" in s or s != s.strip():
-                raise literal_error(s)
+        if self.real is float and isinstance(s, str) and _float_only(s):
+            raise literal_error(s)
         v = self.real(s)
         if not self.isfinite(v):
             raise ValueError(f"non-finite numeric literal {s!r}")
         return v
+
+    def parse_all(self, texts):
+        """parse() of every string in the list texts, or None.
+
+        At 53 bits the list is read in one pass: parse()'s screen runs
+        once on the joined text, float() reads each literal, and one
+        test checks that all are finite.  None when any value is not a
+        string or not a literal parse() takes, and always above 53 bits,
+        where literals are read one at a time; parse() on each value
+        then tells which one failed and why.
+        """
+        if self.real is not float:
+            return None
+        try:
+            if _float_only("".join(texts)):  # TypeError for a non-string
+                return None
+            values = list(map(float, texts))
+        except (TypeError, ValueError):
+            return None
+        return values if all(map(math.isfinite, values)) else None
 
 
 DOUBLE = PrecisionContext(bits=53)

@@ -11,9 +11,9 @@ a file's text is exactly json.dumps of its record with compact
 separators, which is what the tests hold the writers to, and `gen`
 prints an instance's record when it has no --out.
 
-Loaders parse a table one column at a time.  When any value of a
-column fails, a scan in row order names the first bad row and field,
-so messages and their precedence are those of a row-by-row parse.
+At 53 bits load_instance parses its job table one column at a time.
+When any value fails, and at every other precision, a scan in row
+order parses the table and names the first bad row and field.
 Parsers report the JSON location for syntax errors and the offending
 field for schema errors.
 """
@@ -21,8 +21,7 @@ field for schema errors.
 from __future__ import annotations
 
 import json
-import math
-from itertools import islice, repeat
+from itertools import islice
 
 from .core import (
     Instance,
@@ -121,63 +120,37 @@ def _job(record, ctx, where, jid, release, due, work, base, slope):
         raise FileFormatError(message) from exc
 
 
-def _number_column(texts, ctx):
-    """The scalars of a column of numeric literals, or None if any fails.
+# A job row's numeric fields and their defaults, in the order a row is parsed.
+_JOB_FIELDS = (("release", None), ("due", None), ("work", None), ("base", "0"), ("slope", "1"))
 
-    At 53 bits one pass screens the whole column as ctx.parse screens
-    one literal (ASCII, no underscore; whitespace anywhere sends the
-    column back to the row scan), float() reads it, and one test checks
-    that every value is finite.  Above, ctx.parse reads each literal.
+
+def _jobs(record, ctx, path):
+    """The Jobs of an instance record's job table.
+
+    At 53 bits the table is parsed column by column.  If any value
+    fails, and above 53 bits, a scan in row order parses it and raises
+    for the first bad row and field.
     """
-    try:
-        joined = "".join(texts)  # TypeError if any value is not a string
-        if ctx.real is not float:
-            return [ctx.parse(text) for text in texts]
-        if not joined.isascii() or "_" in joined or joined.split() != [joined]:
-            return None
-        values = list(map(float, texts))
-    except (TypeError, ValueError, ArithmeticError):
-        return None
-    return values if all(map(math.isfinite, values)) else None
-
-
-# A job row's numeric fields and their defaults, in the order a row is
-# parsed; a trace's job rows hold only the first two.
-_INSTANCE_FIELDS = (("release", None), ("due", None), ("work", None),
-                    ("base", "0"), ("slope", "1"))
-_TRACE_FIELDS = _INSTANCE_FIELDS[:2]
-
-
-def _jobs(record, block, label, ctx, path, fields=_INSTANCE_FIELDS, fixed=()):
-    """The Jobs of the table of job rows at block["jobs"].
-
-    fields names the numeric columns read, with their defaults, and
-    fixed gives the values of the Job arguments after them (a trace's
-    jobs get work 0 and a unit ramp).  The table is parsed column by
-    column; if any value fails, a scan in row order raises for the
-    first bad row and field.
-    """
-    rows = _expect(block, "jobs", list, path)
-    if rows and all(type(row) is dict for row in rows):
-        columns = [[row.get("id") for row in rows]]
-        columns += [_number_column([row.get(field, default) for row in rows], ctx)
-                    for field, default in fields]
+    rows = _expect(record, "jobs", list, path)
+    if ctx.real is float and rows and all(type(row) is dict for row in rows):
+        ids = [row.get("id") for row in rows]
+        columns = [ctx.parse_all([row.get(field, default) for row in rows])
+                   for field, default in _JOB_FIELDS]
         # type(), not isinstance(): JSON true would pass as id 1.
-        if None not in columns and all(type(jid) is int for jid in columns[0]):
+        if None not in columns and all(type(jid) is int for jid in ids):
             try:
                 return [
                     Job(jid, release, due, work, SpeedFunction(base, slope))
-                    for jid, release, due, work, base, slope
-                    in zip(*columns, *map(repeat, fixed))
+                    for jid, release, due, work, base, slope in zip(ids, *columns)
                 ]
             except ValueError:
                 pass
     jobs = []
-    for where, row in _rows(block, "jobs", path, label):
+    for where, row in _rows(record, "jobs", path, "jobs"):
         jid = _expect(row, "id", int, where)
         values = [_parse_number(row.get(field, default), ctx, where, field)
-                  for field, default in fields]
-        jobs.append(_job(record, ctx, where, jid, *values, *fixed))
+                  for field, default in _JOB_FIELDS]
+        jobs.append(_job(record, ctx, where, jid, *values))
     return jobs
 
 
@@ -236,7 +209,7 @@ def save_instance(instance: Instance, path, ctx: PrecisionContext):
 def load_instance(path, ctx: PrecisionContext) -> Instance:
     record = _read_json(path)
     _check_schema(record, path, "instance")
-    jobs = _jobs(record, record, "jobs", ctx, path)
+    jobs = _jobs(record, ctx, path)
     if not jobs:
         raise FileFormatError(f"{path}: instance has no jobs")
     try:
@@ -451,39 +424,6 @@ def _job_id(value, jobs, where):
     return value
 
 
-def _events(record, jobs, ctx, path):
-    """The (time, EventKind, job id or None) of each event row.
-
-    The rows are parsed column by column; if any value fails, a scan in
-    row order raises for the first bad row and field.
-    """
-    from .online import EventKind
-
-    rows = _expect(record, "events", list, path)
-    if all(type(row) is dict for row in rows):
-        times = _number_column([row.get("time") for row in rows], ctx)
-        by_value = {kind.value: kind for kind in EventKind}
-        try:
-            kinds = [by_value.get(row.get("kind")) for row in rows]
-        except TypeError:  # a kind that is a list or an object
-            kinds = [None]
-        ids = [row.get("job") for row in rows]
-        if times is not None and None not in kinds and all(
-            jid is None or (type(jid) is int and jid in jobs) for jid in ids
-        ):
-            return list(zip(times, kinds, ids))
-    events = []
-    for where, row in _rows(record, "events", path, "events"):
-        t = _parse_number(row.get("time"), ctx, where, "time")
-        try:
-            kind = EventKind(_expect(row, "kind", str, where))
-        except ValueError as exc:
-            raise FileFormatError(f"{where}: unknown event kind") from exc
-        jid = row.get("job")
-        events.append((t, kind, None if jid is None else _job_id(jid, jobs, where)))
-    return events
-
-
 def _per_job(summary, field, jobs, ctx, path):
     """A summary map from job id to number, covering exactly the trace's jobs."""
     where = f"{path}: summary.{field}"
@@ -515,7 +455,12 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
     if isinstance(file_bits, int) and 24 <= file_bits < ctx.bits:
         check = PrecisionContext(bits=file_bits)
     inst_block = _expect(record, "instance", dict, path)
-    rows = _jobs(record, inst_block, "instance.jobs", ctx, path, _TRACE_FIELDS, (0, 0, 1))
+    rows = []
+    for where, row in _rows(inst_block, "jobs", path, "instance.jobs"):
+        jid = _expect(row, "id", int, where)
+        release = _parse_number(row.get("release"), ctx, where, "release")
+        due = _parse_number(row.get("due"), ctx, where, "due")
+        rows.append(_job(record, ctx, where, jid, release, due, 0, 0, 1))
     if not rows:
         raise FileFormatError(f"{path}: trace instance has no jobs")
     try:
@@ -535,29 +480,36 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
             None if cap is None else _parse_number(cap, ctx, f"{path}: policy", "cap")
         ),
     )
-    events = _events(record, jobs, ctx, path)
+    events = []
+    for where, row in _rows(record, "events", path, "events"):
+        t = _parse_number(row.get("time"), ctx, where, "time")
+        try:
+            kind_ev = EventKind(_expect(row, "kind", str, where))
+        except ValueError as exc:
+            raise FileFormatError(f"{where}: unknown event kind") from exc
+        jid = row.get("job")
+        events.append((t, kind_ev, None if jid is None else _job_id(jid, jobs, where)))
 
     # replay the event stream
-    start, preempt, complete = EventKind.START, EventKind.PREEMPT, EventKind.COMPLETE
     completions = {}
     busy = ctx.real(0)
     open_run = None
-    last_t = events[0][0] if events else None
+    last_t = None
     for t, kind_ev, jid in events:
-        if t < last_t:
+        if last_t is not None and t < last_t:
             raise FileFormatError(f"{path}: events go backward in time")
         last_t = t
-        if kind_ev is start:
+        if kind_ev is EventKind.START:
             if open_run is not None:
                 raise FileFormatError(f"{path}: start while job {open_run[0]} runs")
             open_run = (jid, t)
-        elif kind_ev is preempt or kind_ev is complete:
+        elif kind_ev in (EventKind.PREEMPT, EventKind.COMPLETE):
             if open_run is not None and open_run[0] == jid:
                 busy = busy + (t - open_run[1])
                 open_run = None
-            elif kind_ev is preempt:
+            elif kind_ev is EventKind.PREEMPT:
                 raise FileFormatError(f"{path}: preempt of a job that is not running")
-            if kind_ev is complete:
+            if kind_ev is EventKind.COMPLETE:
                 if jid in completions:
                     raise FileFormatError(f"{path}: job {jid} completes twice")
                 completions[jid] = t

@@ -355,7 +355,7 @@ def test_writer_memory_stays_below_the_file_size(tmp_path):
     assert path.read_text() == _compact(trace_to_record(trace, ctx))
 
 
-# --- the column loaders ------------------------------------------------------
+# --- loader error messages ---------------------------------------------------
 
 
 def _rows(n):
@@ -399,39 +399,3 @@ def test_loader_names_the_first_bad_row_and_field(tmp_path, bits):
         rows = _rows(3)
         rows[0]["due"] = text
         assert message(rows) == f"{path}: jobs[0]: field 'due': could not convert string to float: {text!r}"
-
-
-@pytest.mark.parametrize("bits", [53, 128])
-def test_trace_loader_names_the_first_bad_row(tmp_path, bits):
-    ctx = PrecisionContext(bits)
-    trace = _ship_trace(ctx)
-    path = tmp_path / "trace.json"
-
-    def message(edit):
-        record = trace_to_record(trace, ctx)
-        edit(record)
-        with pytest.raises(FileFormatError) as info:
-            load_trace(_write(path, record), ctx)
-        return str(info.value)
-
-    def two_bad_events(record):
-        record["events"][3]["kind"] = "warp"
-        record["events"][2]["time"] = "later"
-
-    assert message(two_bad_events) == (
-        f"{path}: events[2]: field 'time': could not convert string to float: 'later'"
-    )
-
-    def bad_kind_and_job(record):
-        record["events"][1].update(kind="warp", job=9)
-
-    assert message(bad_kind_and_job) == f"{path}: events[1]: unknown event kind"
-    assert message(lambda r: r["events"][4].__setitem__("job", True)) == (
-        f"{path}: events[4]: unknown job True"
-    )
-    assert message(lambda r: r["instance"]["jobs"][1].__setitem__("due", "-")) == (
-        f"{path}: instance.jobs[1]: field 'due': could not convert string to float: '-'"
-    )
-    assert message(lambda r: r["summary"]["completions"].__setitem__("2", "x")) == (
-        f"{path}: summary.completions: field '2': could not convert string to float: 'x'"
-    )
