@@ -10,7 +10,6 @@ from .core import (
     Schedule,
     SchedulingError,
     Segment,
-    SpeedFunction,
     UnsupportedInstanceError,
     Verdict,
     completion_from,
@@ -34,7 +33,6 @@ __all__ = [
     "Schedule",
     "SchedulingError",
     "Segment",
-    "SpeedFunction",
     "UnsupportedInstanceError",
     "Verdict",
     "completion_from",

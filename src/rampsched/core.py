@@ -150,12 +150,19 @@ class PrecisionContext:
         """Finite scalar from a numeric literal (or any value real() takes).
 
         Raises ValueError for any other string, with the same message
-        at every precision.
+        at every precision.  A literal beyond a double's range, which
+        float() reads as inf, is out of range at 53 bits and below; the
+        error names a precision above 53, where every literal is finite.
         """
         if self.real is float and isinstance(s, str) and _float_only(s):
             raise literal_error(s)
         v = self.real(s)
         if not self.isfinite(v):
+            if isinstance(s, str) and s.lower().lstrip("+-") not in _NON_FINITE:
+                raise ValueError(
+                    f"numeric literal {s!r} is out of range at {self.bits} bits; "
+                    f"retry with --precision {max(2 * self.bits, 64)}"
+                )
             raise ValueError(f"non-finite numeric literal {s!r}")
         return v
 
@@ -250,53 +257,46 @@ class Record:
         return f"{type(self).__name__}({args})"
 
 
-class SpeedFunction(Record):
-    """Execution speed base + slope*(t - r) for t >= r, the job's release."""
-
-    __slots__ = _fields = ("base", "slope")
-
-    def __init__(self, base, slope):
-        if base < 0 or slope < 0:
-            raise ValueError("speed coefficients must be nonnegative")
-        self.base = base
-        self.slope = slope
-
-
 class Job(Record):
     """One preemptible job: a work amount due inside [release, due].
 
-    length is due - release, computed once: every stretch divides by it.
+    It runs at speed base + slope*(t - release) for t >= release; the
+    fields are exactly an instance file's job row.  length is
+    due - release, computed once: every stretch divides by it.
     """
 
-    _fields = ("id", "release", "due", "work", "speed")
+    _fields = ("id", "release", "due", "work", "base", "slope")
     __slots__ = _fields + ("length",)
 
-    def __init__(self, id: int, release, due, work, speed: SpeedFunction):
+    def __init__(self, id: int, release, due, work, base, slope):
+        if base < 0 or slope < 0:
+            raise ValueError("speed coefficients must be nonnegative")
         if not release < due:
             raise ValueError(f"job {id}: release must precede due date")
         if work < 0:
             raise ValueError(f"job {id}: negative work")
-        if speed.base == 0 and speed.slope == 0 and work != 0:
+        if base == 0 and slope == 0 and work != 0:
             raise ValueError(f"job {id}: zero speed with positive work")
         self.id = id
         self.release = release
         self.due = due
         self.work = work
-        self.speed = speed
+        self.base = base
+        self.slope = slope
         self.length = due - release
 
     @property
     def is_lazy(self) -> bool:
         """Pure ramp: speed zero at release, growing linearly."""
-        return self.speed.base == 0 and self.speed.slope > 0
+        return self.base == 0 and self.slope > 0
 
 
 def lazy_job(id: int, release, due, work, slope=1) -> Job:
-    return Job(id, release, due, work, SpeedFunction(0, slope))
+    return Job(id, release, due, work, 0, slope)
 
 
 def nonlazy_job(id: int, release, due, work, base=1) -> Job:
-    return Job(id, release, due, work, SpeedFunction(base, 0))
+    return Job(id, release, due, work, base, 0)
 
 
 class Instance(Record):
@@ -363,8 +363,7 @@ def speed_at(job: Job, t):
     """Instantaneous speed of job at time t (t >= release)."""
     if t < job.release:
         raise ValueError(f"job {job.id} queried before its release")
-    sp = job.speed
-    return sp.base + sp.slope * (t - job.release)
+    return job.base + job.slope * (t - job.release)
 
 
 def work_in(job: Job, a, b, cap=None):
@@ -379,18 +378,17 @@ def work_in(job: Job, a, b, cap=None):
         raise ValueError("reversed interval")
     if a < job.release:
         raise ValueError(f"job {job.id}: interval starts before release")
-    sp = job.speed
     if cap is not None:
-        if sp.slope == 0:
-            return min(sp.base, cap) * (b - a)
-        reach = job.release + (cap - sp.base) / sp.slope
+        if job.slope == 0:
+            return min(job.base, cap) * (b - a)
+        reach = job.release + (cap - job.base) / job.slope
         if reach <= a:
             return cap * (b - a)
         if reach < b:
             return work_in(job, a, reach) + cap * (b - reach)
     u = a - job.release
     v = b - job.release
-    return sp.base * (b - a) + sp.slope * (v * v - u * u) / 2
+    return job.base * (b - a) + job.slope * (v * v - u * u) / 2
 
 
 def completion_from(job: Job, start, remaining, ctx: PrecisionContext, cap=None):
@@ -405,14 +403,13 @@ def completion_from(job: Job, start, remaining, ctx: PrecisionContext, cap=None)
         raise ValueError("negative remaining work")
     if remaining == 0:
         return start
-    sp = job.speed
-    if sp.slope == 0:
-        rate = sp.base if cap is None else min(sp.base, cap)
+    if job.slope == 0:
+        rate = job.base if cap is None else min(job.base, cap)
         if rate == 0:
             raise NeverCompletesError(f"job {job.id} has zero speed forever")
         return start + remaining / rate
     if cap is not None:
-        reach = job.release + (cap - sp.base) / sp.slope
+        reach = job.release + (cap - job.base) / job.slope
         if start >= reach:
             return start + remaining / cap
         ramp_room = work_in(job, start, reach)
@@ -420,9 +417,9 @@ def completion_from(job: Job, start, remaining, ctx: PrecisionContext, cap=None)
             return reach + (remaining - ramp_room) / cap
     u0 = start - job.release
     # Work from the release to the unknown finish time.
-    c = remaining + sp.base * u0 + sp.slope * u0 * u0 / 2
-    disc = sp.base * sp.base + 2 * sp.slope * c
-    u = 2 * c / (sp.base + ctx.sqrt(disc))
+    c = remaining + job.base * u0 + job.slope * u0 * u0 / 2
+    disc = job.base * job.base + 2 * job.slope * c
+    u = 2 * c / (job.base + ctx.sqrt(disc))
     return job.release + u
 
 

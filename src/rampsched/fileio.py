@@ -29,7 +29,6 @@ from .core import (
     Policy,
     PrecisionContext,
     Schedule,
-    SpeedFunction,
     stretch,
     total_busy_time,
 )
@@ -111,7 +110,7 @@ def _rows(record, field, path, label):
 def _job(record, ctx, where, jid, release, due, work, base, slope):
     """The row's Job; a window that collapsed on parsing names the file's precision."""
     try:
-        return Job(jid, release, due, work, SpeedFunction(base, slope))
+        return Job(jid, release, due, work, base, slope)
     except ValueError as exc:
         message = f"{where}: {exc}"
         bits = record.get("precision_bits")
@@ -139,10 +138,7 @@ def _jobs(record, ctx, path):
         # type(), not isinstance(): JSON true would pass as id 1.
         if None not in columns and all(type(jid) is int for jid in ids):
             try:
-                return [
-                    Job(jid, release, due, work, SpeedFunction(base, slope))
-                    for jid, release, due, work, base, slope in zip(ids, *columns)
-                ]
+                return list(map(Job, ids, *columns))
             except ValueError:
                 pass
     jobs = []
@@ -179,8 +175,8 @@ def instance_to_record(instance: Instance, ctx: PrecisionContext) -> dict:
                 "release": ctx.format(j.release),
                 "due": ctx.format(j.due),
                 "work": ctx.format(j.work),
-                "base": ctx.format(j.speed.base),
-                "slope": ctx.format(j.speed.slope),
+                "base": ctx.format(j.base),
+                "slope": ctx.format(j.slope),
             }
             for j in instance.jobs
         ],
@@ -199,8 +195,7 @@ def save_instance(instance: Instance, path, ctx: PrecisionContext):
         )
         _write_rows(write, (
             f'{{"id":{j.id},"release":"{fmt(j.release)}","due":"{fmt(j.due)}",'
-            f'"work":"{fmt(j.work)}","base":"{fmt(j.speed.base)}",'
-            f'"slope":"{fmt(j.speed.slope)}"}}'
+            f'"work":"{fmt(j.work)}","base":"{fmt(j.base)}","slope":"{fmt(j.slope)}"}}'
             for j in instance.jobs
         ))
         write("]}\n")

@@ -95,12 +95,10 @@ def gen_srpt(n: int, ctx: PrecisionContext, rationalize=None) -> Instance:
     )
 
 
-def gen_lssf(
-    n: int, ctx: PrecisionContext, takeover=None, rationalize=None
-) -> Instance:
+def gen_lssf(n: int, ctx: PrecisionContext, rationalize=None) -> Instance:
     """Cascade in which greedy stretch-chasing snowballs to sqrt(n-1).
 
-    Job 2 overtakes the long job 1 at a small stretch s, finishing
+    Job 2 overtakes the long job 1 at stretch s = 1/4, finishing
     late; from job 3 on, each job's window is sized so its
     stretch-so-far when it finally starts is exactly sqrt(j-2), making
     it complete at stretch sqrt(j-1).  Every window from job 3 on is
@@ -114,9 +112,7 @@ def gen_lssf(
     """
     if n < 3:
         raise ValueError("the cascade needs at least three jobs")
-    s = ctx.real(takeover) if takeover is not None else ctx.real(1) / 4
-    if not 0 < s < 1:
-        raise ValueError("takeover stretch must lie in (0, 1)")
+    s = ctx.real(1) / 4
     r1 = ctx.real(-1)
     d1 = 1 / s  # crossing of (t - r1)/(d1 - r1) with t/1 lands exactly at s
     one = ctx.real(1)
@@ -282,7 +278,7 @@ def gen_random_feasible(n: int, seed: int, ctx: PrecisionContext) -> Instance:
             if verdict.status is Feasibility.FEASIBLE:
                 return inst
             jobs = [
-                lazy_job(j.id, j.release, j.due, j.work * 3 / 4, slope=j.speed.slope)
+                lazy_job(j.id, j.release, j.due, j.work * 3 / 4, slope=j.slope)
                 for j in jobs
             ]
     raise SchedulingError(f"no feasible draw for n={n}, seed={seed}")

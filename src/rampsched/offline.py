@@ -128,9 +128,8 @@ def lrtb(instance: Instance, ctx: PrecisionContext):
                 continue
             top = heap[0][2]
             r = top.release
-            m = top.speed.slope
             # Where the top job's remaining work runs out, sweeping backward.
-            disc = (tau - r) * (tau - r) - 2 * rem[top.id] / m
+            disc = (tau - r) * (tau - r) - 2 * rem[top.id] / top.slope
             exhaust = r + ctx.sqrt(disc) if disc > 0 else None
             lo = r if exhaust is None else exhaust
             if next_due is not None and next_due > lo:
@@ -407,16 +406,17 @@ def validate_schedule(
         if job is None:
             violations.append(f"segment references unknown job {seg.job}")
             continue
-        # Segment ends are stored numbers, so an overlap is decided exactly.
+        # Segment ends, releases and due dates are stored numbers, so
+        # overlap and containment are decided exactly.
         if prev is not None and seg.start < prev.end:
             violations.append(
                 f"segments overlap: job {prev.job} until {prev.end}, "
                 f"job {seg.job} from {seg.start}"
             )
         prev = seg
-        if ctx.compare(seg.start, job.release) is Verdict.LESS:
+        if seg.start < job.release:
             violations.append(f"job {seg.job} runs before its release")
-        if require_due_dates and ctx.compare(seg.end, job.due) is Verdict.GREATER:
+        if require_due_dates and seg.end > job.due:
             violations.append(f"job {seg.job} runs past its due date")
         # The speed function is undefined before the release, so integrate
         # from there; the pre-release part was already flagged above.
@@ -505,7 +505,7 @@ def brute_force_optimal(instance: Instance, resolution: int, ctx: PrecisionConte
     claims = []
     for j in active:
         r, d = float(j.release), float(j.due)
-        m = float(j.speed.slope)
+        m = float(j.slope)
         first = bisect_left(pts, r)
         works = []
         for s in range(first, bisect_right(pts, d) - 1):

@@ -339,8 +339,8 @@ class SimState:
         """Put a waiting SRPT or LSSF job in its bucket; True if it opened one.
 
         The bucket key holds every input of the job's dispatch value.
-        completion_from reads the release, the speed, the remaining
-        work and the cap (the job id only names it in errors); stretch
+        completion_from reads the release, base, slope, remaining
+        work and cap (the job id only names it in errors); stretch
         reads the release and the due date.  Waiting jobs with equal
         keys therefore get bit-identical values from the same
         arithmetic (the loader and the generators give every number of
@@ -350,8 +350,7 @@ class SimState:
         if self.spec.kind is Policy.LSSF:
             key = job.release, job.due
         else:
-            sp = job.speed
-            key = job.release, sp.base, sp.slope, self.caps.get(jid), self.remaining[jid]
+            key = job.release, job.base, job.slope, self.caps.get(jid), self.remaining[jid]
         self.bucket_of[jid] = key
         bucket = self.buckets.get(key)
         if bucket is None:

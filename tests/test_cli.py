@@ -123,7 +123,7 @@ def test_solve_recovers_reduction_instances(tmp_path, capsys):
     # The same jobs under ids 10, 20, 30 are not the reduction, and the
     # sweep cannot take the constant-speed filler.
     jobs = tuple(
-        Job(10 * j.id, j.release, j.due, j.work, j.speed)
+        Job(10 * j.id, j.release, j.due, j.work, j.base, j.slope)
         for j in load_instance(inst, CTX).jobs
     )
     renumbered = write_instance(tmp_path, jobs, name="renumbered")
@@ -227,6 +227,29 @@ def test_numbers_beyond_float_range_print_their_digits(tmp_path, capsys):
     assert _short(CTX.real("-3e-400")) == "-3.0e-400"
     assert _short(CTX.real("123456789.123456789")) == "123456789.123"
     assert _short(CTX.real(0)) == _short(0) == _short(0.0) == "0"
+
+
+def test_literals_beyond_double_range_name_a_precision_that_reads_them(tmp_path, capsys):
+    # float() reads both literals as inf; they are finite, so more bits help.
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "kind": "instance",
+        "jobs": [{"id": 1, "release": "0", "due": "1e1000000", "work": "1", "slope": "1"}],
+    }))
+    small = write_instance(tmp_path, (lazy_job(1, 0, 2, 1),))
+    for argv, literal in (
+        (("solve", str(path)), "1e1000000"),
+        (("simulate", small, "--policy", "fifo", "--alpha", "1e400"), "1e400"),
+    ):
+        code, _, err = run(capsys, *argv, "--precision", "53")
+        assert code == 64
+        hint = f"numeric literal {literal!r} is out of range at 53 bits; retry with --precision "
+        assert hint in err
+        bits = err.strip().rsplit(" ", 1)[1]
+        assert int(bits) > 53
+        code, _, err = run(capsys, *argv, "--precision", bits)
+        assert code == 0, err
 
 
 def test_low_precision_load_names_the_precision_the_file_needs(tmp_path, capsys):

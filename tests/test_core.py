@@ -20,7 +20,6 @@ from rampsched import (
     PrecisionContext,
     Schedule,
     Segment,
-    SpeedFunction,
     Verdict,
     completion_from,
     dyadic,
@@ -61,7 +60,7 @@ def test_work_in_constant_speed():
 
 def test_work_in_mixed_speed():
     # speed 1 + (t - 0); over [1,2]: 1 + (4-1)/2 = 2.5
-    j = Job(1, 0, 4, 2.5, SpeedFunction(1, 1))
+    j = Job(1, 0, 4, 2.5, 1, 1)
     assert work_in(j, 1, 2) == 2.5
 
 
@@ -92,7 +91,7 @@ def test_completion_from_zero_remaining_and_errors():
     assert completion_from(j, 1.25, 0, DOUBLE) == 1.25
     with pytest.raises(ValueError):
         completion_from(j, -1, 1, DOUBLE)
-    zero = Job(1, 0, 2, 0, SpeedFunction(0, 0))
+    zero = Job(1, 0, 2, 0, 0, 0)
     with pytest.raises(NeverCompletesError):
         completion_from(zero, 0, 1, DOUBLE)
 
@@ -125,10 +124,14 @@ def test_job_validation():
     with pytest.raises(ValueError, match="^job 1: negative work$"):
         lazy_job(1, 0, 2, -1)
     with pytest.raises(ValueError, match="^job 1: zero speed with positive work$"):
-        Job(1, 0, 2, 1, SpeedFunction(0, 0))  # no speed, positive work
+        Job(1, 0, 2, 1, 0, 0)  # no speed, positive work
     with pytest.raises(ValueError, match="^speed coefficients must be nonnegative$"):
-        SpeedFunction(0, -1)
-    Job(1, 0, 2, 0, SpeedFunction(0, 0))  # zero work, zero speed is fine
+        Job(1, 0, 2, 1, 0, -1)
+    # The coefficients are checked first, so they name a row that is also
+    # bad in every other way.
+    with pytest.raises(ValueError, match="^speed coefficients must be nonnegative$"):
+        Job(1, 2, 2, -1, -1, 0)
+    Job(1, 0, 2, 0, 0, 0)  # zero work, zero speed is fine
 
 
 def test_instance_sorting_and_ids():
@@ -153,18 +156,15 @@ def test_segment_and_schedule_validation():
 
 
 def test_records_take_keywords_and_compare_by_value():
-    speed = SpeedFunction(base=0, slope=2)
-    job = Job(id=1, release=0, due=2, work=1, speed=speed)
+    job = Job(id=1, release=0, due=2, work=1, base=0, slope=2)
     assert job == lazy_job(1, 0, 2, 1, slope=2)
     assert hash(job) == hash(lazy_job(1, 0, 2, 1, slope=2))
     assert len({job, lazy_job(1, 0, 2, 1, slope=2)}) == 1
     assert job.length == 2
     assert job != lazy_job(1, 0, 2, 1)  # another slope
     assert job != lazy_job(1, 0, 2, 0.5, slope=2)
-    assert job != (1, 0, 2, 1, speed)
-    assert repr(job) == (
-        "Job(id=1, release=0, due=2, work=1, speed=SpeedFunction(base=0, slope=2))"
-    )
+    assert job != (1, 0, 2, 1, 0, 2)
+    assert repr(job) == "Job(id=1, release=0, due=2, work=1, base=0, slope=2)"
 
     inst = Instance(jobs=[lazy_job(2, 1, 3, 1), job], name="n", provenance="p")
     assert inst.jobs == (job, lazy_job(2, 1, 3, 1))  # a list is sorted into a tuple
@@ -260,7 +260,7 @@ pos = st.floats(min_value=0.01, max_value=50, allow_nan=False)
 
 @given(r=finite, m=pos, base=st.floats(min_value=0, max_value=5), da=pos, db=pos, dc=pos)
 def test_work_additivity(r, m, base, da, db, dc):
-    j = Job(1, r, r + da + db + dc + 1, 1, SpeedFunction(base, m))
+    j = Job(1, r, r + da + db + dc + 1, 1, base, m)
     a, b, c = r + da, r + da + db, r + da + db + dc
     lhs = work_in(j, a, c)
     rhs = work_in(j, a, b) + work_in(j, b, c)
@@ -269,7 +269,7 @@ def test_work_additivity(r, m, base, da, db, dc):
 
 @given(r=finite, m=pos, base=st.floats(min_value=0, max_value=5), da=pos, db=pos)
 def test_completion_inverts_work(r, m, base, da, db):
-    j = Job(1, r, r + da + db + 1, 1, SpeedFunction(base, m))
+    j = Job(1, r, r + da + db + 1, 1, base, m)
     a, b = r + da, r + da + db
     w = work_in(j, a, b)
     assert completion_from(j, a, w, DOUBLE) == pytest.approx(b, rel=1e-9, abs=1e-9)

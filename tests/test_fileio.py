@@ -44,8 +44,8 @@ def test_instance_defaults_and_mixed_speeds(tmp_path):
     path = tmp_path / "mixed.json"
     save_instance(inst, path, CTX)
     again = load_instance(path, CTX)
-    assert again.by_id[2].speed.base == 2
-    assert again.by_id[2].speed.slope == 0
+    assert again.by_id[2].base == 2
+    assert again.by_id[2].slope == 0
     # base and slope fall back to a pure unit ramp when omitted.
     record = json.loads(path.read_text())
     for row in record["jobs"]:
@@ -53,8 +53,8 @@ def test_instance_defaults_and_mixed_speeds(tmp_path):
         row.pop("slope")
     path.write_text(json.dumps(record))
     bare = load_instance(path, CTX)
-    assert bare.by_id[1].speed.base == 0
-    assert bare.by_id[1].speed.slope == 1
+    assert bare.by_id[1].base == 0
+    assert bare.by_id[1].slope == 1
 
 
 def _write(path, record):
@@ -146,6 +146,25 @@ def test_trace_round_trip_replays_the_events(tmp_path):
         assert CTX.close(rec.completions[jid], done)
         assert CTX.close(rec.stretches[jid], trace.stretches[jid])
     assert CTX.close(rec.max_stretch, max(trace.stretches.values()))
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_trace_round_trips_are_exact(tmp_path, bits):
+    # Saved and loaded at one precision, a trace replays to the same numbers.
+    ctx = PrecisionContext(bits)
+    path = tmp_path / "trace.json"
+    instances = [_ship_trace(ctx).instance, gen_srpt(6, ctx)]
+    instances += [gen_random_feasible(12, seed, ctx) for seed in (1, 2, 3)]
+    for inst in instances:
+        for policy in Policy:
+            for cap in (None, ctx.real(2)):
+                trace = simulate(inst, PolicySpec(policy, speed_cap_factor=cap), ctx)
+                save_trace(trace, path, ctx)
+                rec = load_trace(path, ctx)
+                assert rec.completions == trace.completions
+                assert rec.stretches == trace.stretches
+                assert rec.busy_time == trace.busy_time
+                assert rec.max_stretch == max(trace.stretches.values())
 
 
 def test_trace_records_missed_due_dates(tmp_path):

@@ -73,16 +73,6 @@ def test_stretch_cascade_snowballs_to_the_root():
     assert first_starts == [1, 2, 3, 4, 5, 6]
 
 
-def test_stretch_cascade_takeover_knob():
-    inst = gen_lssf(5, CTX, takeover=CTX.real(1) / 8)
-    trace = simulate(inst, PolicySpec(Policy.LSSF), CTX)
-    assert abs(max_stretch(trace) - 2) < CTX.real(10) ** -30
-    with pytest.raises(ValueError):
-        gen_lssf(5, CTX, takeover=1)
-    with pytest.raises(ValueError):
-        gen_lssf(2, CTX)
-
-
 def test_rationalized_instances_stay_faithful():
     inst = gen_lssf(5, CTX, rationalize=1e-6)
     _, verdict = lrtb(inst, CTX)
@@ -156,7 +146,7 @@ def test_reduction_tiles_the_horizon():
     assert (surd1.release, surd1.due, surd1.work) == (0, 4, 7)
     assert (surd2.release, surd2.due, surd2.work) == (4, 11, 22)
     assert filler.release == 0 and filler.due == 11
-    assert filler.speed.slope == 0 and filler.speed.base == 1
+    assert filler.slope == 0 and filler.base == 1
     assert filler.work == 3
 
 
@@ -186,7 +176,7 @@ def test_recover_round_trips_and_rejects_lookalikes(tmp_path):
     assert recover_ssr_query(Instance((lazy_job(1, 0, 2, 1),)), CTX) is None
     # The same jobs under other ids.
     renumbered = Instance(tuple(
-        Job(10 * j.id, j.release, j.due, j.work, j.speed) for j in base.jobs
+        Job(10 * j.id, j.release, j.due, j.work, j.base, j.slope) for j in base.jobs
     ))
     assert recover_ssr_query(renumbered, CTX) is None
     # Surd work one ulp off, at either precision: 22 carries 5 bits.

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from rampsched import Instance, Job, PrecisionContext, Schedule, SpeedFunction
+from rampsched import Instance, Job, PrecisionContext, Schedule
 from rampsched import UnsupportedInstanceError, lazy_job, nonlazy_job
 from rampsched.fileio import instance_to_record, schedule_to_record, trace_to_record
 from rampsched.generators import (
@@ -43,7 +43,7 @@ def _mixed(ctx):
             nonlazy_job(2, p("1"), p("3"), p("1")),
             nonlazy_job(3, p("0.5"), p("5"), p("1.5"), base=p("2")),
             lazy_job(4, p("2"), p("5"), p("1"), slope=p("2")),
-            Job(5, p("1"), p("4"), p("2"), SpeedFunction(p("0.5"), p("1"))),
+            Job(5, p("1"), p("4"), p("2"), p("0.5"), p("1")),
         ),
         name="mixed-speeds",
     )

@@ -260,7 +260,7 @@ def _quadratic_sweep(instance, ctx):
             continue
         top = min(runnable, key=lambda j: (-j.release, j.id))
         r = top.release
-        disc = (tau - r) * (tau - r) - 2 * rem[top.id] / top.speed.slope
+        disc = (tau - r) * (tau - r) - 2 * rem[top.id] / top.slope
         exhaust = r + ctx.sqrt(disc) if disc > 0 else None
         lo = r if exhaust is None else exhaust
         if next_due is not None and next_due > lo:
@@ -298,7 +298,7 @@ def _sweep_corpus(ctx):
         for scale in ("1.05", "1.3", "2"):
             yield Instance(
                 tuple(
-                    lazy_job(j.id, j.release, j.due, j.work * ctx.real(scale), j.speed.slope)
+                    lazy_job(j.id, j.release, j.due, j.work * ctx.real(scale), j.slope)
                     for j in base.jobs
                 )
             )
@@ -418,6 +418,24 @@ def test_validator_flags_running_before_release():
     assert not report.ok
     assert any("before its release" in v for v in report.violations)
     assert not any("speed function" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_validator_decides_containment_exactly(bits):
+    # One ulp outside the window, far inside the comparison tolerance, is outside.
+    ctx = PrecisionContext(bits)
+    r, d = ctx.real(1), ctx.real(3)
+    early = r - ctx.real(2) ** -bits
+    late = d + ctx.real(2) ** (2 - bits)
+    assert early < r and late > d
+    job = lazy_job(1, r, d, ctx.real(2))
+    inst = Instance((job,))
+    before = Schedule((Segment(1, early, d, work_in(job, r, d)),))
+    assert validate_schedule(inst, before, ctx).violations == ["job 1 runs before its release"]
+    past = Schedule((Segment(1, r, late, work_in(job, r, late)),))
+    assert validate_schedule(inst, past, ctx).ok
+    strict = validate_schedule(inst, past, ctx, require_due_dates=True)
+    assert strict.violations == ["job 1 runs past its due date"]
 
 
 def test_validator_flags_due_dates_only_on_request():

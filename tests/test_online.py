@@ -16,7 +16,6 @@ from rampsched import (
     Schedule,
     SchedulingError,
     Segment,
-    SpeedFunction,
     Verdict,
     lazy_job,
     nonlazy_job,
@@ -568,8 +567,7 @@ def _bucket_stress(ctx):
     x = ctx.real
 
     def job(jid, release, due, work, base="0", slope="1"):
-        speed = SpeedFunction(x(base), x(slope))
-        return Job(jid, x(release), x(due), x(work), speed)
+        return Job(jid, x(release), x(due), x(work), x(base), x(slope))
 
     # Equal-work twins 1 and 3 arrive while job 2 runs with the same
     # time left, so only the running-job preference keeps job 2.
