@@ -13,7 +13,8 @@ mpf: the result has the precision of the left BinFloat operand, or of
 the only one.
 
 Comparisons and hashes are exact against int, float and each other,
-so a value and the int or float it equals are one dict key.
+so a value and the int or float it equals are one dict key.  One body,
+`_comparison`, is bound once per operator as == < <= > >=.
 
 `BinFloat.to_str` ports the digit algorithm of mpmath's
 `libmpf.to_str`, so `x.to_str(n)` is the text of mpmath's
@@ -27,6 +28,7 @@ correctly past decimal exponent ±400.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 
@@ -182,6 +184,32 @@ def _order(x, other):
     if pair is None:
         return NotImplemented
     return _cmp(x.man, x.exp, *pair)
+
+
+def _comparison(op):
+    """BinFloat's comparison method for `op`, exact against every operand.
+
+    A BinFloat or an int whose exponent lies near self's is compared by
+    a plain shift; one farther apart goes through _cmp, and any other
+    operand through _order.  Against nan every comparison is False.
+    """
+
+    def compare(self, other):
+        if isinstance(other, BinFloat):
+            om, oe = other.man, other.exp
+        elif other.__class__ is int:
+            om, oe = other, 0
+        else:
+            c = _order(self, other)
+            return c if c is NotImplemented else c is not None and op(c, 0)
+        d = self.exp - oe
+        if 0 <= d < _NEAR:
+            return op(self.man << d, om)
+        if -_NEAR < d < 0:
+            return op(self.man, om << -d)
+        return op(_cmp(self.man, self.exp, om, oe), 0)
+
+    return compare
 
 
 # --- powers too large to compute exactly -------------------------------------
@@ -449,78 +477,13 @@ class BinFloat:
     def __abs__(self):
         return -self if self.man < 0 else self
 
-    # --- comparisons: exact; ints and near exponents take the inline path ----
+    # --- comparisons: one exact body, bound once per operator ----------------
 
-    def __eq__(self, other):
-        if isinstance(other, BinFloat):
-            return self.man == other.man and self.exp == other.exp
-        if other.__class__ is int:
-            if not self.exp:
-                return self.man == other
-            # An odd mantissa times a negative power of two is no integer.
-            return self.exp > 0 and _cmp(self.man, self.exp, other, 0) == 0
-        c = _order(self, other)
-        return c if c is NotImplemented else c == 0
-
-    def __lt__(self, other):
-        if isinstance(other, BinFloat):
-            om, oe = other.man, other.exp
-        elif other.__class__ is int:
-            om, oe = other, 0
-        else:
-            c = _order(self, other)
-            return c if c is NotImplemented else c is not None and c < 0
-        d = self.exp - oe
-        if 0 <= d < _NEAR:
-            return (self.man << d) < om
-        if -_NEAR < d < 0:
-            return self.man < (om << -d)
-        return _cmp(self.man, self.exp, om, oe) < 0
-
-    def __le__(self, other):
-        if isinstance(other, BinFloat):
-            om, oe = other.man, other.exp
-        elif other.__class__ is int:
-            om, oe = other, 0
-        else:
-            c = _order(self, other)
-            return c if c is NotImplemented else c is not None and c <= 0
-        d = self.exp - oe
-        if 0 <= d < _NEAR:
-            return (self.man << d) <= om
-        if -_NEAR < d < 0:
-            return self.man <= (om << -d)
-        return _cmp(self.man, self.exp, om, oe) <= 0
-
-    def __gt__(self, other):
-        if isinstance(other, BinFloat):
-            om, oe = other.man, other.exp
-        elif other.__class__ is int:
-            om, oe = other, 0
-        else:
-            c = _order(self, other)
-            return c if c is NotImplemented else c is not None and c > 0
-        d = self.exp - oe
-        if 0 <= d < _NEAR:
-            return (self.man << d) > om
-        if -_NEAR < d < 0:
-            return self.man > (om << -d)
-        return _cmp(self.man, self.exp, om, oe) > 0
-
-    def __ge__(self, other):
-        if isinstance(other, BinFloat):
-            om, oe = other.man, other.exp
-        elif other.__class__ is int:
-            om, oe = other, 0
-        else:
-            c = _order(self, other)
-            return c if c is NotImplemented else c is not None and c >= 0
-        d = self.exp - oe
-        if 0 <= d < _NEAR:
-            return (self.man << d) >= om
-        if -_NEAR < d < 0:
-            return self.man >= (om << -d)
-        return _cmp(self.man, self.exp, om, oe) >= 0
+    __eq__ = _comparison(operator.eq)
+    __lt__ = _comparison(operator.lt)
+    __le__ = _comparison(operator.le)
+    __gt__ = _comparison(operator.gt)
+    __ge__ = _comparison(operator.ge)
 
     # --- arithmetic: exact result, one rounding ------------------------------
 

@@ -19,8 +19,6 @@ discriminant, is exact in the working precision.
 from __future__ import annotations
 
 import math
-import random
-from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
 from .core import (
     Instance,
@@ -34,7 +32,8 @@ from .core import (
 
 # The closed forms (gen_srpt, gen_lssf) need neither the sweep nor the
 # simulator, so the functions that do import offline and online
-# themselves: `gen lssf` and `gen srpt` load neither.
+# themselves: `gen lssf` and `gen srpt` load neither.  decimal and
+# random are imported the same way, by their one user each.
 
 __all__ = [
     "AdversaryOutcome",
@@ -52,6 +51,8 @@ __all__ = [
 
 def _round_decimal(value, rel, ctx, up: bool):
     """Nearest decimal within relative distance `rel`, rounded outward."""
+    from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+
     if not rel > 0:
         raise ValueError(f"rationalize bound must be positive, got {ctx.format(rel)}")
     if value == 0:
@@ -246,6 +247,8 @@ def gen_random_feasible(n: int, seed: int, ctx: PrecisionContext) -> Instance:
     work (and eventually redraws) until the feasibility verdict is
     decisive.  Deterministic in (n, seed).
     """
+    import random
+
     from .offline import Feasibility, lrtb
 
     if n < 1:

@@ -284,13 +284,13 @@ class SimState:
 
     SRPT and LSSF file every waiting job (released, unfinished, not
     running) in a bucket, a heap of ids: `buckets` maps the key (see
-    `file`) of each nonempty bucket to it, and `bucket_of` maps a
-    waiting job to its bucket's key.  start drops a bucket that it
-    empties; a preempted job is filed again under its new remaining
-    work.  Under LSSF, `crossings` is a heap of the future stretch
-    crossings of the running job `crossings_of` with every bucket, one
-    entry shape per precision: at 53 bits and below, (crossing, 1,
-    crossing, bucket job).
+    `bucket_key`) of each nonempty bucket to it.  No input of a key
+    changes while its job waits, so start finds the bucket by the same
+    key and drops it if it empties; a preempted job is filed again
+    under its new remaining work.  Under LSSF, `crossings` is a heap of
+    the future stretch crossings of the running job `crossings_of` with
+    every bucket, one entry shape per precision: at 53 bits and below,
+    (crossing, 1, crossing, bucket job).
 
     Above 53 bits, `screen` holds every job's exact stretch line, and
     its invariant is that a skipped evaluation cannot change the trace.
@@ -304,7 +304,7 @@ class SimState:
 
     __slots__ = (
         "spec", "jobs", "ctx", "remaining", "running", "running_rank", "static", "caps",
-        "ready", "pending", "buckets", "bucket_of", "crossings", "crossings_of", "screen",
+        "ready", "pending", "buckets", "crossings", "crossings_of", "screen",
     )
 
     def __init__(self, spec: PolicySpec, jobs: dict, ctx: PrecisionContext):
@@ -319,7 +319,6 @@ class SimState:
         self.ready = []
         self.pending = []
         self.buckets = {}
-        self.bucket_of = {}
         self.crossings = []
         self.crossings_of = None
         self.screen = (
@@ -335,10 +334,10 @@ class SimState:
             return job.due
         return -job.release
 
-    def file(self, jid):
-        """Put a waiting SRPT or LSSF job in its bucket; True if it opened one.
+    def bucket_key(self, jid):
+        """The key of a waiting SRPT or LSSF job's bucket.
 
-        The bucket key holds every input of the job's dispatch value.
+        It holds every input of the job's dispatch value.
         completion_from reads the release, base, slope, remaining
         work and cap (the job id only names it in errors); stretch
         reads the release and the due date.  Waiting jobs with equal
@@ -348,10 +347,12 @@ class SimState:
         """
         job = self.jobs[jid]
         if self.spec.kind is Policy.LSSF:
-            key = job.release, job.due
-        else:
-            key = job.release, job.base, job.slope, self.caps.get(jid), self.remaining[jid]
-        self.bucket_of[jid] = key
+            return job.release, job.due
+        return job.release, job.base, job.slope, self.caps.get(jid), self.remaining[jid]
+
+    def file(self, jid):
+        """Put a waiting SRPT or LSSF job in its bucket; True if it opened one."""
+        key = self.bucket_key(jid)
         bucket = self.buckets.get(key)
         if bucket is None:
             self.buckets[key] = [jid]
@@ -360,12 +361,12 @@ class SimState:
         return False
 
     def start(self, jid):
-        """Run job jid, taking it out of its bucket if it has one."""
+        """Run job jid, taking an SRPT or LSSF job out of its bucket."""
         self.running = jid
         if self.static:
             self.running_rank = self.rank(self.jobs[jid])
-        key = self.bucket_of.pop(jid, None)
-        if key is not None:
+        else:
+            key = self.bucket_key(jid)
             bucket = self.buckets[key]
             if len(bucket) == 1:
                 del self.buckets[key]

@@ -1,6 +1,7 @@
 """The binary scalar against mpmath, its reference, and its own edge cases."""
 
 import math
+import operator
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -190,6 +191,122 @@ def test_precisions_mix_as_mpf_does():
     assert type(lo(1) + third) is lo and type(third + lo(1)) is hi
     assert type(1 + third) is hi and lo(third) == lo(1) / 3
     assert isinstance(third, BinFloat) and hi(third) is third
+
+
+def _exact(v):
+    """The exact rational value of a BinFloat, an int or a finite float."""
+    if isinstance(v, BinFloat):
+        return Fraction(v.man << v.exp) if v.exp >= 0 else Fraction(v.man, 1 << -v.exp)
+    return Fraction(v)
+
+
+def _nearest(q, bits):
+    """The bits-bit binary value nearest to the rational q, ties to even."""
+    if not q:
+        return q
+    a = abs(q)
+    e = a.numerator.bit_length() - a.denominator.bit_length() - bits
+    while a >= Fraction(2) ** (e + bits):
+        e += 1
+    while a < Fraction(2) ** (e + bits - 1):
+        e -= 1
+    m = a / Fraction(2) ** e
+    n = math.floor(m)
+    if m - n > Fraction(1, 2) or (m - n == Fraction(1, 2) and n & 1):
+        n += 1
+    return (n if q > 0 else -n) * Fraction(2) ** e
+
+
+_COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+# A BinFloat operand whose exponent is within _NEAR = 4096 of the
+# other's is shifted into place; farther apart, it goes through _cmp.
+_GAPS = (0, 1, 4095, 4096, 4097, 3_000_000)
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_every_comparison_matches_exact_rationals(bits):
+    cls, wide = binary_type(bits), binary_type(bits + 5000)
+    pairs = []
+    for g in _GAPS:
+        for m in (1, -3, (1 << bits) - 1):
+            # x's exponent is g and y's is -g; every other BinFloat or int
+            # operand has exponent 0, and each pair is compared both ways round.
+            x, y = cls(m) * cls(2) ** g, cls(m) * cls(2) ** -g
+            for a in (x, y):
+                pairs += [(a, cls(k)) for k in (1, -1, 5, m)]
+                pairs += [(a, k) for k in (0, 1, -1, True, False)]
+                pairs += [(a, f) for f in (0.0, -0.0, 0.5, -1e300, 2.0**-1074)]
+            # Ints and wider BinFloats hold values that differ from x only
+            # g bits below its lowest bit.
+            pairs += [(x, int(x) + k) for k in (-1, 0, 1)]
+            if g <= 4097:
+                pairs += [(x, wide((m << g) + k)) for k in (-1, 1)]
+    for a, b in pairs:
+        qa, qb = _exact(a), _exact(b)
+        for op in _COMPARISONS:
+            assert op(a, b) is op(qa, qb), (op, a, b)
+            assert op(b, a) is op(qb, qa), (op, b, a)
+    x = cls(3) * cls(2) ** 3_000_000
+    for v in (x, -x, 1 / x, cls(0)):
+        # Every finite value lies between the infinities, and nan equals nothing.
+        assert (v < math.inf, v <= math.inf, v > -math.inf, v >= -math.inf) == (True,) * 4
+        assert (v > math.inf, v >= math.inf, v < -math.inf, v <= -math.inf) == (False,) * 4
+        assert (v == math.inf, v != -math.inf, -math.inf < v < math.inf) == (False, True, True)
+        assert [op(v, math.nan) for op in _COMPARISONS] == [False, True, False, False, False, False]
+        assert [op(math.nan, v) for op in _COMPARISONS] == [False, True, False, False, False, False]
+        for other in (None, "1", "0"):
+            assert (v == other, other == v, v != other, other != v) == (False, False, True, True)
+            for op in _COMPARISONS[2:]:
+                with pytest.raises(TypeError):
+                    op(v, other)
+                with pytest.raises(TypeError):
+                    op(other, v)
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_far_sums_with_long_ints_round_once(bits):
+    # The int has more than 4096 bits and the BinFloat's exponent is more
+    # than 4096 away from it, yet the two overlap: the sum is aligned in full.
+    cls = binary_type(bits)
+    rng = random.Random(bits)
+    for g, extra in ((5000, 0), (5000, 1), (5000, 900), (4097, 3), (9000, -4)):
+        for m in (1, -1, 3, (1 << bits) - 1, -((1 << (bits - 1)) + 1)):
+            x = cls(m) * cls(2) ** g
+            top = abs(m).bit_length() + g + extra
+            for n in (1 << top, (1 << top) - 1, rng.getrandbits(top) | 1 | 1 << (top - 1)):
+                for k in (n, -n, -int(x) + 1, -int(x) + (1 << (g - 3 * bits))):
+                    for got, exact in ((x + k, _exact(x) + k), (k + x, k + _exact(x)),
+                                       (x - k, _exact(x) - k), (k - x, k - _exact(x))):
+                        assert type(got) is cls and _exact(got) == _nearest(exact, bits), (m, g, k)
+
+
+def _leading_digits(q, n):
+    """(c, s) with c = floor(q * 10**s) an n-digit int, for q > 0."""
+    log10 = (math.log2(q.numerator) - math.log2(q.denominator)) * math.log10(2)
+    s = n - 1 - math.floor(log10)
+    while math.floor(q * Fraction(10) ** s) >= 10**n:
+        s -= 1
+    while math.floor(q * Fraction(10) ** s) < 10 ** (n - 1):
+        s += 1
+    return math.floor(q * Fraction(10) ** s), s
+
+
+def test_literals_near_a_midpoint_past_the_exact_powers_round_once():
+    # Past decimal exponent 21,845, 5**|n| has more bits than the exact
+    # path allows, so the parser brackets the literal; one this close to
+    # a 128-bit midpoint needs the bracket widened before it rounds.
+    cls = binary_type(128)
+    for e in (100_000, -100_000):
+        mid = Fraction((1 << 128) + 2 * 12345 + 1) * Fraction(2) ** (e - 1)
+        c, s = _leading_digits(mid, 80)
+        assert s < -21_846 if e > 0 else s > 21_846
+        for k in (0, 1):  # just below the midpoint, then just above
+            text = f"{c + k}e{-s}"
+            value = Fraction(c + k) / Fraction(10) ** s
+            assert 0 < abs(value - mid) < mid / 10**78
+            for sign in ("", "-"):
+                got = cls(sign + text)
+                assert _exact(got) == _nearest(-value if sign else value, 128), sign + text
 
 
 @pytest.mark.parametrize("bits", [53, 128])

@@ -641,6 +641,13 @@ def _loaded_modules(*argv):
     }
 
 
+def test_generators_load_decimal_only_to_rationalize():
+    for argv in (["gen", "lssf", "--n", "3"], ["gen", "random", "--n", "4", "--seed", "1"]):
+        for bits in ("53", "128"):
+            assert "decimal" not in _loaded_modules(*argv, "--precision", bits), (argv[1], bits)
+    assert "decimal" in _loaded_modules("gen", "lssf", "--n", "3", "--rationalize", "1e-6")
+
+
 def test_double_precision_run_does_not_load_mpmath():
     modules = _loaded_modules("gen", "lssf", "--n", "3", "--precision", "53")
     assert "rampsched.core" in modules

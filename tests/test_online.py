@@ -165,7 +165,11 @@ def test_srpt_buckets_hold_only_waiting_jobs():
 
     def filed():
         assert all(state.buckets.values())
-        assert len(state.bucket_of) == sum(map(len, state.buckets.values()))
+        entries = [(key, jid) for key, bucket in state.buckets.items() for jid in bucket]
+        # Each waiting job sits once, in the bucket of its own key.
+        waiting = set(state.remaining) - {state.running}
+        assert sorted(jid for _, jid in entries) == sorted(waiting)
+        assert all(state.bucket_key(jid) == key for key, jid in entries)
         return sorted(sorted(bucket) for bucket in state.buckets.values())
 
     def finish():
@@ -185,7 +189,7 @@ def test_srpt_buckets_hold_only_waiting_jobs():
     assert filed() == [[2]]
     finish()
     state.start(2)
-    assert filed() == [] and state.bucket_of == {}
+    assert filed() == []
 
 
 def test_sim_state_takes_only_spec_jobs_and_ctx():
