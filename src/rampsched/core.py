@@ -169,22 +169,21 @@ class PrecisionContext:
     def parse_all(self, texts):
         """parse() of every string in the list texts, or None.
 
-        At 53 bits the list is read in one pass: parse()'s screen runs
-        once on the joined text, float() reads each literal, and one
-        test checks that all are finite.  None when any value is not a
-        string or not a literal parse() takes, and always above 53 bits,
-        where literals are read one at a time; parse() on each value
-        then tells which one failed and why.
+        The list is read in one pass at every precision: real() reads
+        each literal and one test checks that all are finite; at 53 bits
+        and below, parse()'s screen runs once on the joined text.  None
+        exactly where parse() would raise for some value, or when a
+        value is not a string; parse() on each value then tells which
+        one failed and why.
         """
-        if self.real is not float:
-            return None
         try:
-            if _float_only("".join(texts)):  # TypeError for a non-string
+            joined = "".join(texts)  # TypeError for a non-string
+            if self.real is float and _float_only(joined):
                 return None
-            values = list(map(float, texts))
-        except (TypeError, ValueError):
+            values = list(map(self.real, texts))
+        except (TypeError, ValueError, ArithmeticError):
             return None
-        return values if all(map(math.isfinite, values)) else None
+        return values if all(map(self.isfinite, values)) else None
 
 
 DOUBLE = PrecisionContext(bits=53)
@@ -325,7 +324,11 @@ class Instance(Record):
 
 
 class Segment(Record):
-    """Uninterrupted run of one job over [start, end]."""
+    """Uninterrupted run of one job over [start, end].
+
+    work_done is the work run in it, or None in a trace loaded from a
+    file, which stores no work.
+    """
 
     __slots__ = _fields = ("job", "start", "end", "work_done")
 

@@ -11,9 +11,12 @@ a file's text is exactly json.dumps of its record with compact
 separators, which is what the tests hold the writers to, and `gen`
 prints an instance's record when it has no --out.
 
-At 53 bits load_instance parses its job table one column at a time.
-When any value fails, and at every other precision, a scan in row
-order parses the table and names the first bad row and field.
+load_instance parses its job table one column at a time, at every
+precision.  When any value fails, a scan in row order parses the table
+and names the first bad row and field.  load_trace returns the
+online.SimTrace that simulate built: its jobs carry their windows with
+work 0 at unit slope, and its segments, replayed from the events, carry
+work_done None, since a trace file stores neither work nor speeds.
 Parsers report the JSON location for syntax errors and the offending
 field for schema errors.
 """
@@ -29,6 +32,7 @@ from .core import (
     Policy,
     PrecisionContext,
     Schedule,
+    Segment,
     stretch,
     total_busy_time,
 )
@@ -126,12 +130,12 @@ _JOB_FIELDS = (("release", None), ("due", None), ("work", None), ("base", "0"), 
 def _jobs(record, ctx, path):
     """The Jobs of an instance record's job table.
 
-    At 53 bits the table is parsed column by column.  If any value
-    fails, and above 53 bits, a scan in row order parses it and raises
-    for the first bad row and field.
+    The table is parsed column by column.  If any value fails, a scan
+    in row order parses it again and raises for the first bad row and
+    field.
     """
     rows = _expect(record, "jobs", list, path)
-    if ctx.real is float and rows and all(type(row) is dict for row in rows):
+    if rows and all(type(row) is dict for row in rows):
         ids = [row.get("id") for row in rows]
         columns = [ctx.parse_all([row.get(field, default) for row in rows])
                    for field, default in _JOB_FIELDS]
@@ -275,35 +279,6 @@ def save_schedule(instance, schedule, verdict, path, ctx):
 # --- traces ------------------------------------------------------------------
 
 
-class TraceRecord:
-    """A trace as loaded from disk, after self-consistency checks."""
-
-    __slots__ = (
-        "instance_name", "policy", "events", "completions", "stretches",
-        "max_stretch", "busy_time", "missed",
-    )
-
-    def __init__(
-        self,
-        instance_name: str,
-        policy,
-        events: list,
-        completions: dict,
-        stretches: dict,
-        max_stretch,
-        busy_time,
-        missed: list,
-    ):
-        self.instance_name = instance_name
-        self.policy = policy  # an online.PolicySpec
-        self.events = events
-        self.completions = completions
-        self.stretches = stretches
-        self.max_stretch = max_stretch
-        self.busy_time = busy_time
-        self.missed = missed
-
-
 def trace_to_record(trace, ctx: PrecisionContext) -> dict:
     """The trace file's record of an online.SimTrace."""
     from .online import missed_due_dates
@@ -433,13 +408,22 @@ def _per_job(summary, field, jobs, ctx, path):
     return out
 
 
-def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
-    """Load a trace and recompute its summary from the event stream.
+def load_trace(path, ctx: PrecisionContext):
+    """The online.SimTrace that a trace file records.
 
-    The stored summary is rejected if it disagrees with what the
-    events imply, so a trace file cannot drift from its own log.
+    Its instance holds each job row's id, release and due date, with
+    work 0 at unit slope: a trace file stores no work or speeds.  The
+    events are replayed.  A job's completion is its complete event, each
+    start followed by that job's preempt or complete is a Segment with
+    work_done None (empty spans are skipped, as simulate skips them), and
+    the busy time is total_busy_time of those segments.  Saving the
+    loaded trace at the precision that wrote it gives the same bytes.
+
+    The file is rejected when its event log is one no simulation writes,
+    or when its stored summary disagrees with the replay, so a trace
+    file cannot drift from its own log.
     """
-    from .online import EventKind, PolicySpec
+    from .online import EventKind, PolicySpec, SimTrace, TraceEvent, max_stretch
 
     record = _read_json(path)
     _check_schema(record, path, "trace")
@@ -459,9 +443,10 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
     if not rows:
         raise FileFormatError(f"{path}: trace instance has no jobs")
     try:
-        jobs = Instance(tuple(rows)).by_id
+        instance = Instance(tuple(rows), name=str(inst_block.get("name", "")))
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+    jobs = instance.by_id
     pol = _expect(record, "policy", dict, path)
     try:
         kind = Policy(_expect(pol, "kind", str, f"{path}: policy"))
@@ -475,7 +460,15 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
             None if cap is None else _parse_number(cap, ctx, f"{path}: policy", "cap")
         ),
     )
+
+    # Read and replay the event stream in one pass.
+    idle = (EventKind.IDLE_BEGIN, EventKind.IDLE_END)
     events = []
+    segments = []
+    completions = {}
+    released = set()
+    open_run = None
+    last_t = None
     for where, row in _rows(record, "events", path, "events"):
         t = _parse_number(row.get("time"), ctx, where, "time")
         try:
@@ -483,24 +476,29 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
         except ValueError as exc:
             raise FileFormatError(f"{where}: unknown event kind") from exc
         jid = row.get("job")
-        events.append((t, kind_ev, None if jid is None else _job_id(jid, jobs, where)))
-
-    # replay the event stream
-    completions = {}
-    busy = ctx.real(0)
-    open_run = None
-    last_t = None
-    for t, kind_ev, jid in events:
+        if kind_ev in idle:
+            if jid is not None:
+                raise FileFormatError(f"{where}: an idle event names job {jid!r}")
+        elif kind_ev is EventKind.RELEASE:
+            if _job_id(jid, jobs, where) in released:
+                raise FileFormatError(f"{where}: job {jid} is released twice")
+            released.add(jid)
+        elif _job_id(jid, jobs, where) not in released:
+            raise FileFormatError(f"{where}: job {jid} has an event before its release")
+        events.append(TraceEvent(t, kind_ev, jid))
         if last_t is not None and t < last_t:
             raise FileFormatError(f"{path}: events go backward in time")
         last_t = t
         if kind_ev is EventKind.START:
             if open_run is not None:
                 raise FileFormatError(f"{path}: start while job {open_run[0]} runs")
+            if t < jobs[jid].release:
+                raise FileFormatError(f"{where}: job {jid} starts before release")
             open_run = (jid, t)
         elif kind_ev in (EventKind.PREEMPT, EventKind.COMPLETE):
             if open_run is not None and open_run[0] == jid:
-                busy = busy + (t - open_run[1])
+                if open_run[1] < t:
+                    segments.append(Segment(jid, open_run[1], t, None))
                 open_run = None
             elif kind_ev is EventKind.PREEMPT:
                 raise FileFormatError(f"{path}: preempt of a job that is not running")
@@ -511,6 +509,8 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
     if open_run is not None:
         raise FileFormatError(f"{path}: trace ends while job {open_run[0]} runs")
 
+    trace = SimTrace(instance, spec, tuple(events), completions, {}, tuple(segments), None)
+    trace.busy_time = busy = total_busy_time(trace)
     summary = _expect(record, "summary", dict, path)
     stored_busy = _parse_number(
         summary.get("busy_time"), ctx, f"{path}: summary", "busy_time"
@@ -521,7 +521,7 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
         )
     stored_completions = _per_job(summary, "completions", jobs, ctx, path)
     stored_stretches = _per_job(summary, "stretches", jobs, ctx, path)
-    stretches = {}
+    stretches = trace.stretches
     for jid, c in stored_completions.items():
         if jid not in completions or not check.close(completions[jid], c):
             raise FileFormatError(
@@ -535,11 +535,10 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
             raise FileFormatError(
                 f"{path}: summary stretch of job {jid} disagrees with events"
             )
-    worst = max(stretches.values())
     stored_worst = _parse_number(
         summary.get("max_stretch"), ctx, f"{path}: summary", "max_stretch"
     )
-    if not check.close(stored_worst, worst):
+    if not check.close(stored_worst, max_stretch(trace)):
         raise FileFormatError(f"{path}: summary max_stretch disagrees with events")
     missed = [
         _job_id(jid, jobs, f"{path}: summary.missed_due_dates")
@@ -552,16 +551,7 @@ def load_trace(path, ctx: PrecisionContext) -> TraceRecord:
             raise FileFormatError(
                 f"{path}: summary missed_due_dates disagrees with events at job {jid}"
             )
-    return TraceRecord(
-        instance_name=str(inst_block.get("name", "")),
-        policy=spec,
-        events=events,
-        completions=completions,
-        stretches=stretches,
-        max_stretch=worst,
-        busy_time=busy,
-        missed=missed,
-    )
+    return trace
 
 
 # --- plot data ---------------------------------------------------------------

@@ -103,11 +103,13 @@ class TraceEvent(Record):
 
 
 class SimTrace:
-    """Everything a simulation run produced.
+    """Everything a simulation run produced, or a trace file records.
 
     completions and stretches are keyed by job id; segments are the
-    maximal uninterrupted runs, so busy_time equals the sum of their
-    lengths.
+    maximal uninterrupted runs, and busy_time is total_busy_time of
+    them.  A loaded trace's jobs carry their windows with work 0 at unit
+    slope, and its segments carry work_done None: a trace file stores
+    neither work nor speeds.
     """
 
     __slots__ = (

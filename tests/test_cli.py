@@ -17,6 +17,7 @@ import pytest
 from rampsched.cli import main
 from rampsched.core import Instance, Job, PrecisionContext, lazy_job, nonlazy_job
 from rampsched.fileio import load_instance, load_trace, save_instance
+from rampsched.online import missed_due_dates
 
 CTX = PrecisionContext(bits=128)
 
@@ -308,7 +309,7 @@ def test_simulate_writes_trace_and_plots(tmp_path, capsys):
 
     trace = load_trace(str(trace_path), CTX)
     assert trace.policy.kind.value == "lssf"
-    assert trace.missed
+    assert missed_due_dates(trace)
 
     header = plot_path.read_text().splitlines()[0]
     assert header == "job,release,due,completion,stretch"
@@ -376,7 +377,7 @@ def test_gen_adversary_trace(tmp_path, capsys):
     assert "branch:" in out
     assert "policy missed a due date: True" in out
     trace = load_trace(str(trace_path), CTX)
-    assert trace.missed
+    assert missed_due_dates(trace)
     assert load_instance(str(inst), CTX).jobs
 
 
@@ -720,6 +721,27 @@ def test_simulate_does_not_load_the_generators(tmp_path):
         assert skips not in modules, argv[0]
         assert "rampsched.generators" not in modules, argv[0]
         assert "csv" not in modules
+
+
+def test_each_command_loads_only_its_own_decider(tmp_path):
+    inst = write_instance(tmp_path, (lazy_job(1, 0, 2, 1), lazy_job(2, 1, 3, 1)))
+    out, plot = str(tmp_path / "out.json"), str(tmp_path / "plot.csv")
+    offline, online = "rampsched.offline", "rampsched.online"
+    for argv, layers in (
+        (["--help"], ()),
+        (["solve", inst, "--out", out], (offline,)),
+        (["check", "--xs", "2,3", "--threshold", "3"], (offline,)),
+        (["simulate", inst, "--policy", "lssf", "--trace-out", out, "--plot-out", plot],
+         (online,)),
+        (["gen", "adversary", "--policy", "edd"], (online,)),
+        (["bench", "--suite", "lssf", "--jobs", "4"], (online,)),
+        (["gen", "lssf", "--n", "4"], ()),
+        (["gen", "srpt", "--n", "4"], ()),
+        (["gen", "random", "--n", "4", "--seed", "1"], (offline,)),
+    ):
+        modules = _loaded_modules(*argv)
+        for layer in (offline, online):
+            assert (layer in modules) == (layer in layers), (argv[:2], layer)
 
 
 def test_closed_form_families_load_neither_decider():

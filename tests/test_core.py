@@ -235,21 +235,22 @@ def test_format_parse_roundtrip_examples():
 
 
 def test_parse_all_reads_exactly_what_parse_reads():
-    rng = random.Random(5)
     alphabet = "0123456789.eE+-_ infa\t٣"
-    for _ in range(3000):
-        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
-        try:
-            expected = [DOUBLE.parse(text)]
-        except ValueError:
-            expected = None
-        assert DOUBLE.parse_all([text]) == expected, text
-        # A bad literal among good ones fails the whole list.
-        assert DOUBLE.parse_all(["1", text, "2"]) == (expected and [1.0, *expected, 2.0]), text
+    for ctx in (DOUBLE, CTX128):
+        rng = random.Random(5)
+        for _ in range(3000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
+            try:
+                expected = [ctx.parse(text)]
+            except ValueError:
+                expected = None
+            assert ctx.parse_all([text]) == expected, (ctx, text)
+            # A bad literal among good ones fails the whole list.
+            assert ctx.parse_all(["1", text, "2"]) == (expected and [1.0, *expected, 2.0]), text
+        assert ctx.parse_all(["1", 2]) is None
     assert DOUBLE.parse_all(["1", "1e400"]) is None
-    assert DOUBLE.parse_all(["1", 2]) is None
-    # Above 53 bits literals are read one at a time, by parse().
-    assert CTX128.parse_all(["1", "2"]) is None
+    # Above 53 bits every finite literal reads, in one pass like any other.
+    assert CTX128.parse_all(["1", "1e400"]) == [1, CTX128.parse("1e400")]
 
 
 # --- properties -------------------------------------------------------------

@@ -21,7 +21,15 @@ from rampsched.fileio import (
 )
 from rampsched.generators import gen_random_feasible, gen_srpt
 from rampsched.offline import Feasibility, FeasibilityVerdict, lrtb
-from rampsched.online import EventKind, Policy, PolicySpec, TraceEvent, simulate
+from rampsched.online import (
+    EventKind,
+    Policy,
+    PolicySpec,
+    TraceEvent,
+    max_stretch,
+    missed_due_dates,
+    simulate,
+)
 
 CTX = PrecisionContext(128)
 
@@ -140,19 +148,19 @@ def test_trace_round_trip_replays_the_events(tmp_path):
     rec = load_trace(path, CTX)
     assert rec.policy.kind is Policy.EDD
     assert rec.policy.speed_cap_factor is None
-    assert rec.missed == []
+    assert missed_due_dates(rec) == []
     assert CTX.close(rec.busy_time, trace.busy_time)
     for jid, done in trace.completions.items():
         assert CTX.close(rec.completions[jid], done)
         assert CTX.close(rec.stretches[jid], trace.stretches[jid])
-    assert CTX.close(rec.max_stretch, max(trace.stretches.values()))
+    assert CTX.close(max_stretch(rec), max(trace.stretches.values()))
 
 
 @pytest.mark.parametrize("bits", [53, 128])
 def test_trace_round_trips_are_exact(tmp_path, bits):
     # Saved and loaded at one precision, a trace replays to the same numbers.
     ctx = PrecisionContext(bits)
-    path = tmp_path / "trace.json"
+    path, again = tmp_path / "trace.json", tmp_path / "again.json"
     instances = [_ship_trace(ctx).instance, gen_srpt(6, ctx)]
     instances += [gen_random_feasible(12, seed, ctx) for seed in (1, 2, 3)]
     for inst in instances:
@@ -164,14 +172,22 @@ def test_trace_round_trips_are_exact(tmp_path, bits):
                 assert rec.completions == trace.completions
                 assert rec.stretches == trace.stretches
                 assert rec.busy_time == trace.busy_time
-                assert rec.max_stretch == max(trace.stretches.values())
+                assert max_stretch(rec) == max(trace.stretches.values())
+                # The loaded trace saves back to the same bytes and plots the same.
+                save_trace(rec, again, ctx)
+                assert again.read_bytes() == path.read_bytes()
+                write_plot_data(trace, tmp_path / "sim.csv", ctx)
+                write_plot_data(rec, tmp_path / "loaded.csv", ctx)
+                for suffix in (".csv", ".gantt.csv"):
+                    assert ((tmp_path / f"loaded{suffix}").read_bytes()
+                            == (tmp_path / f"sim{suffix}").read_bytes())
 
 
 def test_trace_records_missed_due_dates(tmp_path):
     trace = _ship_trace(policy=Policy.FIFO)  # the sliver job finishes late
     path = tmp_path / "late.json"
     save_trace(trace, path, CTX)
-    assert load_trace(path, CTX).missed == [2]
+    assert missed_due_dates(load_trace(path, CTX)) == [2]
 
 
 def test_tampered_summaries_are_rejected(tmp_path):
@@ -225,6 +241,28 @@ def test_tampered_summaries_are_rejected(tmp_path):
     # Events 3 and 5 preempt job 1 at t=1 and complete job 2 at about 1.87.
     corrupt(lambda r: r["events"][3].__setitem__("job", 2), "not running")
     corrupt(lambda r: r["instance"]["jobs"][1].__setitem__("release", "1.9"), "before release")
+    # Event logs that no simulation writes: a run of no job (its busy time
+    # counted), an idle event that names a job, a release that names none,
+    # a start before the job's release event, and one before its release time.
+    def run_nobody(record):
+        end = record["events"][-1]["time"]
+        record["events"] += [{"time": end, "kind": "start", "job": None},
+                             {"time": "9", "kind": "preempt", "job": None}]
+        busy = CTX.parse(record["summary"]["busy_time"]) + 9 - CTX.parse(end)
+        record["summary"]["busy_time"] = CTX.format(busy)
+
+    corrupt(run_nobody, "unknown job None")
+    corrupt(lambda r: r["events"].insert(1, {"time": "0", "kind": "idle-begin", "job": 1}),
+            "idle event")
+    corrupt(lambda r: r["events"][0].__setitem__("job", None), "unknown job None")
+    corrupt(lambda r: r["events"].insert(4, r["events"].pop(2)), "before its release")
+
+    def start_early(record):
+        record["instance"]["jobs"][0]["release"] = "0.5"
+        done = CTX.parse(record["summary"]["completions"]["1"])
+        record["summary"]["stretches"]["1"] = CTX.format((done - CTX.real("0.5")) / 3.5)
+
+    corrupt(start_early, "starts before release")
 
 
 def test_plot_data_layout(tmp_path):
@@ -250,7 +288,7 @@ def test_trace_survives_precision_change(tmp_path):
     path = tmp_path / "d.json"
     save_trace(trace, path, DOUBLE)
     rec = load_trace(path, PrecisionContext(128))
-    assert rec.missed == []
+    assert missed_due_dates(rec) == []
 
 
 # --- the file writer ---------------------------------------------------------
