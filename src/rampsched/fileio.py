@@ -17,8 +17,13 @@ and names the first bad row and field.  load_trace returns the
 online.SimTrace that simulate built: its jobs carry their windows with
 work 0 at unit slope, and its segments, replayed from the events, carry
 work_done None, since a trace file stores neither work nor speeds.
-Parsers report the JSON location for syntax errors and the offending
-field for schema errors.
+A trace's summary is a function of its events at the precision that
+wrote it, so load_trace replays the events at the file's
+precision_bits and requires the stored summary to be exactly the one
+trace_to_record writes for that replay; it refuses a file written
+above the reader's precision, with a retry hint.  Parsers report the
+JSON location for syntax errors and the offending field for schema
+errors.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ SLICE = 256
 
 # The JSON text of a free-text value: names, provenance, status and
 # kind strings.  Numbers come from ctx.format, whose text needs no escaping.
+# load_trace compares summary fields by it.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
@@ -281,8 +287,6 @@ def save_schedule(instance, schedule, verdict, path, ctx):
 
 def trace_to_record(trace, ctx: PrecisionContext) -> dict:
     """The trace file's record of an online.SimTrace."""
-    from .online import missed_due_dates
-
     inst = trace.instance
     spec = trace.policy
     return {
@@ -317,17 +321,21 @@ def trace_to_record(trace, ctx: PrecisionContext) -> dict:
             }
             for e in trace.events
         ],
-        "summary": {
-            "completions": {
-                str(jid): ctx.format(t) for jid, t in sorted(trace.completions.items())
-            },
-            "stretches": {
-                str(jid): ctx.format(s) for jid, s in sorted(trace.stretches.items())
-            },
-            "max_stretch": ctx.format(max(trace.stretches.values())),
-            "busy_time": ctx.format(trace.busy_time),
-            "missed_due_dates": missed_due_dates(trace),
-        },
+        "summary": _summary(trace, ctx),
+    }
+
+
+def _summary(trace, ctx: PrecisionContext) -> dict:
+    """A trace file's summary block: a function of the run at ctx."""
+    from .online import missed_due_dates
+
+    completions, stretches = trace.completions, trace.stretches
+    return {
+        "completions": {str(jid): ctx.format(completions[jid]) for jid in sorted(completions)},
+        "stretches": {str(jid): ctx.format(stretches[jid]) for jid in sorted(stretches)},
+        "max_stretch": ctx.format(max(stretches.values())),
+        "busy_time": ctx.format(trace.busy_time),
+        "missed_due_dates": missed_due_dates(trace),
     }
 
 
@@ -394,20 +402,6 @@ def _job_id(value, jobs, where):
     return value
 
 
-def _per_job(summary, field, jobs, ctx, path):
-    """A summary map from job id to number, covering exactly the trace's jobs."""
-    where = f"{path}: summary.{field}"
-    names = {str(jid): jid for jid in jobs}  # JSON object keys are strings
-    out = {}
-    for key, text in _expect(summary, field, dict, f"{path}: summary").items():
-        if key not in names:
-            raise FileFormatError(f"{where}: unknown job {key!r}")
-        out[names[key]] = _parse_number(text, ctx, where, key)
-    if len(out) != len(jobs):
-        raise FileFormatError(f"{where}: missing jobs {sorted(set(jobs) - set(out))}")
-    return out
-
-
 def load_trace(path, ctx: PrecisionContext):
     """The online.SimTrace that a trace file records.
 
@@ -416,23 +410,43 @@ def load_trace(path, ctx: PrecisionContext):
     events are replayed.  A job's completion is its complete event, each
     start followed by that job's preempt or complete is a Segment with
     work_done None (empty spans are skipped, as simulate skips them), and
-    the busy time is total_busy_time of those segments.  Saving the
-    loaded trace at the precision that wrote it gives the same bytes.
+    the busy time is total_busy_time of those segments.  Loaded at the
+    precision that wrote it, the trace saves back to the same bytes.
 
     The file is rejected when its event log is one no simulation writes,
-    or when its stored summary disagrees with the replay, so a trace
-    file cannot drift from its own log.
+    or when its stored summary is not, as JSON text, the summary that
+    trace_to_record writes for the replay at the file's precision_bits:
+    a summary is a function of the events at the precision that wrote
+    it, so it is checked exactly.  A file written above ctx's precision
+    is refused with a retry hint.  A file written below it is replayed
+    again at ctx, and that replay is returned.
     """
-    from .online import EventKind, PolicySpec, SimTrace, TraceEvent, max_stretch
-
     record = _read_json(path)
     _check_schema(record, path, "trace")
-    # The stored summary is only as accurate as the precision that wrote
-    # it, so self-checks run at the coarser of the two tolerances.
-    file_bits = record.get("precision_bits")
-    check = ctx
-    if isinstance(file_bits, int) and 24 <= file_bits < ctx.bits:
-        check = PrecisionContext(bits=file_bits)
+    bits = _expect(record, "precision_bits", int, path)
+    if bits > ctx.bits:
+        raise FileFormatError(
+            f"{path}: cannot check the summary at {ctx.bits} bits; "
+            f"file written at {bits} bits; retry with --precision {bits}"
+        )
+    if bits < 24:
+        raise FileFormatError(f"{path}: precision_bits {bits} is below 24")
+    written = ctx if bits == ctx.bits else PrecisionContext(bits)
+    trace = _replay(record, written, path)
+    stored = _expect(record, "summary", dict, path)
+    # As JSON text, so that JSON true never passes for job 1.
+    for field, value in _summary(trace, written).items():
+        if _encode(stored.get(field)) != _encode(value):
+            raise FileFormatError(
+                f"{path}: summary {field} disagrees with the events at {bits} bits"
+            )
+    return trace if written is ctx else _replay(record, ctx, path)
+
+
+def _replay(record, ctx: PrecisionContext, path):
+    """The SimTrace of a trace record's jobs, policy and events at ctx."""
+    from .online import EventKind, PolicySpec, SimTrace, TraceEvent
+
     inst_block = _expect(record, "instance", dict, path)
     rows = []
     for where, row in _rows(inst_block, "jobs", path, "instance.jobs"):
@@ -466,7 +480,7 @@ def load_trace(path, ctx: PrecisionContext):
     events = []
     segments = []
     completions = {}
-    released = set()
+    released = {}
     open_run = None
     last_t = None
     for where, row in _rows(record, "events", path, "events"):
@@ -482,7 +496,7 @@ def load_trace(path, ctx: PrecisionContext):
         elif kind_ev is EventKind.RELEASE:
             if _job_id(jid, jobs, where) in released:
                 raise FileFormatError(f"{where}: job {jid} is released twice")
-            released.add(jid)
+            released[jid] = t
         elif _job_id(jid, jobs, where) not in released:
             raise FileFormatError(f"{where}: job {jid} has an event before its release")
         events.append(TraceEvent(t, kind_ev, jid))
@@ -508,49 +522,19 @@ def load_trace(path, ctx: PrecisionContext):
                 completions[jid] = t
     if open_run is not None:
         raise FileFormatError(f"{path}: trace ends while job {open_run[0]} runs")
-
-    trace = SimTrace(instance, spec, tuple(events), completions, {}, tuple(segments), None)
-    trace.busy_time = busy = total_busy_time(trace)
-    summary = _expect(record, "summary", dict, path)
-    stored_busy = _parse_number(
-        summary.get("busy_time"), ctx, f"{path}: summary", "busy_time"
-    )
-    if not check.close(stored_busy, busy):
-        raise FileFormatError(
-            f"{path}: summary busy_time {stored_busy} disagrees with events ({busy})"
-        )
-    stored_completions = _per_job(summary, "completions", jobs, ctx, path)
-    stored_stretches = _per_job(summary, "stretches", jobs, ctx, path)
-    stretches = trace.stretches
-    for jid, c in stored_completions.items():
-        if jid not in completions or not check.close(completions[jid], c):
-            raise FileFormatError(
-                f"{path}: summary completion of job {jid} disagrees with events"
-            )
-        try:
-            stretches[jid] = stretch(jobs[jid], c)
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: job {jid}: {exc}") from exc
-        if not check.close(stretches[jid], stored_stretches[jid]):
-            raise FileFormatError(
-                f"{path}: summary stretch of job {jid} disagrees with events"
-            )
-    stored_worst = _parse_number(
-        summary.get("max_stretch"), ctx, f"{path}: summary", "max_stretch"
-    )
-    if not check.close(stored_worst, max_stretch(trace)):
-        raise FileFormatError(f"{path}: summary max_stretch disagrees with events")
-    missed = [
-        _job_id(jid, jobs, f"{path}: summary.missed_due_dates")
-        for jid in _expect(summary, "missed_due_dates", list, f"{path}: summary")
-    ]
     for jid, job in jobs.items():
-        # A completion within tolerance of its due date may go either way.
-        done = completions[jid]
-        if not check.close(done, job.due) and (done > job.due) != (jid in missed):
+        if jid not in completions:
+            raise FileFormatError(f"{path}: job {jid} never completes")
+        # simulate writes a release event and its row from one number.
+        if released[jid] != job.release:
             raise FileFormatError(
-                f"{path}: summary missed_due_dates disagrees with events at job {jid}"
+                f"{path}: job {jid} is released at {ctx.format(released[jid])}, "
+                f"not at its row's release {ctx.format(job.release)}"
             )
+
+    stretches = {jid: stretch(jobs[jid], done) for jid, done in completions.items()}
+    trace = SimTrace(instance, spec, tuple(events), completions, stretches, tuple(segments), None)
+    trace.busy_time = total_busy_time(trace)
     return trace
 
 

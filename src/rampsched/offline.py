@@ -134,16 +134,20 @@ def lrtb(instance: Instance, ctx: PrecisionContext):
             lo = r if exhaust is None else exhaust
             if next_due is not None and next_due > lo:
                 lo = next_due
+            # The segment's work, which the partial and deficit branches
+            # below reuse: there lo is next_due or r.  Over [tau, tau] it is 0.
+            work = 0
             if lo < tau:
-                segments.append(Segment(top.id, lo, tau, work_in(top, lo, tau)))
+                work = work_in(top, lo, tau)
+                segments.append(Segment(top.id, lo, tau, work))
             if exhaust is not None and lo == exhaust:
                 rem[top.id] = 0
                 note_margin(exhaust - r)
             elif next_due is not None and lo == next_due:
-                rem[top.id] = rem[top.id] - work_in(top, next_due, tau)
+                rem[top.id] = rem[top.id] - work
             else:
                 # Swept all the way to the release without finishing.
-                deficit = rem[top.id] - work_in(top, r, tau)
+                deficit = rem[top.id] - work
                 rem[top.id] = 0
                 cmp = ctx.compare(deficit, 0)
                 if cmp is Verdict.GREATER:

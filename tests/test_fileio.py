@@ -5,7 +5,18 @@ import tracemalloc
 
 import pytest
 
-from rampsched import DOUBLE, Instance, PrecisionContext, Schedule, lazy_job, nonlazy_job
+from rampsched import (
+    DOUBLE,
+    Instance,
+    Job,
+    PrecisionContext,
+    Schedule,
+    Segment,
+    lazy_job,
+    nonlazy_job,
+    stretch,
+)
+from rampsched.core import total_busy_time
 from rampsched.fileio import (
     SLICE,
     FileFormatError,
@@ -156,31 +167,62 @@ def test_trace_round_trip_replays_the_events(tmp_path):
     assert CTX.close(max_stretch(rec), max(trace.stretches.values()))
 
 
-@pytest.mark.parametrize("bits", [53, 128])
+def _read_at(trace, writer, reader):
+    """The completions, stretches and busy time of trace's file, read at reader.
+
+    Each number of the simulated trace goes through its text at writer;
+    stretches and the busy time are then computed at reader.
+    """
+    def lift(x):
+        return reader.parse(writer.format(x))
+
+    jobs = {j.id: Job(j.id, lift(j.release), lift(j.due), 0, 0, 1) for j in trace.instance.jobs}
+    completions = {jid: lift(t) for jid, t in trace.completions.items()}
+    stretches = {jid: stretch(jobs[jid], t) for jid, t in completions.items()}
+    segments = tuple(Segment(s.job, lift(s.start), lift(s.end), None) for s in trace.segments)
+    return completions, stretches, total_busy_time(Schedule(segments))
+
+
+@pytest.mark.parametrize("bits", [53, 64, 128])
 def test_trace_round_trips_are_exact(tmp_path, bits):
-    # Saved and loaded at one precision, a trace replays to the same numbers.
+    # A trace loads at the precision that wrote it, and at each higher one,
+    # to the numbers its text gives there.
     ctx = PrecisionContext(bits)
+    readers = [PrecisionContext(b) for b in (53, 64, 128) if b >= bits]
     path, again = tmp_path / "trace.json", tmp_path / "again.json"
     instances = [_ship_trace(ctx).instance, gen_srpt(6, ctx)]
     instances += [gen_random_feasible(12, seed, ctx) for seed in (1, 2, 3)]
     for inst in instances:
         for policy in Policy:
-            for cap in (None, ctx.real(2)):
+            for cap in (None, ctx.real(2), ctx.real("0.5")):
                 trace = simulate(inst, PolicySpec(policy, speed_cap_factor=cap), ctx)
                 save_trace(trace, path, ctx)
-                rec = load_trace(path, ctx)
-                assert rec.completions == trace.completions
-                assert rec.stretches == trace.stretches
-                assert rec.busy_time == trace.busy_time
-                assert max_stretch(rec) == max(trace.stretches.values())
-                # The loaded trace saves back to the same bytes and plots the same.
-                save_trace(rec, again, ctx)
-                assert again.read_bytes() == path.read_bytes()
-                write_plot_data(trace, tmp_path / "sim.csv", ctx)
-                write_plot_data(rec, tmp_path / "loaded.csv", ctx)
-                for suffix in (".csv", ".gantt.csv"):
-                    assert ((tmp_path / f"loaded{suffix}").read_bytes()
-                            == (tmp_path / f"sim{suffix}").read_bytes())
+                for reader in readers:
+                    rec = load_trace(path, reader)
+                    assert (rec.completions, rec.stretches, rec.busy_time) == _read_at(
+                        trace, ctx, reader)
+                    save_trace(rec, again, ctx)
+                    if reader.bits > bits:
+                        # Saved at the writing precision, jobs, events and
+                        # completions keep their text.  Stretches and the busy
+                        # time were computed at the reader's precision, and can
+                        # round to other values.
+                        kept, written = json.loads(again.read_text()), json.loads(path.read_text())
+                        for record in (kept, written):
+                            record["completions"] = record.pop("summary")["completions"]
+                        assert kept == written
+                        continue
+                    assert rec.completions == trace.completions
+                    assert rec.stretches == trace.stretches
+                    assert rec.busy_time == trace.busy_time
+                    assert max_stretch(rec) == max(trace.stretches.values())
+                    # The loaded trace saves back to the same bytes and plots the same.
+                    assert again.read_bytes() == path.read_bytes()
+                    write_plot_data(trace, tmp_path / "sim.csv", ctx)
+                    write_plot_data(rec, tmp_path / "loaded.csv", ctx)
+                    for suffix in (".csv", ".gantt.csv"):
+                        assert ((tmp_path / f"loaded{suffix}").read_bytes()
+                                == (tmp_path / f"sim{suffix}").read_bytes())
 
 
 def test_trace_records_missed_due_dates(tmp_path):
@@ -263,6 +305,50 @@ def test_tampered_summaries_are_rejected(tmp_path):
         record["summary"]["stretches"]["1"] = CTX.format((done - CTX.real("0.5")) / 3.5)
 
     corrupt(start_early, "starts before release")
+    # Event 2 releases job 2 at t=1, its row's release; simulate writes both from one number.
+    corrupt(lambda r: r["events"][2].__setitem__("time", "0.5"), "not at its row's release")
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_summaries_are_checked_exactly(tmp_path, bits):
+    # A summary figure moved by 2^-(bits-4) relative, well inside the
+    # tolerance of 2^-(bits-16), no longer matches the replay.
+    ctx = PrecisionContext(bits)
+    trace = _ship_trace(ctx)
+    path = tmp_path / "trace.json"
+    nudge = 1 + ctx.real(2) ** -(bits - 4)
+
+    def nudged(block, key):
+        record = trace_to_record(trace, ctx)
+        block(record)[key] = ctx.format(ctx.parse(block(record)[key]) * nudge)
+        path.write_text(json.dumps(record))
+        with pytest.raises(FileFormatError, match="disagrees with the events"):
+            load_trace(path, ctx)
+
+    nudged(lambda r: r["summary"], "busy_time")
+    nudged(lambda r: r["summary"]["completions"], "1")
+    nudged(lambda r: r["summary"]["stretches"], "2")
+    nudged(lambda r: r["summary"], "max_stretch")
+
+
+def test_trace_precision_bits_is_checked(tmp_path):
+    path = tmp_path / "trace.json"
+    cases = {
+        None: "missing field 'precision_bits'",
+        True: "'precision_bits' has the wrong type",
+        23: "precision_bits 23 is below 24",
+        # Above the reader's precision: a trace is never checked below its own.
+        129: "file written at 129 bits; retry with --precision 129",
+    }
+    for bits, match in cases.items():
+        record = trace_to_record(_ship_trace(), CTX)
+        if bits is None:
+            del record["precision_bits"]
+        else:
+            record["precision_bits"] = bits
+        path.write_text(json.dumps(record))
+        with pytest.raises(FileFormatError, match=match):
+            load_trace(path, CTX)
 
 
 def test_plot_data_layout(tmp_path):
@@ -282,8 +368,8 @@ def test_plot_data_layout(tmp_path):
 
 
 def test_trace_survives_precision_change(tmp_path):
-    # A trace written at double precision still replays cleanly when
-    # reloaded at higher precision: tolerances absorb the quantization.
+    # A trace written at double precision is checked at double precision,
+    # then replayed again at the reader's higher precision.
     trace = _ship_trace(ctx=DOUBLE)
     path = tmp_path / "d.json"
     save_trace(trace, path, DOUBLE)
