@@ -13,17 +13,18 @@ prints an instance's record when it has no --out.
 
 load_instance parses its job table one column at a time, at every
 precision.  When any value fails, a scan in row order parses the table
-and names the first bad row and field.  load_trace returns the
-online.SimTrace that simulate built: its jobs carry their windows with
-work 0 at unit slope, and its segments, replayed from the events, carry
-work_done None, since a trace file stores neither work nor speeds.
-A trace's summary is a function of its events at the precision that
-wrote it, so load_trace replays the events at the file's
-precision_bits and requires the stored summary to be exactly the one
-trace_to_record writes for that replay; it refuses a file written
-above the reader's precision, with a retry hint.  Parsers report the
-JSON location for syntax errors and the offending field for schema
-errors.
+and names the first bad row and field.  load_trace reads a trace's
+rows and builds its online.SimTrace with the one constructor simulate
+uses, whose replay of the events defines a valid log.  Its jobs carry
+their windows with work 0 at unit slope, since a trace file stores
+neither work nor speeds, and its segments, like every trace's, carry
+work_done None.  A trace's summary is a function of its events at the
+precision that wrote it, so load_trace replays the events at the
+file's precision_bits and requires the stored summary to be exactly
+the one trace_to_record writes for that replay; it refuses a file
+written above the reader's precision, with a retry hint.  Parsers
+report the JSON location for syntax errors and the offending field for
+schema errors.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from .core import (
     Policy,
     PrecisionContext,
     Schedule,
-    Segment,
-    stretch,
     total_busy_time,
 )
 
@@ -394,30 +393,21 @@ def _event_rows(events, fmt, kinds):
         yield f'{{"time":"{text}","kind":{kinds[e.kind._value_]},"job":{job}}}'
 
 
-def _job_id(value, jobs, where):
-    """value, checked to be the id of one of the trace's jobs."""
-    # type(), not isinstance(): JSON true would pass as job 1.
-    if type(value) is not int or value not in jobs:
-        raise FileFormatError(f"{where}: unknown job {value!r}")
-    return value
-
-
 def load_trace(path, ctx: PrecisionContext):
     """The online.SimTrace that a trace file records.
 
     Its instance holds each job row's id, release and due date, with
-    work 0 at unit slope: a trace file stores no work or speeds.  The
-    events are replayed.  A job's completion is its complete event, each
-    start followed by that job's preempt or complete is a Segment with
-    work_done None (empty spans are skipped, as simulate skips them), and
-    the busy time is total_busy_time of those segments.  Loaded at the
-    precision that wrote it, the trace saves back to the same bytes.
+    work 0 at unit slope: a trace file stores no work or speeds.  Its
+    completions, segments, stretches and busy time are SimTrace's replay
+    of the events, the one simulate's own runs go through.  Loaded at
+    the precision that wrote it, the trace saves back to the same bytes.
 
-    The file is rejected when its event log is one no simulation writes,
-    or when its stored summary is not, as JSON text, the summary that
-    trace_to_record writes for the replay at the file's precision_bits:
-    a summary is a function of the events at the precision that wrote
-    it, so it is checked exactly.  A file written above ctx's precision
+    The file is rejected when its event log is one no simulation writes
+    (SimTrace's ValueError, prefixed with the path), or when its stored
+    summary is not, as JSON text, the summary that trace_to_record
+    writes for the replay at the file's precision_bits: a summary is a
+    function of the events at the precision that wrote it, so it is
+    checked exactly.  A file written above ctx's precision
     is refused with a retry hint.  A file written below it is replayed
     again at ctx, and that replay is returned.
     """
@@ -444,7 +434,11 @@ def load_trace(path, ctx: PrecisionContext):
 
 
 def _replay(record, ctx: PrecisionContext, path):
-    """The SimTrace of a trace record's jobs, policy and events at ctx."""
+    """The SimTrace of a trace record's jobs, policy and events at ctx.
+
+    Every row is parsed before SimTrace checks the log, so a bad literal
+    is reported before a defect of the log in an earlier event.
+    """
     from .online import EventKind, PolicySpec, SimTrace, TraceEvent
 
     inst_block = _expect(record, "instance", dict, path)
@@ -460,82 +454,27 @@ def _replay(record, ctx: PrecisionContext, path):
         instance = Instance(tuple(rows), name=str(inst_block.get("name", "")))
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-    jobs = instance.by_id
     pol = _expect(record, "policy", dict, path)
     try:
         kind = Policy(_expect(pol, "kind", str, f"{path}: policy"))
     except ValueError as exc:
         raise FileFormatError(f"{path}: unknown policy kind") from exc
+    alpha = _parse_number(pol.get("alpha", "2"), ctx, f"{path}: policy", "alpha")
     cap = pol.get("speed_cap_factor")
-    spec = PolicySpec(
-        kind,
-        alpha=_parse_number(pol.get("alpha", "2"), ctx, f"{path}: policy", "alpha"),
-        speed_cap_factor=(
-            None if cap is None else _parse_number(cap, ctx, f"{path}: policy", "cap")
-        ),
-    )
-
-    # Read and replay the event stream in one pass.
-    idle = (EventKind.IDLE_BEGIN, EventKind.IDLE_END)
+    if cap is not None:
+        cap = _parse_number(cap, ctx, f"{path}: policy", "cap")
     events = []
-    segments = []
-    completions = {}
-    released = {}
-    open_run = None
-    last_t = None
     for where, row in _rows(record, "events", path, "events"):
         t = _parse_number(row.get("time"), ctx, where, "time")
         try:
             kind_ev = EventKind(_expect(row, "kind", str, where))
         except ValueError as exc:
             raise FileFormatError(f"{where}: unknown event kind") from exc
-        jid = row.get("job")
-        if kind_ev in idle:
-            if jid is not None:
-                raise FileFormatError(f"{where}: an idle event names job {jid!r}")
-        elif kind_ev is EventKind.RELEASE:
-            if _job_id(jid, jobs, where) in released:
-                raise FileFormatError(f"{where}: job {jid} is released twice")
-            released[jid] = t
-        elif _job_id(jid, jobs, where) not in released:
-            raise FileFormatError(f"{where}: job {jid} has an event before its release")
-        events.append(TraceEvent(t, kind_ev, jid))
-        if last_t is not None and t < last_t:
-            raise FileFormatError(f"{path}: events go backward in time")
-        last_t = t
-        if kind_ev is EventKind.START:
-            if open_run is not None:
-                raise FileFormatError(f"{path}: start while job {open_run[0]} runs")
-            if t < jobs[jid].release:
-                raise FileFormatError(f"{where}: job {jid} starts before release")
-            open_run = (jid, t)
-        elif kind_ev in (EventKind.PREEMPT, EventKind.COMPLETE):
-            if open_run is not None and open_run[0] == jid:
-                if open_run[1] < t:
-                    segments.append(Segment(jid, open_run[1], t, None))
-                open_run = None
-            elif kind_ev is EventKind.PREEMPT:
-                raise FileFormatError(f"{path}: preempt of a job that is not running")
-            if kind_ev is EventKind.COMPLETE:
-                if jid in completions:
-                    raise FileFormatError(f"{path}: job {jid} completes twice")
-                completions[jid] = t
-    if open_run is not None:
-        raise FileFormatError(f"{path}: trace ends while job {open_run[0]} runs")
-    for jid, job in jobs.items():
-        if jid not in completions:
-            raise FileFormatError(f"{path}: job {jid} never completes")
-        # simulate writes a release event and its row from one number.
-        if released[jid] != job.release:
-            raise FileFormatError(
-                f"{path}: job {jid} is released at {ctx.format(released[jid])}, "
-                f"not at its row's release {ctx.format(job.release)}"
-            )
-
-    stretches = {jid: stretch(jobs[jid], done) for jid, done in completions.items()}
-    trace = SimTrace(instance, spec, tuple(events), completions, stretches, tuple(segments), None)
-    trace.busy_time = total_busy_time(trace)
-    return trace
+        events.append(TraceEvent(t, kind_ev, row.get("job")))
+    try:
+        return SimTrace(instance, PolicySpec(kind, alpha, cap), events)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 # --- plot data ---------------------------------------------------------------

@@ -25,7 +25,6 @@ from .core import (
     Policy,
     PrecisionContext,
     SchedulingError,
-    Verdict,
     lazy_job,
     work_in,
 )
@@ -323,7 +322,7 @@ def adaptive_adversary(spec, ctx: PrecisionContext) -> AdversaryOutcome:
     jobs, rerunning on the extended instance reproduces the observed
     prefix exactly.  spec is an online.PolicySpec.
     """
-    from .online import simulate
+    from .online import missed_due_dates, simulate
 
     seed_jobs = (
         lazy_job(1, *(ctx.parse(v) for v in _SEED_LONG)),
@@ -350,9 +349,4 @@ def adaptive_adversary(spec, ctx: PrecisionContext) -> AdversaryOutcome:
         provenance=f"adaptive_adversary(policy={spec.kind.value}, branch={branch})",
     )
     trace = simulate(inst, spec, ctx)
-    missed = False
-    for j in inst.jobs:
-        if ctx.compare(trace.completions[j.id], j.due) is Verdict.GREATER:
-            missed = True
-            break
-    return AdversaryOutcome(inst, trace, missed, branch)
+    return AdversaryOutcome(inst, trace, bool(missed_due_dates(trace)), branch)

@@ -103,13 +103,21 @@ class TraceEvent(Record):
 
 
 class SimTrace:
-    """Everything a simulation run produced, or a trace file records.
+    """A run of a policy on an instance: its event log, and what the log implies.
 
-    completions and stretches are keyed by job id; segments are the
-    maximal uninterrupted runs, and busy_time is total_busy_time of
-    them.  A loaded trace's jobs carry their windows with work 0 at unit
-    slope, and its segments carry work_done None: a trace file stores
-    neither work nor speeds.
+    SimTrace(instance, policy, events) replays the events, and that
+    replay is the one definition of a valid log, for the run simulate
+    just made and for a trace file alike.  completions maps each job id
+    to the time of its complete event and stretches to its interval
+    stretch.  segments are the maximal uninterrupted runs: each start
+    followed by that job's preempt or complete, empty spans skipped,
+    with work_done None, since a log records no work.  busy_time is
+    total_busy_time of the segments.  A loaded trace's jobs carry their
+    windows with work 0 at unit slope: a trace file stores neither work
+    nor speeds.
+
+    Raises ValueError, naming the rule broken, for a log no simulation
+    writes; a message about one event starts with `events[i]: `.
     """
 
     __slots__ = (
@@ -117,23 +125,74 @@ class SimTrace:
         "busy_time",
     )
 
-    def __init__(
-        self,
-        instance: Instance,
-        policy: PolicySpec,
-        events: tuple,
-        completions: dict,
-        stretches: dict,
-        segments: tuple,
-        busy_time,
-    ):
+    def __init__(self, instance: Instance, policy: PolicySpec, events):
+        events = tuple(events)
+        jobs = instance.by_id
+        release, start, preempt, complete = (
+            EventKind.RELEASE, EventKind.START, EventKind.PREEMPT, EventKind.COMPLETE
+        )
+        idle_begin, idle_end = EventKind.IDLE_BEGIN, EventKind.IDLE_END
+        released = {}
+        completions = {}
+        segments = []
+        running = run_start = last_t = None
+        for i, e in enumerate(events):
+            t, kind, jid = e.time, e.kind, e.job
+            if kind is idle_begin or kind is idle_end:
+                if jid is not None:
+                    raise ValueError(f"events[{i}]: an idle event names job {jid!r}")
+            # type(), not isinstance(): JSON true would pass as job 1.
+            elif type(jid) is not int or jid not in jobs:
+                raise ValueError(f"events[{i}]: unknown job {jid!r}")
+            elif kind is release:
+                if jid in released:
+                    raise ValueError(f"events[{i}]: job {jid} is released twice")
+                released[jid] = t
+            elif jid not in released:
+                raise ValueError(f"events[{i}]: job {jid} has an event before its release")
+            if last_t is not None and t < last_t:
+                raise ValueError("events go backward in time")
+            last_t = t
+            if kind is start:
+                if running is not None:
+                    raise ValueError(f"start while job {running} runs")
+                if t < jobs[jid].release:
+                    raise ValueError(f"events[{i}]: job {jid} starts before release")
+                running, run_start = jid, t
+            elif kind is preempt or kind is complete:
+                if running == jid:
+                    if run_start < t:
+                        segments.append(Segment(jid, run_start, t, None))
+                    running = None
+                elif kind is preempt:
+                    raise ValueError("preempt of a job that is not running")
+                if kind is complete:
+                    if jid in completions:
+                        raise ValueError(f"job {jid} completes twice")
+                    completions[jid] = t
+        if running is not None:
+            raise ValueError(f"trace ends while job {running} runs")
+        for jid, job in jobs.items():
+            if jid not in completions:
+                raise ValueError(f"job {jid} never completes")
+            # simulate writes a release event and its row from one number.
+            if released[jid] != job.release:
+                raise ValueError(
+                    f"job {jid} is released at {_text(released[jid])}, "
+                    f"not at its row's release {_text(job.release)}"
+                )
         self.instance = instance
         self.policy = policy
         self.events = events
         self.completions = completions
-        self.stretches = stretches
-        self.segments = segments
-        self.busy_time = busy_time
+        self.stretches = {jid: stretch(jobs[jid], done) for jid, done in completions.items()}
+        self.segments = tuple(segments)
+        self.busy_time = total_busy_time(self)
+
+
+def _text(x):
+    """x as PrecisionContext.format writes it at x's own precision (a float's: 53)."""
+    return PrecisionContext(getattr(x, "prec", 53)).format(x)
 
 
 # --- policy primitives -------------------------------------------------------
@@ -531,24 +590,19 @@ class SimState:
 # --- the simulator -----------------------------------------------------------
 
 
-def _close_segment(segments, state, rid, start, end):
-    """Record job rid running on [start, end], if that span is not empty."""
-    if start < end:
-        done = work_in(state.jobs[rid], start, end, state.caps.get(rid))
-        segments.append(Segment(rid, start, end, done))
-
-
 def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> SimTrace:
     """Run the policy on the instance until every job completes.
 
     Events at one timestamp are processed completion first, then
     releases, then the dispatch change they trigger, so event times in
     the trace are nondecreasing with a deterministic order inside a
-    tie.  Raises SchedulingError when an event time is not finite, or
-    when the work a job runs from the last event to its rounded finish
-    time differs from its remaining work by more than roundoff
-    (ctx.tolerance of its work), as when the finish rounds onto its
-    start.
+    tie.  The trace is SimTrace(instance, spec, events): its
+    completions, segments, stretches and busy time come from the same
+    replay of the log that load_trace runs on a file.  Raises
+    SchedulingError when an event time is not finite, or when the work
+    a job runs from the last event to its rounded finish time differs
+    from its remaining work by more than roundoff (ctx.tolerance of its
+    work), as when the finish rounds onto its start.
     """
     if not instance.jobs:
         raise ValueError("empty instance")
@@ -563,11 +617,9 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
     )
     events = []
     emit = events.append
-    segments = []
-    completions = {}
+    finished = 0
     idx = 0
     release_at = order[0].release  # of order[idx], while idx < n
-    seg_start = None
     idle = False
     t = release_at
     while True:
@@ -578,7 +630,7 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
                 release_at = order[idx].release
             emit(TraceEvent(t, release, j.id))
             if j.work == 0:
-                completions[j.id] = t
+                finished += 1
                 emit(TraceEvent(t, complete, j.id))
             else:
                 admit(j)
@@ -587,11 +639,10 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
         rid = state.running
         if choice is None or choice != rid:
             if rid is not None:
-                _close_segment(segments, state, rid, seg_start, t)
                 emit(TraceEvent(t, preempt, rid))
                 state.preempt()
             if choice is None:
-                if not idle and len(completions) < n:
+                if not idle and finished < n:
                     idle = True
                     emit(TraceEvent(t, EventKind.IDLE_BEGIN))
             else:
@@ -599,9 +650,8 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
                     idle = False
                     emit(TraceEvent(t, EventKind.IDLE_END))
                 emit(TraceEvent(t, start, choice))
-                seg_start = t
                 state.start(choice)
-        if len(completions) == n:
+        if finished == n:
             break
         # Next event: the earliest of a release, a finish and the policy's
         # own event, the first of them on a tie (as min() would pick).
@@ -633,7 +683,6 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
             done = work_in(job, t, tn, cap)
             if tn == finish_at:
                 left = remaining[rid]
-                _close_segment(segments, state, rid, seg_start, tn)
                 tol = ctx.tolerance(job.work)
                 if not -tol <= done - left <= tol:
                     # The rounded finish time does not fit the work left:
@@ -650,32 +699,17 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
                     )
                 state.running = None
                 del remaining[rid]
-                completions[rid] = tn
+                finished += 1
                 emit(TraceEvent(tn, complete, rid))
             else:
                 left = remaining[rid] - done
                 remaining[rid] = left if left > 0 else 0
         t = tn
-
-    stretches = {jid: stretch(jobs[jid], done) for jid, done in completions.items()}
-    trace = SimTrace(
-        instance=instance,
-        policy=spec,
-        events=tuple(events),
-        completions=completions,
-        stretches=stretches,
-        segments=tuple(segments),
-        busy_time=None,
-    )
-    trace.busy_time = total_busy_time(trace)
-    return trace
+    return SimTrace(instance, spec, events)
 
 
 def max_stretch(trace: SimTrace):
-    """Largest interval stretch over the run; every job must have finished."""
-    missing = [j.id for j in trace.instance.jobs if j.id not in trace.completions]
-    if missing:
-        raise SchedulingError(f"jobs {missing} never completed")
+    """Largest interval stretch over the run."""
     return max(trace.stretches.values())
 
 

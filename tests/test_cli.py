@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from rampsched.cli import main
-from rampsched.core import Instance, Job, PrecisionContext, lazy_job, nonlazy_job
+from rampsched.core import Instance, Job, Policy, PrecisionContext, lazy_job, nonlazy_job
 from rampsched.fileio import load_instance, load_trace, save_instance
 from rampsched.online import missed_due_dates
 
@@ -366,19 +366,22 @@ def test_gen_random_prints_instance_json(capsys):
     assert len(record["jobs"]) == 3
 
 
-def test_gen_adversary_trace(tmp_path, capsys):
+@pytest.mark.parametrize("bits", [53, 128])
+@pytest.mark.parametrize("policy", [p.value for p in Policy])
+def test_gen_adversary_trace(tmp_path, capsys, policy, bits):
+    # The printed flag and the trace's missed due dates come from one rule.
+    ctx = PrecisionContext(bits)
     trace_path = tmp_path / "adv-trace.json"
     inst = tmp_path / "adv.json"
     code, out, _ = run(
-        capsys, "gen", "adversary", "--policy", "srpt",
+        capsys, "gen", "adversary", "--policy", policy, "--precision", str(bits),
         "--out", str(inst), "--trace-out", str(trace_path),
     )
     assert code == 0
     assert "branch:" in out
-    assert "policy missed a due date: True" in out
-    trace = load_trace(str(trace_path), CTX)
-    assert missed_due_dates(trace)
-    assert load_instance(str(inst), CTX).jobs
+    missed = bool(missed_due_dates(load_trace(str(trace_path), ctx)))
+    assert f"policy missed a due date: {missed}\n" in out
+    assert load_instance(str(inst), ctx).jobs
 
 
 def test_gen_parses_the_target_at_the_working_precision(capsys):

@@ -212,6 +212,8 @@ def test_trace_round_trips_are_exact(tmp_path, bits):
                             record["completions"] = record.pop("summary")["completions"]
                         assert kept == written
                         continue
+                    assert rec.events == trace.events
+                    assert rec.segments == trace.segments
                     assert rec.completions == trace.completions
                     assert rec.stretches == trace.stretches
                     assert rec.busy_time == trace.busy_time
@@ -252,6 +254,7 @@ def test_tampered_summaries_are_rejected(tmp_path):
     corrupt(lambda r: r["events"].__setitem__(0, {**r["events"][0], "time": "9"}))
     corrupt(lambda r: r["events"].__setitem__(1, {**r["events"][1], "kind": "warp"}))
     corrupt(lambda r: r["policy"].__setitem__("kind", "lifo"))
+    corrupt(lambda r: r["policy"].__setitem__("alpha", "0.5"), "idle threshold below 1")
     # A job window that closes as it opens.
     def shut_window(record):
         job = record["instance"]["jobs"][0]
@@ -457,8 +460,9 @@ def test_writer_text_is_the_records_json(tmp_path, bits):
     for k in (0, 1, SLICE, SLICE + 1, len(big.jobs), len(segments), len(events)):
         part = Instance(big.jobs[:k], name=big.name)
         same_text(save_instance, (part,), instance_to_record(part, ctx))
-        sched = Schedule(segments[:k])
-        deficits = {s.job: s.work_done for s in segments[:k]}
+        # A trace's segments carry no work; these claim their spans' lengths.
+        sched = Schedule(Segment(s.job, s.start, s.end, s.length) for s in segments[:k])
+        deficits = {s.job: s.work_done for s in sched.segments}
         status = Feasibility.INFEASIBLE if deficits else Feasibility.FEASIBLE
         verdict = FeasibilityVerdict(status, deficits=deficits,
                                      margin=None if k % 2 else ctx.real(k))

@@ -27,7 +27,6 @@ from rampsched import (
 )
 from rampsched import online
 from rampsched.binfloat import BinFloat
-from rampsched.core import total_busy_time
 from rampsched.fileio import trace_to_record
 from rampsched.generators import (
     gen_edd,
@@ -369,11 +368,21 @@ def test_simulation_is_deterministic():
     assert a.busy_time == b.busy_time
 
 
+def _claimed(inst, trace):
+    """The uncapped trace's segments, each claiming the work its span holds.
+
+    A trace records no work, so its segments carry work_done None.
+    """
+    jobs = inst.by_id
+    return Schedule(Segment(s.job, s.start, s.end, work_in(jobs[s.job], s.start, s.end))
+                    for s in trace.segments)
+
+
 def test_trace_segments_form_a_valid_schedule():
     for policy in Policy:
         inst = gen_random_feasible(5, 7, DOUBLE)
         trace = simulate(inst, PolicySpec(policy), DOUBLE)
-        report = validate_schedule(inst, Schedule(trace.segments), DOUBLE)
+        report = validate_schedule(inst, _claimed(inst, trace), DOUBLE)
         assert report.ok, (policy, report.violations)
         assert not report.incomplete
         lo, hi = inst.horizon
@@ -393,19 +402,11 @@ def test_busy_time_window_clips_and_filters():
         busy_time_in_window(trace, 3, 1)
 
 
-def test_max_stretch_requires_completion():
+def test_a_log_that_leaves_a_job_unfinished_is_refused():
     inst = Instance((lazy_job(1, 0, 2, 1),))
-    orphan = SimTrace(
-        instance=inst,
-        policy=PolicySpec(Policy.FIFO),
-        events=(),
-        completions={},
-        stretches={},
-        segments=(),
-        busy_time=0,
-    )
-    with pytest.raises(SchedulingError):
-        max_stretch(orphan)
+    for events in ((), (TraceEvent(0, EventKind.RELEASE, 1),)):
+        with pytest.raises(ValueError, match="job 1 never completes"):
+            SimTrace(inst, PolicySpec(Policy.FIFO), events)
 
 
 def test_simulate_rejects_an_empty_instance():
@@ -480,14 +481,8 @@ def _scan_simulate(instance, spec, ctx):
     if spec.speed_cap_factor is not None:
         caps = {j.id: spec.speed_cap_factor * speed_at(j, j.due) for j in order}
     released, remaining, completions = set(), {}, {}
-    events, segments = [], []
-    idx, running, seg_start, idle = 0, None, None, False
-
-    def close(rid, start, end):
-        if start < end:
-            done = work_in(jobs[rid], start, end, caps.get(rid))
-            segments.append(Segment(rid, start, end, done))
-
+    events = []
+    idx, running, idle = 0, None, False
     t = order[0].release
     while True:
         while idx < n and order[idx].release == t:
@@ -507,7 +502,6 @@ def _scan_simulate(instance, spec, ctx):
             )
         if choice is None or choice != running:
             if running is not None:
-                close(running, seg_start, t)
                 events.append(TraceEvent(t, EventKind.PREEMPT, running))
                 running = None
             if choice is None:
@@ -519,7 +513,7 @@ def _scan_simulate(instance, spec, ctx):
                     idle = False
                     events.append(TraceEvent(t, EventKind.IDLE_END))
                 events.append(TraceEvent(t, EventKind.START, choice))
-                seg_start, running = t, choice
+                running = choice
         if len(completions) == n:
             break
         horizon = [order[idx].release] if idx < n else []
@@ -543,7 +537,6 @@ def _scan_simulate(instance, spec, ctx):
         tn = min(horizon)
         if running is not None:
             if tn == finish_at:
-                close(running, seg_start, tn)
                 released.discard(running)
                 del remaining[running]
                 completions[running] = tn
@@ -553,17 +546,7 @@ def _scan_simulate(instance, spec, ctx):
                 left = remaining[running] - work_in(job, t, tn, caps.get(running))
                 remaining[running] = left if left > 0 else 0
         t = tn
-    trace = SimTrace(
-        instance=instance,
-        policy=spec,
-        events=tuple(events),
-        completions=completions,
-        stretches={i: stretch(jobs[i], done) for i, done in completions.items()},
-        segments=tuple(segments),
-        busy_time=None,
-    )
-    trace.busy_time = total_busy_time(trace)
-    return trace
+    return SimTrace(instance, spec, events)
 
 
 def _bucket_stress(ctx):
@@ -871,7 +854,7 @@ def test_ten_thousand_job_batch_at_double(monkeypatch):
         trace = simulate(inst, PolicySpec(policy), DOUBLE)
         assert len(trace.completions) == n
         assert sum(count[0] for count in kernels.values()) <= 4 * len(trace.events)
-        report = validate_schedule(inst, Schedule(trace.segments), DOUBLE)
+        report = validate_schedule(inst, _claimed(inst, trace), DOUBLE)
         assert report.ok and not report.incomplete, (policy, report.violations[:1])
         if policy is Policy.SRPT:
             closed_form = DOUBLE.sqrt(n + 1) / 2
