@@ -326,19 +326,18 @@ class Instance(Record):
 class Segment(Record):
     """Uninterrupted run of one job over [start, end].
 
-    work_done is the work run in it, or None in a trace loaded from a
-    file, which stores no work.
+    A segment is its span: the work run in it is work_in(job, start, end),
+    computed where it is read.
     """
 
-    __slots__ = _fields = ("job", "start", "end", "work_done")
+    __slots__ = _fields = ("job", "start", "end")
 
-    def __init__(self, job: int, start, end, work_done):
+    def __init__(self, job: int, start, end):
         if not start < end:
             raise ValueError("empty or reversed segment")
         self.job = job
         self.start = start
         self.end = end
-        self.work_done = work_done
 
     @property
     def length(self):

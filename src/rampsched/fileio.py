@@ -9,22 +9,23 @@ in slices of SLICE, so no whole record or file text is ever held in
 memory.  The `*_to_record` functions build the same content as dicts;
 a file's text is exactly json.dumps of its record with compact
 separators, which is what the tests hold the writers to, and `gen`
-prints an instance's record when it has no --out.
+prints an instance's record when it has no --out.  In a schedule file,
+a segment's "work" is work_in over its span.
 
+Every loader reads the file as UTF-8 and requires a JSON object.
 load_instance parses its job table one column at a time, at every
 precision.  When any value fails, a scan in row order parses the table
 and names the first bad row and field.  load_trace reads a trace's
 rows and builds its online.SimTrace with the one constructor simulate
 uses, whose replay of the events defines a valid log.  Its jobs carry
 their windows with work 0 at unit slope, since a trace file stores
-neither work nor speeds, and its segments, like every trace's, carry
-work_done None.  A trace's summary is a function of its events at the
-precision that wrote it, so load_trace replays the events at the
-file's precision_bits and requires the stored summary to be exactly
-the one trace_to_record writes for that replay; it refuses a file
-written above the reader's precision, with a retry hint.  Parsers
-report the JSON location for syntax errors and the offending field for
-schema errors.
+neither work nor speeds.  A trace's summary is a function of its
+events at the precision that wrote it, so load_trace replays the
+events at the file's precision_bits and requires the stored summary to
+be exactly the one trace_to_record writes for that replay; it refuses
+a file written above the reader's precision, with a retry hint.  Any
+other malformed file is a FileFormatError naming the path, the JSON
+location of a syntax error, or the offending field.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .core import (
     PrecisionContext,
     Schedule,
     total_busy_time,
+    work_in,
 )
 
 # Neither offline nor online is imported here: `solve` writes schedules
@@ -53,15 +55,23 @@ class FileFormatError(ValueError):
 
 
 def _read_json(path):
+    """The JSON object a UTF-8 file holds; FileFormatError for anything else."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            record = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: JSON nested too deeply") from exc
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc.strerror or exc}") from exc
+    if not isinstance(record, dict):
+        raise FileFormatError(f"{path}: expected a JSON object at the top level")
+    return record
 
 
 # Rows per write when a file's lists and maps are streamed.
@@ -251,7 +261,7 @@ def schedule_to_record(
                 "job": s.job,
                 "start": ctx.format(s.start),
                 "end": ctx.format(s.end),
-                "work": ctx.format(s.work_done),
+                "work": ctx.format(work_in(instance.by_id[s.job], s.start, s.end)),
             }
             for s in schedule.segments
         ],
@@ -261,6 +271,7 @@ def schedule_to_record(
 def save_schedule(instance, schedule, verdict, path, ctx):
     """Write schedule_to_record's content as compact JSON."""
     fmt = ctx.format
+    jobs = instance.by_id
     margin = None if verdict.margin is None else fmt(verdict.margin)
     deficits = verdict.deficits
     with open(path, "w") as fh:
@@ -275,7 +286,7 @@ def save_schedule(instance, schedule, verdict, path, ctx):
         write(f'}}}},"busy_time":"{fmt(total_busy_time(schedule))}","segments":[')
         _write_rows(write, (
             f'{{"job":{s.job},"start":"{fmt(s.start)}","end":"{fmt(s.end)}",'
-            f'"work":"{fmt(s.work_done)}"}}'
+            f'"work":"{fmt(work_in(jobs[s.job], s.start, s.end))}"}}'
             for s in schedule.segments
         ))
         write("]}\n")
@@ -397,19 +408,20 @@ def load_trace(path, ctx: PrecisionContext):
     """The online.SimTrace that a trace file records.
 
     Its instance holds each job row's id, release and due date, with
-    work 0 at unit slope: a trace file stores no work or speeds.  Its
-    completions, segments, stretches and busy time are SimTrace's replay
-    of the events, the one simulate's own runs go through.  Loaded at
-    the precision that wrote it, the trace saves back to the same bytes.
+    work 0 at unit slope: a trace file stores no work or speeds, so the
+    work of its segments (spans) is work_in on the simulated instance.
+    Its completions, segments, stretches and busy time are SimTrace's
+    replay of the events, the one simulate's own runs go through.  Loaded
+    at the precision that wrote it, the trace saves back to the same bytes.
 
-    The file is rejected when its event log is one no simulation writes
-    (SimTrace's ValueError, prefixed with the path), or when its stored
-    summary is not, as JSON text, the summary that trace_to_record
-    writes for the replay at the file's precision_bits: a summary is a
-    function of the events at the precision that wrote it, so it is
-    checked exactly.  A file written above ctx's precision
-    is refused with a retry hint.  A file written below it is replayed
-    again at ctx, and that replay is returned.
+    FileFormatError, prefixed with the path, rejects a file that is not a
+    UTF-8 JSON object, an event log no simulation writes (SimTrace's
+    ValueError), and a stored summary that is not, as JSON text, the one
+    trace_to_record writes for the replay at the file's precision_bits: a
+    summary is a function of the events at the precision that wrote it,
+    so it is checked exactly.  A file written above ctx's precision is
+    refused with a retry hint; one written below it is replayed again at
+    ctx, and that replay is returned.
     """
     record = _read_json(path)
     _check_schema(record, path, "trace")

@@ -109,12 +109,12 @@ class SimTrace:
     replay is the one definition of a valid log, for the run simulate
     just made and for a trace file alike.  completions maps each job id
     to the time of its complete event and stretches to its interval
-    stretch.  segments are the maximal uninterrupted runs: each start
-    followed by that job's preempt or complete, empty spans skipped,
-    with work_done None, since a log records no work.  busy_time is
-    total_busy_time of the segments.  A loaded trace's jobs carry their
-    windows with work 0 at unit slope: a trace file stores neither work
-    nor speeds.
+    stretch.  segments are the maximal uninterrupted runs, as spans: each
+    start followed by that job's preempt or complete, empty spans skipped.
+    busy_time is total_busy_time of the segments, and validate_schedule
+    takes the trace as it takes a Schedule.  A loaded trace's jobs carry
+    their windows with work 0 at unit slope: a trace file stores neither
+    work nor speeds, so its segments' work is read on the simulated one.
 
     Raises ValueError, naming the rule broken, for a log no simulation
     writes; a message about one event starts with `events[i]: `.
@@ -162,7 +162,7 @@ class SimTrace:
             elif kind is preempt or kind is complete:
                 if running == jid:
                     if run_start < t:
-                        segments.append(Segment(jid, run_start, t, None))
+                        segments.append(Segment(jid, run_start, t))
                     running = None
                 elif kind is preempt:
                     raise ValueError("preempt of a job that is not running")

@@ -154,6 +154,19 @@ def test_solve_malformed_json(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 100_000, b"5", b"null", b'"schema_version"'],
+    ids=["not-utf8", "deep", "number", "null", "string"],
+)
+def test_a_file_that_is_not_a_json_object_is_a_usage_error(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    for argv in (("solve",), ("simulate", "--policy", "fifo")):
+        code, _, err = run(capsys, argv[0], str(bad), *argv[1:])
+        assert code == 64, argv
+        assert err.startswith(f"{bad}: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("literal", ["1_0", "\u0661\u0662", " 2 ", "Infinity", "1/3"])
 def test_lax_numeric_literals_are_refused_alike_at_every_precision(tmp_path, capsys, literal):
     # float() reads the first three as 10, 12 and 2; the grammar takes none of them.

@@ -147,9 +147,9 @@ def test_instance_sorting_and_ids():
 
 def test_segment_and_schedule_validation():
     with pytest.raises(ValueError, match="^empty or reversed segment$"):
-        Segment(1, 2, 2, 0)
-    s1 = Segment(1, 1, 2, 1.5)
-    s0 = Segment(2, 0, 1, 0.5)
+        Segment(1, 2, 2)
+    s1 = Segment(1, 1, 2)
+    s0 = Segment(2, 0, 1)
     sched = Schedule((s1, s0))
     assert sched.segments[0] is s0
     assert sched.segments == (s0, s1)
@@ -172,11 +172,11 @@ def test_records_take_keywords_and_compare_by_value():
     assert hash(inst) == hash(Instance((job, lazy_job(2, 1, 3, 1)), "n", "p"))
     assert inst != Instance(inst.jobs, name="other", provenance="p")
 
-    seg = Segment(job=1, start=0, end=1, work_done=0.5)
-    assert seg == Segment(1, 0, 1, 0.5) and hash(seg) == hash(Segment(1, 0, 1, 0.5))
-    sched = Schedule(segments=[Segment(2, 1, 2, 1), seg])
-    assert sched == Schedule((seg, Segment(2, 1, 2, 1)))
-    assert hash(sched) == hash(Schedule((seg, Segment(2, 1, 2, 1))))
+    seg = Segment(job=1, start=0, end=1)
+    assert seg == Segment(1, 0, 1) and hash(seg) == hash(Segment(1, 0, 1))
+    sched = Schedule(segments=[Segment(2, 1, 2), seg])
+    assert sched == Schedule((seg, Segment(2, 1, 2)))
+    assert hash(sched) == hash(Schedule((seg, Segment(2, 1, 2))))
 
 
 # --- precision context ------------------------------------------------------

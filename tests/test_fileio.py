@@ -81,6 +81,24 @@ def _write(path, record):
     return path
 
 
+# Files that hold no JSON object, each with the error its loader must give.
+NOT_JSON_OBJECTS = (
+    (b"\xff\xfe{}", "not UTF-8 text"),
+    (b"[" * 100_000, "JSON nested too deeply"),
+    (b"5", "expected a JSON object"),
+    (b"null", "expected a JSON object"),
+    (b'"schema_version"', "expected a JSON object"),
+)
+
+
+def _refuses_non_objects(load, path):
+    for content, message in NOT_JSON_OBJECTS:
+        path.write_bytes(content)
+        with pytest.raises(FileFormatError) as caught:
+            load(path, CTX)
+        assert str(caught.value).startswith(f"{path}: {message}"), content[:8]
+
+
 def test_load_instance_rejects_malformed_files(tmp_path):
     ok = {
         "schema_version": 1,
@@ -94,6 +112,7 @@ def test_load_instance_rejects_malformed_files(tmp_path):
         load_instance(path, CTX)
     with pytest.raises(FileFormatError, match="missing.json"):
         load_instance(tmp_path / "missing.json", CTX)
+    _refuses_non_objects(load_instance, path)
 
     with pytest.raises(FileFormatError, match="schema_version"):
         load_instance(_write(path, {**ok, "schema_version": 99}), CTX)
@@ -179,7 +198,7 @@ def _read_at(trace, writer, reader):
     jobs = {j.id: Job(j.id, lift(j.release), lift(j.due), 0, 0, 1) for j in trace.instance.jobs}
     completions = {jid: lift(t) for jid, t in trace.completions.items()}
     stretches = {jid: stretch(jobs[jid], t) for jid, t in completions.items()}
-    segments = tuple(Segment(s.job, lift(s.start), lift(s.end), None) for s in trace.segments)
+    segments = tuple(Segment(s.job, lift(s.start), lift(s.end)) for s in trace.segments)
     return completions, stretches, total_busy_time(Schedule(segments))
 
 
@@ -232,6 +251,10 @@ def test_trace_records_missed_due_dates(tmp_path):
     path = tmp_path / "late.json"
     save_trace(trace, path, CTX)
     assert missed_due_dates(load_trace(path, CTX)) == [2]
+
+
+def test_load_trace_rejects_files_that_are_not_json_objects(tmp_path):
+    _refuses_non_objects(load_trace, tmp_path / "bad.json")
 
 
 def test_tampered_summaries_are_rejected(tmp_path):
@@ -460,9 +483,8 @@ def test_writer_text_is_the_records_json(tmp_path, bits):
     for k in (0, 1, SLICE, SLICE + 1, len(big.jobs), len(segments), len(events)):
         part = Instance(big.jobs[:k], name=big.name)
         same_text(save_instance, (part,), instance_to_record(part, ctx))
-        # A trace's segments carry no work; these claim their spans' lengths.
-        sched = Schedule(Segment(s.job, s.start, s.end, s.length) for s in segments[:k])
-        deficits = {s.job: s.work_done for s in sched.segments}
+        sched = Schedule(segments[:k])
+        deficits = {s.job: s.length for s in sched.segments}
         status = Feasibility.INFEASIBLE if deficits else Feasibility.FEASIBLE
         verdict = FeasibilityVerdict(status, deficits=deficits,
                                      margin=None if k % 2 else ctx.real(k))

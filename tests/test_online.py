@@ -13,9 +13,7 @@ from rampsched import (
     Instance,
     Job,
     PrecisionContext,
-    Schedule,
     SchedulingError,
-    Segment,
     Verdict,
     lazy_job,
     nonlazy_job,
@@ -368,26 +366,20 @@ def test_simulation_is_deterministic():
     assert a.busy_time == b.busy_time
 
 
-def _claimed(inst, trace):
-    """The uncapped trace's segments, each claiming the work its span holds.
-
-    A trace records no work, so its segments carry work_done None.
-    """
-    jobs = inst.by_id
-    return Schedule(Segment(s.job, s.start, s.end, work_in(jobs[s.job], s.start, s.end))
-                    for s in trace.segments)
-
-
-def test_trace_segments_form_a_valid_schedule():
+@pytest.mark.parametrize("bits", [53, 128])
+def test_trace_segments_form_a_valid_schedule(bits):
+    # An uncapped run's segments place each job's work: validate_schedule
+    # takes the trace itself and integrates the work over its spans.
+    ctx = PrecisionContext(bits)
+    inst = gen_random_feasible(5, 7, ctx)
     for policy in Policy:
-        inst = gen_random_feasible(5, 7, DOUBLE)
-        trace = simulate(inst, PolicySpec(policy), DOUBLE)
-        report = validate_schedule(inst, _claimed(inst, trace), DOUBLE)
+        trace = simulate(inst, PolicySpec(policy), ctx)
+        report = validate_schedule(inst, trace, ctx)
         assert report.ok, (policy, report.violations)
         assert not report.incomplete
         lo, hi = inst.horizon
         everywhere = busy_time_in_window(trace, lo, max(hi, max(trace.completions.values())))
-        assert everywhere == pytest.approx(float(trace.busy_time))
+        assert float(everywhere) == pytest.approx(float(trace.busy_time))
 
 
 def test_busy_time_window_clips_and_filters():
@@ -854,7 +846,7 @@ def test_ten_thousand_job_batch_at_double(monkeypatch):
         trace = simulate(inst, PolicySpec(policy), DOUBLE)
         assert len(trace.completions) == n
         assert sum(count[0] for count in kernels.values()) <= 4 * len(trace.events)
-        report = validate_schedule(inst, _claimed(inst, trace), DOUBLE)
+        report = validate_schedule(inst, trace, DOUBLE)
         assert report.ok and not report.incomplete, (policy, report.violations[:1])
         if policy is Policy.SRPT:
             closed_form = DOUBLE.sqrt(n + 1) / 2
