@@ -21,6 +21,7 @@ from .core import (
     PrecisionContext,
     SchedulingError,
     UnsupportedInstanceError,
+    retry_hint,
     total_busy_time,
 )
 from .fileio import (
@@ -118,10 +119,8 @@ def _finish(verdict, bits) -> int:
     """Print the retry hint for an indeterminate verdict; return the exit code."""
     code = _STATUS_EXIT[verdict.status.value]
     if code == EXIT_INDETERMINATE:
-        print(
-            f"margin is inside the comparison tolerance at {bits} "
-            f"bits; retry with --precision {2 * bits}"
-        )
+        print(f"margin is inside the comparison tolerance at {bits} bits; "
+              + retry_hint(2 * bits))
     return code
 
 
@@ -162,7 +161,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .online import busy_time_in_window, max_stretch, missed_due_dates, simulate
+    from .online import max_stretch, missed_due_dates, simulate
 
     ctx = _context(args)
     try:
@@ -181,7 +180,7 @@ def cmd_simulate(args) -> int:
     print(f"max stretch: {_short(worst)}")
     print(f"busy time: {_short(trace.busy_time)}")
     lo, hi = instance.horizon
-    print(f"busy fraction of horizon: {float(busy_time_in_window(trace, lo, hi) / (hi - lo)):.4f}")
+    print(f"busy fraction of horizon: {float(total_busy_time(trace, until=hi) / (hi - lo)):.4f}")
     if missed:
         print(f"missed due dates: jobs {', '.join(str(j) for j in missed)}")
     else:
@@ -227,13 +226,13 @@ def cmd_gen(args) -> int:
             instance = reduce_ssr(query, ctx)
         elif args.family == "adversary":
             from .generators import adaptive_adversary
+            from .online import missed_due_dates
 
-            spec = _policy_spec(args, ctx)
-            outcome = adaptive_adversary(spec, ctx)
-            instance = outcome.instance
+            outcome = adaptive_adversary(_policy_spec(args, ctx), ctx)
             trace = outcome.trace
+            instance = trace.instance
             print(f"branch: {outcome.branch}")
-            print(f"policy missed a due date: {outcome.missed}")
+            print(f"policy missed a due date: {bool(missed_due_dates(trace))}")
         else:  # pragma: no cover - argparse restricts choices
             return _fail_usage(f"unknown family {args.family}")
     except (ValueError, SchedulingError) as exc:

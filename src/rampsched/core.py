@@ -57,6 +57,11 @@ def literal_error(text) -> ValueError:
     return ValueError(f"could not convert string to float: {text!r}")
 
 
+def retry_hint(bits) -> str:
+    """The advice that ends every message naming a precision to rerun at."""
+    return f"retry with --precision {bits}"
+
+
 def _float_only(text) -> bool:
     """True for a string outside the literal grammar that float() may read.
 
@@ -161,7 +166,7 @@ class PrecisionContext:
             if isinstance(s, str) and s.lower().lstrip("+-") not in _NON_FINITE:
                 raise ValueError(
                     f"numeric literal {s!r} is out of range at {self.bits} bits; "
-                    f"retry with --precision {max(2 * self.bits, 64)}"
+                    + retry_hint(max(2 * self.bits, 64))
                 )
             raise ValueError(f"non-finite numeric literal {s!r}")
         return v
@@ -353,11 +358,17 @@ class Schedule(Record):
         self.segments = tuple(sorted(segments, key=lambda s: (s.start, s.job)))
 
 
-def total_busy_time(schedule):
-    """Sum of the segment lengths of a Schedule or SimTrace, in order."""
+def total_busy_time(schedule, until=None):
+    """Sum of the segment lengths of a Schedule or SimTrace, in order.
+
+    With until, each segment counts only up to that time.
+    """
     total = 0
     for s in schedule.segments:
-        total = total + s.length
+        if until is None:
+            total = total + s.length
+        elif s.start < until:
+            total = total + ((s.end if s.end < until else until) - s.start)
     return total
 
 

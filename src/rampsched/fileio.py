@@ -15,9 +15,10 @@ a segment's "work" is work_in over its span.
 Every loader reads the file as UTF-8 and requires a JSON object.
 load_instance parses its job table one column at a time, at every
 precision.  When any value fails, a scan in row order parses the table
-and names the first bad row and field.  load_trace reads a trace's
-rows and builds its online.SimTrace with the one constructor simulate
-uses, whose replay of the events defines a valid log.  Its jobs carry
+and names the first bad row and field; load_trace parses a trace's job
+rows the same way.  It builds its online.SimTrace with the one
+constructor simulate uses, whose replay of the events defines a valid
+log.  Its jobs carry
 their windows with work 0 at unit slope, since a trace file stores
 neither work nor speeds.  A trace's summary is a function of its
 events at the precision that wrote it, so load_trace replays the
@@ -31,7 +32,7 @@ location of a syntax error, or the offending field.
 from __future__ import annotations
 
 import json
-from itertools import islice
+from itertools import islice, repeat
 
 from .core import (
     Instance,
@@ -39,6 +40,7 @@ from .core import (
     Policy,
     PrecisionContext,
     Schedule,
+    retry_hint,
     total_busy_time,
     work_in,
 )
@@ -134,7 +136,7 @@ def _job(record, ctx, where, jid, release, due, work, base, slope):
         message = f"{where}: {exc}"
         bits = record.get("precision_bits")
         if not release < due and type(bits) is int and bits > ctx.bits:
-            message += f"; file written at {bits} bits; retry with --precision {bits}"
+            message += f"; file written at {bits} bits; " + retry_hint(bits)
         raise FileFormatError(message) from exc
 
 
@@ -143,29 +145,36 @@ _JOB_FIELDS = (("release", None), ("due", None), ("work", None), ("base", "0"), 
 
 
 def _jobs(record, ctx, path):
-    """The Jobs of an instance record's job table.
+    """The Jobs of a file record's job table.
 
-    The table is parsed column by column.  If any value fails, a scan
-    in row order parses it again and raises for the first bad row and
-    field.
+    An instance's table is its "jobs".  A trace's is its instance
+    block's, whose rows give only windows: release and due are read,
+    with work 0, base 0 and slope 1.  The table is parsed column by
+    column.  If any value fails, a scan in row order parses it again
+    and raises for the first bad row and field.
     """
-    rows = _expect(record, "jobs", list, path)
+    if record["kind"] == "trace":
+        table, label, fields = record["instance"], "instance.jobs", _JOB_FIELDS[:2]
+        fixed = (0, 0, 1)
+    else:
+        table, label, fields, fixed = record, "jobs", _JOB_FIELDS, ()
+    rows = _expect(table, "jobs", list, path)
     if rows and all(type(row) is dict for row in rows):
         ids = [row.get("id") for row in rows]
         columns = [ctx.parse_all([row.get(field, default) for row in rows])
-                   for field, default in _JOB_FIELDS]
+                   for field, default in fields]
         # type(), not isinstance(): JSON true would pass as id 1.
         if None not in columns and all(type(jid) is int for jid in ids):
             try:
-                return list(map(Job, ids, *columns))
+                return list(map(Job, ids, *columns, *map(repeat, fixed)))
             except ValueError:
                 pass
     jobs = []
-    for where, row in _rows(record, "jobs", path, "jobs"):
+    for where, row in _rows(table, "jobs", path, label):
         jid = _expect(row, "id", int, where)
         values = [_parse_number(row.get(field, default), ctx, where, field)
-                  for field, default in _JOB_FIELDS]
-        jobs.append(_job(record, ctx, where, jid, *values))
+                  for field, default in fields]
+        jobs.append(_job(record, ctx, where, jid, *values, *fixed))
     return jobs
 
 
@@ -337,13 +346,13 @@ def trace_to_record(trace, ctx: PrecisionContext) -> dict:
 
 def _summary(trace, ctx: PrecisionContext) -> dict:
     """A trace file's summary block: a function of the run at ctx."""
-    from .online import missed_due_dates
+    from .online import max_stretch, missed_due_dates
 
     completions, stretches = trace.completions, trace.stretches
     return {
         "completions": {str(jid): ctx.format(completions[jid]) for jid in sorted(completions)},
         "stretches": {str(jid): ctx.format(stretches[jid]) for jid in sorted(stretches)},
-        "max_stretch": ctx.format(max(stretches.values())),
+        "max_stretch": ctx.format(max_stretch(trace)),
         "busy_time": ctx.format(trace.busy_time),
         "missed_due_dates": missed_due_dates(trace),
     }
@@ -351,7 +360,7 @@ def _summary(trace, ctx: PrecisionContext) -> dict:
 
 def save_trace(trace, path, ctx: PrecisionContext):
     """Write trace_to_record's content as compact JSON."""
-    from .online import EventKind, missed_due_dates
+    from .online import EventKind, max_stretch, missed_due_dates
 
     fmt = ctx.format
     inst = trace.instance
@@ -380,7 +389,7 @@ def save_trace(trace, path, ctx: PrecisionContext):
         write('},"stretches":{')
         _write_rows(write, (f'"{jid}":"{fmt(stretches[jid])}"' for jid in sorted(stretches)))
         write(
-            f'}},"max_stretch":"{fmt(max(stretches.values()))}",'
+            f'}},"max_stretch":"{fmt(max_stretch(trace))}",'
             f'"busy_time":"{fmt(trace.busy_time)}","missed_due_dates":['
         )
         _write_rows(write, map(str, missed_due_dates(trace)))
@@ -429,7 +438,7 @@ def load_trace(path, ctx: PrecisionContext):
     if bits > ctx.bits:
         raise FileFormatError(
             f"{path}: cannot check the summary at {ctx.bits} bits; "
-            f"file written at {bits} bits; retry with --precision {bits}"
+            f"file written at {bits} bits; " + retry_hint(bits)
         )
     if bits < 24:
         raise FileFormatError(f"{path}: precision_bits {bits} is below 24")
@@ -454,12 +463,7 @@ def _replay(record, ctx: PrecisionContext, path):
     from .online import EventKind, PolicySpec, SimTrace, TraceEvent
 
     inst_block = _expect(record, "instance", dict, path)
-    rows = []
-    for where, row in _rows(inst_block, "jobs", path, "instance.jobs"):
-        jid = _expect(row, "id", int, where)
-        release = _parse_number(row.get("release"), ctx, where, "release")
-        due = _parse_number(row.get("due"), ctx, where, "due")
-        rows.append(_job(record, ctx, where, jid, release, due, 0, 0, 1))
+    rows = _jobs(record, ctx, path)
     if not rows:
         raise FileFormatError(f"{path}: trace instance has no jobs")
     try:

@@ -290,17 +290,17 @@ def gen_random_feasible(n: int, seed: int, ctx: PrecisionContext) -> Instance:
 
 
 class AdversaryOutcome:
-    """The extended instance, the policy's trace on it, and whether it missed.
+    """The policy's trace on the extended instance, and the branch chosen.
 
-    branch names the extension the adversary chose.
+    The instance is trace.instance, and the policy missed a due date
+    when online.missed_due_dates(trace) lists a job.  branch names the
+    extension the adversary chose.
     """
 
-    __slots__ = ("instance", "trace", "missed", "branch")
+    __slots__ = ("trace", "branch")
 
-    def __init__(self, instance: Instance, trace, missed: bool, branch: str):
-        self.instance = instance
+    def __init__(self, trace, branch: str):
         self.trace = trace
-        self.missed = missed
         self.branch = branch
 
 
@@ -322,7 +322,7 @@ def adaptive_adversary(spec, ctx: PrecisionContext) -> AdversaryOutcome:
     jobs, rerunning on the extended instance reproduces the observed
     prefix exactly.  spec is an online.PolicySpec.
     """
-    from .online import missed_due_dates, simulate
+    from .online import simulate
 
     seed_jobs = (
         lazy_job(1, *(ctx.parse(v) for v in _SEED_LONG)),
@@ -348,5 +348,4 @@ def adaptive_adversary(spec, ctx: PrecisionContext) -> AdversaryOutcome:
         name=f"adversary-{spec.kind.value}",
         provenance=f"adaptive_adversary(policy={spec.kind.value}, branch={branch})",
     )
-    trace = simulate(inst, spec, ctx)
-    return AdversaryOutcome(inst, trace, bool(missed_due_dates(trace)), branch)
+    return AdversaryOutcome(simulate(inst, spec, ctx), branch)

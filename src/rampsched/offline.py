@@ -37,6 +37,7 @@ from .core import (
     dyadic,
     lazy_job,
     nonlazy_job,
+    retry_hint,
     work_in,
 )
 
@@ -242,7 +243,7 @@ def _needs_bits(numbers, ctx: PrecisionContext) -> ValueError:
     bits = max(n.bit_length() for n in numbers)
     return ValueError(
         f"the surd-sum query needs {bits} bits to be exact, not {ctx.bits}; "
-        f"retry with --precision {bits}"
+        + retry_hint(bits)
     )
 
 

@@ -338,6 +338,17 @@ def test_simulate_reports_missed_jobs(tmp_path, capsys):
     assert "missed due dates: jobs 2" in out
 
 
+def test_busy_fraction_counts_only_the_horizon(tmp_path, capsys):
+    # The job finishes at sqrt(2), past the horizon [0, 1]; its busy
+    # time after the last due date is no part of the horizon.
+    inst = write_instance(tmp_path, (lazy_job(1, 0, 1, 1),))
+    code, out, _ = run(capsys, "simulate", inst, "--policy", "fifo", "--precision", "53")
+    assert code == 0
+    assert "busy time: 1.41421356237\n" in out
+    assert "busy fraction of horizon: 1.0000\n" in out
+    assert "missed due dates: jobs 1\n" in out
+
+
 def test_simulate_rejects_unknown_policy(tmp_path, capsys):
     inst = write_instance(tmp_path, (lazy_job(1, 0, 2, 1),))
     code, _, err = run(capsys, "simulate", inst, "--policy", "lifo")

@@ -335,6 +335,30 @@ def test_tampered_summaries_are_rejected(tmp_path):
     corrupt(lambda r: r["events"][2].__setitem__("time", "0.5"), "not at its row's release")
 
 
+def test_replay_errors_name_their_event(tmp_path):
+    trace = _ship_trace()
+    path = tmp_path / "trace.json"
+
+    def message(edit):
+        record = trace_to_record(trace, CTX)
+        edit(record["events"])
+        path.write_text(json.dumps(record))
+        with pytest.raises(FileFormatError) as info:
+            load_trace(path, CTX)
+        return str(info.value)
+
+    # Events 1-7: start 1 at 0, release 2, preempt 1 and start 2 at 1,
+    # complete 2, start 1, complete 1.
+    assert message(lambda e: e[4].__setitem__("time", "0.5")) == (
+        f"{path}: events[4]: events go backward in time")
+    assert message(lambda e: e.insert(2, dict(e[1]))) == (
+        f"{path}: events[2]: start while job 1 runs")
+    assert message(lambda e: e[3].__setitem__("job", 2)) == (
+        f"{path}: events[3]: preempt of a job that is not running")
+    assert message(lambda e: e.append(dict(e[7]))) == (
+        f"{path}: events[8]: job 1 completes twice")
+
+
 @pytest.mark.parametrize("bits", [53, 128])
 def test_summaries_are_checked_exactly(tmp_path, bits):
     # A summary figure moved by 2^-(bits-4) relative, well inside the
@@ -568,3 +592,48 @@ def test_loader_names_the_first_bad_row_and_field(tmp_path, bits):
         rows = _rows(3)
         rows[0]["due"] = text
         assert message(rows) == f"{path}: jobs[0]: field 'due': could not convert string to float: {text!r}"
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_trace_loader_names_the_first_bad_job_row_and_field(tmp_path, bits):
+    # A trace's job rows go through the instance loader's parser, which
+    # reads only their windows.
+    ctx = PrecisionContext(bits)
+    path = tmp_path / "trace.json"
+
+    def message(rows):
+        record = trace_to_record(_ship_trace(ctx), ctx)
+        record["instance"]["jobs"] = rows
+        with pytest.raises(FileFormatError) as info:
+            load_trace(_write(path, record), ctx)
+        return str(info.value)
+
+    rows = _rows(5)
+    rows[3]["release"] = "x"
+    rows[1]["due"] = "1_0"
+    assert message(rows) == f"{path}: instance.jobs[1]: field 'due': could not convert string to float: '1_0'"
+    rows = _rows(5)
+    rows[2].update(due="nan", release=" 1")
+    assert message(rows) == f"{path}: instance.jobs[2]: field 'release': could not convert string to float: ' 1'"
+    rows = _rows(3)
+    rows[2]["release"] = 3
+    assert message(rows) == f"{path}: instance.jobs[2]: field 'release' must be a decimal string, got int"
+    rows = _rows(3)
+    rows[1]["id"] = True
+    assert message(rows) == f"{path}: instance.jobs[1]: field 'id' has the wrong type"
+    rows = _rows(3)
+    rows[1]["due"] = "1"
+    assert message(rows) == f"{path}: instance.jobs[1]: job 2: release must precede due date"
+    rows = _rows(3)
+    rows[2] = [rows[2]]
+    assert message(rows) == f"{path}: instance.jobs[2]: expected an object"
+    for text in ("2 ", "\t2", "\u0662"):
+        rows = _rows(3)
+        rows[0]["due"] = text
+        assert message(rows) == (
+            f"{path}: instance.jobs[0]: field 'due': could not convert string to float: {text!r}")
+    assert message([]) == f"{path}: trace instance has no jobs"
+    # Only the windows are read: a row's work, base and slope are not.
+    record = trace_to_record(_ship_trace(ctx), ctx)
+    record["instance"]["jobs"][0].update(work="x", base=True, slope="-1")
+    assert load_trace(_write(path, record), ctx).instance.by_id[1].work == 0

@@ -24,7 +24,7 @@ from rampsched.offline import (
     reduce_ssr,
     validate_schedule,
 )
-from rampsched.online import Policy, PolicySpec, max_stretch, simulate
+from rampsched.online import Policy, PolicySpec, max_stretch, missed_due_dates, simulate
 
 CTX = PrecisionContext(128)
 
@@ -274,20 +274,20 @@ def test_adversary_defeats_every_policy(kind):
     spec = PolicySpec(kind, alpha=2)
     outcome = adaptive_adversary(spec, CTX)
     assert isinstance(outcome, AdversaryOutcome)
-    assert outcome.missed
+    assert missed_due_dates(outcome.trace)
     assert outcome.branch in ("starve-late-hours", "occupy-sliver-window")
     # The extension must remain within reach of an offline schedule.
-    _, verdict = lrtb(outcome.instance, CTX)
+    _, verdict = lrtb(outcome.trace.instance, CTX)
     assert verdict.status is Feasibility.FEASIBLE
 
 
 def test_adversary_extension_preserves_the_observed_prefix():
     spec = PolicySpec(Policy.SRPT)
     outcome = adaptive_adversary(spec, CTX)
-    extra = [j for j in outcome.instance.jobs if j.id > 2]
+    extra = [j for j in outcome.trace.instance.jobs if j.id > 2]
     assert len(extra) == 1
     cutoff = extra[0].release
-    seed_only = Instance(tuple(j for j in outcome.instance.jobs if j.id <= 2))
+    seed_only = Instance(tuple(j for j in outcome.trace.instance.jobs if j.id <= 2))
     rehearsal = simulate(seed_only, spec, CTX)
     pre = [e for e in outcome.trace.events if e.time < cutoff]
     assert pre == [e for e in rehearsal.events if e.time < cutoff]

@@ -64,8 +64,8 @@ INSTANCES = {
     "ssr-feasible": lambda ctx: reduce_ssr(SsrQuery((2, 3, 5), 5), ctx),
     "ssr-infeasible": lambda ctx: reduce_ssr(SsrQuery((4, 9), 6), ctx),
     "mixed-speeds": _mixed,
-    "adversary-edd": lambda ctx: adaptive_adversary(PolicySpec(Policy.EDD), ctx).instance,
-    "adversary-srpt": lambda ctx: adaptive_adversary(PolicySpec(Policy.SRPT), ctx).instance,
+    "adversary-edd": lambda ctx: adaptive_adversary(PolicySpec(Policy.EDD), ctx).trace.instance,
+    "adversary-srpt": lambda ctx: adaptive_adversary(PolicySpec(Policy.SRPT), ctx).trace.instance,
 }
 
 

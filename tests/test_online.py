@@ -25,6 +25,7 @@ from rampsched import (
 )
 from rampsched import online
 from rampsched.binfloat import BinFloat
+from rampsched.core import total_busy_time
 from rampsched.fileio import trace_to_record
 from rampsched.generators import (
     gen_edd,
@@ -41,7 +42,6 @@ from rampsched.online import (
     SimState,
     SimTrace,
     TraceEvent,
-    busy_time_in_window,
     lssf_crossing,
     max_stretch,
     simulate,
@@ -377,21 +377,23 @@ def test_trace_segments_form_a_valid_schedule(bits):
         report = validate_schedule(inst, trace, ctx)
         assert report.ok, (policy, report.violations)
         assert not report.incomplete
-        lo, hi = inst.horizon
-        everywhere = busy_time_in_window(trace, lo, max(hi, max(trace.completions.values())))
-        assert float(everywhere) == pytest.approx(float(trace.busy_time))
+        # Clipped at the last completion, no segment loses any time.
+        last = max(trace.completions.values())
+        assert total_busy_time(trace, until=last) == trace.busy_time
 
 
-def test_busy_time_window_clips_and_filters():
+def test_busy_time_until_clips_each_segment():
     inst = Instance((lazy_job(1, 0, 4, 2), lazy_job(2, 1, 2, 0.375)))
     trace = simulate(inst, PolicySpec(Policy.FIFO), DOUBLE)
     # Segments: job 1 over [0, 2], job 2 over [2, 1 + sqrt(1.75)].
-    assert busy_time_in_window(trace, 1, 2.1) == pytest.approx(1.1)
-    only_contained = busy_time_in_window(trace, 0.5, 2.5, contained_only=True)
-    assert only_contained == pytest.approx(math.sqrt(1.75) - 1)
-    assert busy_time_in_window(trace, -5, -1) == 0
-    with pytest.raises(ValueError):
-        busy_time_in_window(trace, 3, 1)
+    end = 1 + math.sqrt(1.75)
+    assert total_busy_time(trace) == trace.busy_time == pytest.approx(end)
+    assert total_busy_time(trace, until=1) == 1
+    assert total_busy_time(trace, until=2) == 2
+    assert total_busy_time(trace, until=2.1) == pytest.approx(2.1)
+    assert total_busy_time(trace, until=end + 1) == trace.busy_time
+    assert total_busy_time(trace, until=0) == 0
+    assert total_busy_time(trace, until=-1) == 0
 
 
 def test_a_log_that_leaves_a_job_unfinished_is_refused():
