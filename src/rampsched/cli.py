@@ -11,7 +11,6 @@ ends the command quietly with exit 141.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -24,20 +23,12 @@ from .core import (
     retry_hint,
     total_busy_time,
 )
-from .fileio import (
-    FileFormatError,
-    instance_to_record,
-    load_instance,
-    save_instance,
-    save_schedule,
-    save_trace,
-    write_plot_data,
-)
 
 # Each command imports the layers it runs itself, so a call compiles and
 # runs only those: `solve` loads offline, `simulate` online, and `gen`
 # the generators, which load offline and online only for the families
-# that run the sweep or the simulator.
+# that run the sweep or the simulator.  Only these three read or write
+# files, so only they load fileio; `check`, `bench` and `--help` do not.
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
@@ -128,6 +119,7 @@ def _finish(verdict, bits) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .fileio import FileFormatError, load_instance, save_schedule
     from .offline import solve
 
     ctx = _context(args)
@@ -161,6 +153,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .fileio import FileFormatError, load_instance, save_trace, write_plot_data
     from .online import max_stretch, missed_due_dates, simulate
 
     ctx = _context(args)
@@ -198,6 +191,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    import json
+
+    from .fileio import instance_to_record, save_instance, save_trace
+
     ctx = _context(args)
     trace = None
     try:
@@ -283,7 +280,7 @@ def cmd_check(args) -> int:
     ctx = _context(args)
     try:
         query = SsrQuery(_parse_int_list(args.xs), args.threshold)
-        verdict = check_reduction(query, ctx)
+        _, verdict = check_reduction(query, ctx)
     except ValueError as exc:
         return _fail_usage(exc)
     total = " + ".join(f"sqrt({x})" for x in query.xs)

@@ -55,20 +55,14 @@ class FeasibilityVerdict:
     margin is the smallest gap any decision rested on: time distance
     to a release for exhausted jobs, leftover work for deficient ones.
     Units are therefore mixed; treat it as a diagnostic of how close
-    the instance is to the boundary, not as a single metric.
+    the instance is to the boundary, not as a single metric.  Every
+    decider returns it beside its schedule, as (schedule or None, verdict).
     """
 
-    __slots__ = ("status", "witness", "deficits", "margin")
+    __slots__ = ("status", "deficits", "margin")
 
-    def __init__(
-        self,
-        status: Feasibility,
-        witness: Schedule | None = None,
-        deficits: dict | None = None,
-        margin=None,
-    ):
+    def __init__(self, status: Feasibility, deficits: dict | None = None, margin=None):
         self.status = status
-        self.witness = witness
         self.deficits = {} if deficits is None else deficits
         self.margin = margin
 
@@ -88,9 +82,10 @@ def lrtb(instance: Instance, ctx: PrecisionContext):
     """Backward sweep prioritizing the latest release time.
 
     Returns (schedule, verdict).  The schedule holds whatever work
-    could be placed, in forward order; the verdict records per-job
-    deficits for work that no schedule could place.  A step that
-    exhausts its job appends its span without calling work_in.
+    could be placed, in forward order, so it is a witness exactly when
+    the verdict is feasible; the verdict records per-job deficits for
+    work that no schedule could place.  A step that exhausts its job
+    appends its span without calling work_in.
     """
     _check_sweepable(instance)
     jobs = [j for j in instance.jobs if j.work > 0]
@@ -159,17 +154,13 @@ def lrtb(instance: Instance, ctx: PrecisionContext):
             # admitted at tau past its due date.
             tau = min(lo, tau)
 
-    schedule = Schedule(tuple(segments))
     if deficits:
         status = Feasibility.INFEASIBLE
-        witness = None
     elif indeterminate:
         status = Feasibility.INDETERMINATE
-        witness = None
     else:
         status = Feasibility.FEASIBLE
-        witness = schedule
-    return schedule, FeasibilityVerdict(status, witness, deficits, margin)
+    return Schedule(tuple(segments)), FeasibilityVerdict(status, deficits, margin)
 
 
 # --- sum-of-square-roots reduction -------------------------------------------
@@ -289,16 +280,17 @@ def recover_ssr_query(instance: Instance, ctx: PrecisionContext):
     return None
 
 
-def check_reduction(query: SsrQuery, ctx: PrecisionContext) -> FeasibilityVerdict:
-    """Feasibility verdict for the reduced instance.
+def check_reduction(query: SsrQuery, ctx: PrecisionContext):
+    """Decide the reduced instance: (witness or None, verdict).
 
     All-perfect-square queries resolve exactly through integer square
     roots.  Otherwise the surd sum is compared at working precision;
     a difference inside tolerance yields Indeterminate, since equality
-    of an irrational sum cannot be certified numerically.  A feasible
-    verdict carries a witness when reduce_ssr can build the instance
-    at ctx, and None otherwise.  Raises ValueError naming the precision
-    to retry at when a number of the query overflows ctx.
+    of an irrational sum cannot be certified numerically.  The witness
+    is a schedule of the reduced instance, given only for a feasible
+    verdict and only when reduce_ssr can build the instance at ctx.
+    Raises ValueError naming the precision to retry at when a number of
+    the query overflows ctx.
     """
     roots = [math.isqrt(x) for x in query.xs]
     threshold = query.threshold
@@ -320,12 +312,12 @@ def check_reduction(query: SsrQuery, ctx: PrecisionContext) -> FeasibilityVerdic
             witness = _reduction_witness(query, ctx)
         except ValueError:  # the instance itself does not fit ctx
             witness = None
-        return FeasibilityVerdict(Feasibility.FEASIBLE, witness, {}, margin)
+        return witness, FeasibilityVerdict(Feasibility.FEASIBLE, {}, margin)
     if cmp is Verdict.LESS:
-        return FeasibilityVerdict(
-            Feasibility.INFEASIBLE, None, {len(query.xs) + 1: deficit}, margin
+        return None, FeasibilityVerdict(
+            Feasibility.INFEASIBLE, {len(query.xs) + 1: deficit}, margin
         )
-    return FeasibilityVerdict(Feasibility.INDETERMINATE, None, {}, margin)
+    return None, FeasibilityVerdict(Feasibility.INDETERMINATE, {}, margin)
 
 
 def _reduction_witness(query: SsrQuery, ctx: PrecisionContext) -> Schedule:
@@ -362,10 +354,7 @@ def solve(instance: Instance, ctx: PrecisionContext):
     Raises UnsupportedInstanceError where lrtb does.
     """
     query = recover_ssr_query(instance, ctx)
-    if query is not None:
-        verdict = check_reduction(query, ctx)
-        return verdict.witness, verdict
-    return lrtb(instance, ctx)
+    return lrtb(instance, ctx) if query is None else check_reduction(query, ctx)
 
 
 class ValidationReport:
@@ -393,11 +382,13 @@ def validate_schedule(
 
     Violations cover overlap and execution outside a job's window.  A
     job's placed work is the sum of work_in over the in-window part of
-    its segments; a job whose placed work falls short is reported in
-    `incomplete`, which is a violation only when due dates are required.
+    its segments, under the speed cap of the trace's policy, if any; a
+    job whose placed work falls short is reported in `incomplete`,
+    which is a violation only when due dates are required.
     """
     violations = []
     incomplete = {}
+    policy = getattr(schedule, "policy", None)  # a Schedule has none
     prev = None
     placed = {j.id: 0 for j in instance.jobs}
     for seg in schedule.segments:
@@ -421,7 +412,8 @@ def validate_schedule(
         # from there; the pre-release part was already flagged above.
         lo = seg.start if seg.start > job.release else job.release
         if seg.end > lo:
-            placed[seg.job] = placed[seg.job] + work_in(job, lo, seg.end)
+            cap = None if policy is None else policy.cap(job)
+            placed[seg.job] = placed[seg.job] + work_in(job, lo, seg.end, cap)
     for j in instance.jobs:
         cmp = ctx.compare(placed[j.id], j.work)
         if cmp is Verdict.LESS:

@@ -59,8 +59,8 @@ class PolicySpec(Record):
 
     alpha is the stretch threshold below which the thrashing policy
     refuses to start a job.  speed_cap_factor, when set, caps every
-    job's speed at factor * speed_at(job, job.due); None leaves the
-    ramp unbounded.
+    job's speed at factor * speed_at(job, job.due) (see `cap`); None
+    leaves the ramp unbounded.
     """
 
     __slots__ = _fields = ("kind", "alpha", "speed_cap_factor")
@@ -77,6 +77,11 @@ class PolicySpec(Record):
         self.kind = kind
         self.alpha = alpha
         self.speed_cap_factor = speed_cap_factor
+
+    def cap(self, job: Job):
+        """The job's absolute speed cap under this policy, or None when uncapped."""
+        factor = self.speed_cap_factor
+        return None if factor is None else factor * speed_at(job, job.due)
 
 
 class EventKind(enum.Enum):
@@ -334,11 +339,12 @@ class SimState:
     The constructor takes only spec, jobs and ctx.  admit releases a
     job, start and preempt move the machine, and simulate updates
     `remaining` (each released unfinished job's work left) and clears
-    `running` on completion.  caps maps job id to its absolute speed
-    cap; a job without an entry runs uncapped.  FIFO, EDD and thrashing
-    (the `static` policies) keep their candidates in `ready`, a heap of
-    (rank, id) with a rank fixed at release, so a dispatch costs
-    O(log n); completed jobs leave it lazily.  start keeps the running
+    `running` on completion.  caps maps each released job's id to its
+    absolute speed cap, spec.cap(job), which is None when uncapped.
+    FIFO, EDD and thrashing (the `static` policies) keep their
+    candidates in `ready`, a heap of (rank, id) with a rank fixed at
+    release, so a dispatch costs O(log n); completed jobs leave it
+    lazily.  start keeps the running
     job's rank in `running_rank` for dispatch's tie test.  Thrashing
     holds a job in `pending`, a heap of (activation, id), until its
     activation time.
@@ -415,7 +421,7 @@ class SimState:
         job = self.jobs[jid]
         if self.spec.kind is Policy.LSSF:
             return job.release, job.due
-        return job.release, job.base, job.slope, self.caps.get(jid), self.remaining[jid]
+        return job.release, job.base, job.slope, self.caps[jid], self.remaining[jid]
 
     def file(self, jid):
         """Put a waiting SRPT or LSSF job in its bucket; True if it opened one."""
@@ -433,21 +439,19 @@ class SimState:
         if self.static:
             self.running_rank = self.rank(self.jobs[jid])
         else:
+            # dispatch only ever picks a bucket's lowest id, its head.
             key = self.bucket_key(jid)
             bucket = self.buckets[key]
             if len(bucket) == 1:
                 del self.buckets[key]
-            elif bucket[0] == jid:  # the dispatcher only ever starts a bucket's lowest id
-                heapq.heappop(bucket)
             else:
-                bucket.remove(jid)
-                heapq.heapify(bucket)
+                heapq.heappop(bucket)
 
     def preempt(self):
         """Stop the running job; SRPT and LSSF file it again as waiting."""
         rid = self.running
         self.running = None
-        if self.spec.kind is Policy.SRPT or self.spec.kind is Policy.LSSF:
+        if not self.static:
             self.file(rid)
 
     def admit(self, job: Job):
@@ -455,8 +459,7 @@ class SimState:
         jid = job.id
         self.remaining[jid] = job.work
         spec = self.spec
-        if spec.speed_cap_factor is not None:
-            self.caps[jid] = spec.speed_cap_factor * speed_at(job, job.due)
+        self.caps[jid] = spec.cap(job)
         kind = spec.kind
         if kind is Policy.THRASHING:
             heapq.heappush(self.pending, (thrashing_activation(job, spec.alpha), jid))
@@ -581,7 +584,7 @@ class SimState:
             remaining, caps, ctx = self.remaining, self.caps, self.ctx
 
             def rpt(i):
-                return completion_from(jobs[i], t, remaining[i], ctx, caps.get(i)) - t
+                return completion_from(jobs[i], t, remaining[i], ctx, caps[i]) - t
             return min(cands, key=lambda i: (rpt(i), i != running, i))
         if self.screen is not None:
             cands = self.screen.near_top(cands, t)
@@ -623,7 +626,6 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
     )
     events = []
     emit = events.append
-    finished = 0
     idx = 0
     release_at = order[0].release  # of order[idx], while idx < n
     idle = False
@@ -636,10 +638,11 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
                 release_at = order[idx].release
             emit(TraceEvent(t, release, j.id))
             if j.work == 0:
-                finished += 1
                 emit(TraceEvent(t, complete, j.id))
             else:
                 admit(j)
+        if idx == n and not remaining:
+            break
         # Dispatch: preempt, then idle or start, unless the choice stands.
         choice = dispatch(t)
         rid = state.running
@@ -648,7 +651,7 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
                 emit(TraceEvent(t, preempt, rid))
                 state.preempt()
             if choice is None:
-                if not idle and finished < n:
+                if not idle:
                     idle = True
                     emit(TraceEvent(t, EventKind.IDLE_BEGIN))
             else:
@@ -657,15 +660,13 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
                     emit(TraceEvent(t, EventKind.IDLE_END))
                 emit(TraceEvent(t, start, choice))
                 state.start(choice)
-        if finished == n:
-            break
         # Next event: the earliest of a release, a finish and the policy's
         # own event, the first of them on a tie (as min() would pick).
         tn = release_at if idx < n else None
         rid = state.running
         if rid is not None:
             job = jobs[rid]
-            cap = caps.get(rid)
+            cap = caps[rid]
             finish_at = completion_from(job, t, remaining[rid], ctx, cap)
             if finish_at < t:
                 finish_at = t
@@ -705,7 +706,6 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
                     )
                 state.running = None
                 del remaining[rid]
-                finished += 1
                 emit(TraceEvent(tn, complete, rid))
             else:
                 left = remaining[rid] - done

@@ -235,7 +235,7 @@ def test_criterion_07_surd_sum_verdicts_match_high_precision_oracle():
         total = sum(oracle.sqrt(x) for x in xs)
         threshold = max(1, int(math.floor(float(total))) + rng.choice([-1, 0, 1]))
         query = SsrQuery(xs, threshold)
-        verdict = check_reduction(query, CTX)
+        witness, verdict = check_reduction(query, CTX)
         expect = (
             Feasibility.FEASIBLE if total >= threshold else Feasibility.INFEASIBLE
         )
@@ -245,12 +245,12 @@ def test_criterion_07_surd_sum_verdicts_match_high_precision_oracle():
         if verdict.status is Feasibility.FEASIBLE:
             inst = reduce_ssr(query, CTX)
             check = validate_schedule(
-                inst, verdict.witness, CTX, require_due_dates=True
+                inst, witness, CTX, require_due_dates=True
             )
             if not check.ok:
                 ok, detail = False, f"{query}: witness invalid: {check.violations[:1]}"
                 break
-    square = check_reduction(SsrQuery((1, 4, 9), 6), CTX)
+    _, square = check_reduction(SsrQuery((1, 4, 9), 6), CTX)
     if ok and not (square.status is Feasibility.FEASIBLE and square.margin == 0):
         ok, detail = False, "perfect-square boundary not resolved exactly"
     elapsed = time.perf_counter() - start

@@ -771,6 +771,24 @@ def test_each_command_loads_only_its_own_decider(tmp_path):
             assert (layer in modules) == (layer in layers), (argv[:2], layer)
 
 
+def test_only_the_commands_that_touch_files_load_fileio(tmp_path):
+    inst = write_instance(tmp_path, (lazy_job(1, 0, 2, 1), lazy_job(2, 1, 3, 1)))
+    for argv in (
+        ["--help"],
+        ["check", "--xs", "2,3", "--threshold", "3"],
+        ["bench", "--suite", "lssf", "--jobs", "4"],
+    ):
+        modules = _loaded_modules(*argv)
+        assert "rampsched.fileio" not in modules, argv[:1]
+        assert "json" not in modules, argv[:1]
+    for argv in (
+        ["solve", inst],
+        ["simulate", inst, "--policy", "fifo"],
+        ["gen", "random", "--n", "4", "--seed", "1"],
+    ):
+        assert "rampsched.fileio" in _loaded_modules(*argv), argv[:1]
+
+
 def test_closed_form_families_load_neither_decider():
     for family in ("lssf", "srpt"):
         modules = _loaded_modules("gen", family, "--n", "4", "--precision", "53")

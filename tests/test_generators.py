@@ -202,25 +202,27 @@ def test_reduction_refuses_what_the_precision_cannot_hold():
         reduce_ssr(q, DOUBLE)
     assert reduce_ssr(q, PrecisionContext(56)) == reduce_ssr(q, CTX)
     # The verdict needs no instance, so it stands without a witness.
-    verdict = check_reduction(q, DOUBLE)
+    witness, verdict = check_reduction(q, DOUBLE)
     assert verdict.status is Feasibility.FEASIBLE
-    assert verdict.witness is None
+    assert witness is None
 
 
 def test_perfect_square_queries_resolve_exactly():
-    verdict = check_reduction(SsrQuery((1, 4, 9), 6), CTX)
+    witness, verdict = check_reduction(SsrQuery((1, 4, 9), 6), CTX)
     assert verdict.status is Feasibility.FEASIBLE
     assert verdict.margin == 0
-    verdict = check_reduction(SsrQuery((1, 4, 9), 7), CTX)
+    assert witness is not None
+    witness, verdict = check_reduction(SsrQuery((1, 4, 9), 7), CTX)
     assert verdict.status is Feasibility.INFEASIBLE
     assert verdict.deficits == {4: 1}
+    assert witness is None
 
 
 def test_irrational_queries_compare_at_working_precision():
-    yes = check_reduction(SsrQuery((2, 3), 3), CTX)
+    _, yes = check_reduction(SsrQuery((2, 3), 3), CTX)
     assert yes.status is Feasibility.FEASIBLE
     assert CTX.close(yes.margin, CTX.sqrt(2) + CTX.sqrt(3) - 3)
-    no = check_reduction(SsrQuery((2, 3), 4), CTX)
+    _, no = check_reduction(SsrQuery((2, 3), 4), CTX)
     assert no.status is Feasibility.INFEASIBLE
     assert CTX.close(no.deficits[3], 4 - CTX.sqrt(2) - CTX.sqrt(3))
 
@@ -229,19 +231,19 @@ def test_near_integer_sum_is_indeterminate_at_low_precision():
     # sqrt(1000001) = 1000.0000005; 24 bits cannot distinguish that
     # from the threshold, 128 bits can.
     q = SsrQuery((1000001,), 1000)
-    blurry = check_reduction(q, PrecisionContext(24))
+    witness, blurry = check_reduction(q, PrecisionContext(24))
     assert blurry.status is Feasibility.INDETERMINATE
-    assert blurry.witness is None
-    sharp = check_reduction(q, CTX)
+    assert witness is None
+    _, sharp = check_reduction(q, CTX)
     assert sharp.status is Feasibility.FEASIBLE
 
 
 def test_feasible_witness_validates_against_the_reduction():
     for q in (SsrQuery((2, 3), 3), SsrQuery((1, 4, 9), 6), SsrQuery((5, 7, 11), 7)):
-        verdict = check_reduction(q, CTX)
+        witness, verdict = check_reduction(q, CTX)
         assert verdict.status is Feasibility.FEASIBLE
         inst = reduce_ssr(q, CTX)
-        report = validate_schedule(inst, verdict.witness, CTX, require_due_dates=True)
+        report = validate_schedule(inst, witness, CTX, require_due_dates=True)
         assert report.ok, report.violations
         assert not report.incomplete
 
@@ -256,7 +258,7 @@ def test_verdict_sign_matches_a_fresh_high_precision_sum():
         ((1, 2, 3, 4, 5, 6), 11),
     ):
         q = SsrQuery(xs, threshold)
-        verdict = check_reduction(q, CTX)
+        _, verdict = check_reduction(q, CTX)
         total = sum(wide.sqrt(x) for x in xs)
         if verdict.status is Feasibility.FEASIBLE:
             assert total >= threshold

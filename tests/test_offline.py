@@ -49,7 +49,6 @@ def test_single_job_packs_against_due_date():
     inst = Instance((lazy_job(1, 0, 2, 1),))
     schedule, verdict = lrtb(inst, CTX)
     assert verdict.status is Feasibility.FEASIBLE
-    assert verdict.witness is schedule
     root2 = CTX.sqrt(2)
     (seg,) = schedule.segments
     assert seg.job == 1
@@ -122,7 +121,6 @@ def test_overfull_window_reports_the_deficit():
     inst = Instance((lazy_job(1, 0, 1, 1),))
     schedule, verdict = lrtb(inst, CTX)
     assert verdict.status is Feasibility.INFEASIBLE
-    assert verdict.witness is None
     assert_near(CTX, verdict.deficits[1], CTX.real("0.5"))
     assert_near(CTX, verdict.margin, CTX.real("0.5"))
     # The sweep still places what fits.
@@ -168,10 +166,10 @@ def test_integer_grid_witnesses_meet_due_dates():
             r = rng.randint(0, 4)
             jobs.append(lazy_job(i, r, r + rng.randint(1, 3), rng.randint(1, 4) / 2))
         inst = Instance(tuple(jobs))
-        _, verdict = lrtb(inst, DOUBLE)
+        schedule, verdict = lrtb(inst, DOUBLE)
         if verdict.status is Feasibility.FEASIBLE:
             feasible += 1
-            report = validate_schedule(inst, verdict.witness, DOUBLE, require_due_dates=True)
+            report = validate_schedule(inst, schedule, DOUBLE, require_due_dates=True)
             assert report.ok, (seed, report.violations)
     assert feasible > 50
 
@@ -189,13 +187,13 @@ def test_zero_slack_window_is_decisively_feasible():
 
 def test_verdict_defaults():
     verdict = FeasibilityVerdict(Feasibility.INDETERMINATE)
-    assert (verdict.witness, verdict.deficits, verdict.margin) == (None, {}, None)
+    assert (verdict.deficits, verdict.margin) == ({}, None)
     # Every verdict gets its own deficits map.
     assert FeasibilityVerdict(Feasibility.FEASIBLE).deficits is not verdict.deficits
     keyed = FeasibilityVerdict(status=Feasibility.INFEASIBLE, deficits={2: 1}, margin=1)
-    assert (keyed.status, keyed.witness, keyed.deficits, keyed.margin) == (
-        Feasibility.INFEASIBLE, None, {2: 1}, 1,
-    )
+    assert (keyed.status, keyed.deficits, keyed.margin) == (Feasibility.INFEASIBLE, {2: 1}, 1)
+    # The schedule travels beside the verdict, never inside it.
+    assert FeasibilityVerdict.__slots__ == ("status", "deficits", "margin")
 
 
 def test_hairline_deficit_depends_on_precision():
@@ -204,7 +202,6 @@ def test_hairline_deficit_depends_on_precision():
     jobs = (lazy_job(1, 0, 2, 2 + 1e-13),)
     _, blurry = lrtb(Instance(jobs), DOUBLE)
     assert blurry.status is Feasibility.INDETERMINATE
-    assert blurry.witness is None
     exact = Instance((lazy_job(1, 0, 2, CTX.real("2.0000000000001")),))
     _, sharp = lrtb(exact, CTX)
     assert sharp.status is Feasibility.INFEASIBLE
@@ -323,7 +320,6 @@ def test_sweep_matches_the_quadratic_reference(bits):
         schedule, verdict = lrtb(inst, ctx)
         got = (verdict.status, schedule.segments, verdict.deficits, verdict.margin)
         assert got == _quadratic_sweep(inst, ctx), inst
-        assert verdict.witness is (schedule if got[0] is Feasibility.FEASIBLE else None)
 
 
 def test_sweep_comparisons_grow_as_n_log_n(monkeypatch):
@@ -366,9 +362,9 @@ def test_sweep_integrates_only_the_steps_that_read_work(monkeypatch):
 
 def test_sweep_certifies_ten_thousand_jobs_at_double():
     inst = gen_random_feasible(10_000, 1, DOUBLE)
-    _, verdict = lrtb(inst, DOUBLE)
+    schedule, verdict = lrtb(inst, DOUBLE)
     assert verdict.status is Feasibility.FEASIBLE
-    report = validate_schedule(inst, verdict.witness, DOUBLE, require_due_dates=True)
+    report = validate_schedule(inst, schedule, DOUBLE, require_due_dates=True)
     assert report.ok, report.violations[:3]
     assert not report.incomplete
 

@@ -116,10 +116,20 @@ def test_stretch_tie_goes_to_the_faster_growing_job():
 
 
 def test_full_tie_prefers_the_running_job():
-    jobs = (lazy_job(1, 0, 4, 1), lazy_job(2, 0, 4, 1))
+    # Job 2's release sits a hair after job 1's, so the two wait in
+    # separate buckets, yet both have length 4 and their stretches tie at
+    # t = 1 within tolerance.  Only the running job breaks the tie.
     spec = PolicySpec(Policy.LSSF)
-    assert _state(spec, jobs, running=2).dispatch(1) == 2
-    assert _state(spec, jobs).dispatch(1) == 1
+    for bits, offset in ((53, 2.0**-60), (128, 2**-120)):
+        ctx = PrecisionContext(bits)
+        x = ctx.real
+        hair = x(offset)
+        jobs = (lazy_job(1, x(0), x(4), x(1)), lazy_job(2, hair, x(4) + hair, x(1)))
+        assert jobs[1].release > 0 and jobs[0].length == jobs[1].length
+        assert ctx.close(stretch(jobs[0], x(1)), stretch(jobs[1], x(1)))
+        assert len(_state(spec, jobs, ctx=ctx).buckets) == 2
+        assert _state(spec, jobs, running=2, ctx=ctx).dispatch(x(1)) == 2
+        assert _state(spec, jobs, ctx=ctx).dispatch(x(1)) == 1
 
 
 def test_thrashing_waits_for_activation():
@@ -368,18 +378,21 @@ def test_simulation_is_deterministic():
 
 @pytest.mark.parametrize("bits", [53, 128])
 def test_trace_segments_form_a_valid_schedule(bits):
-    # An uncapped run's segments place each job's work: validate_schedule
-    # takes the trace itself and integrates the work over its spans.
+    # A run's segments place each job's work: validate_schedule takes the
+    # trace itself and integrates the work over its spans, under the speed
+    # cap of the trace's policy.
     ctx = PrecisionContext(bits)
-    inst = gen_random_feasible(5, 7, ctx)
-    for policy in Policy:
-        trace = simulate(inst, PolicySpec(policy), ctx)
-        report = validate_schedule(inst, trace, ctx)
-        assert report.ok, (policy, report.violations)
-        assert not report.incomplete
-        # Clipped at the last completion, no segment loses any time.
-        last = max(trace.completions.values())
-        assert total_busy_time(trace, until=last) == trace.busy_time
+    for inst in (gen_random_feasible(5, 7, ctx), gen_srpt(8, ctx)):
+        for policy in Policy:
+            for cap in (None, "2", "1", "0.5"):
+                factor = None if cap is None else ctx.parse(cap)
+                trace = simulate(inst, PolicySpec(policy, speed_cap_factor=factor), ctx)
+                report = validate_schedule(inst, trace, ctx)
+                assert report.ok, (policy, cap, report.violations)
+                assert not report.incomplete
+                # Clipped at the last completion, no segment loses any time.
+                last = max(trace.completions.values())
+                assert total_busy_time(trace, until=last) == trace.busy_time
 
 
 def test_busy_time_until_clips_each_segment():
