@@ -225,10 +225,9 @@ def cmd_gen(args) -> int:
             from .generators import adaptive_adversary
             from .online import missed_due_dates
 
-            outcome = adaptive_adversary(_policy_spec(args, ctx), ctx)
-            trace = outcome.trace
+            trace, branch = adaptive_adversary(_policy_spec(args, ctx), ctx)
             instance = trace.instance
-            print(f"branch: {outcome.branch}")
+            print(f"branch: {branch}")
             print(f"policy missed a due date: {bool(missed_due_dates(trace))}")
         else:  # pragma: no cover - argparse restricts choices
             return _fail_usage(f"unknown family {args.family}")

@@ -18,15 +18,16 @@ precision.  When any value fails, a scan in row order parses the table
 and names the first bad row and field; load_trace parses a trace's job
 rows the same way.  It builds its online.SimTrace with the one
 constructor simulate uses, whose replay of the events defines a valid
-log.  Its jobs carry
-their windows with work 0 at unit slope, since a trace file stores
-neither work nor speeds.  A trace's summary is a function of its
-events at the precision that wrote it, so load_trace replays the
-events at the file's precision_bits and requires the stored summary to
-be exactly the one trace_to_record writes for that replay; it refuses
-a file written above the reader's precision, with a retry hint.  Any
-other malformed file is a FileFormatError naming the path, the JSON
-location of a syntax error, or the offending field.
+log.  Its jobs carry their windows with work 0 at unit slope, since a
+trace file stores neither work nor speeds.  A trace has one precision,
+the one it ran at: save_trace writes it only at trace.ctx, and
+load_trace replays the events once, at the file's precision_bits,
+requires the stored summary to be exactly the one trace_to_record
+writes for that replay, and returns that replay, the run the file
+records.  The reader's precision only refuses a file written above it,
+with a retry hint.  Any other malformed file is a FileFormatError
+naming the path, the JSON location of a syntax error, or the offending
+field.
 """
 
 from __future__ import annotations
@@ -304,8 +305,15 @@ def save_schedule(instance, schedule, verdict, path, ctx):
 # --- traces ------------------------------------------------------------------
 
 
+def _own_precision(trace, ctx: PrecisionContext):
+    """ValueError unless ctx is trace.ctx; the writers call it before writing."""
+    if ctx.bits != trace.ctx.bits:
+        raise ValueError(f"the trace ran at {trace.ctx.bits} bits; cannot write it at {ctx.bits}")
+
+
 def trace_to_record(trace, ctx: PrecisionContext) -> dict:
-    """The trace file's record of an online.SimTrace."""
+    """The trace file's record of an online.SimTrace; ctx must be trace.ctx."""
+    _own_precision(trace, ctx)
     inst = trace.instance
     spec = trace.policy
     return {
@@ -340,14 +348,15 @@ def trace_to_record(trace, ctx: PrecisionContext) -> dict:
             }
             for e in trace.events
         ],
-        "summary": _summary(trace, ctx),
+        "summary": _summary(trace),
     }
 
 
-def _summary(trace, ctx: PrecisionContext) -> dict:
-    """A trace file's summary block: a function of the run at ctx."""
+def _summary(trace) -> dict:
+    """A trace file's summary block: a function of the run at trace.ctx."""
     from .online import max_stretch, missed_due_dates
 
+    ctx = trace.ctx
     completions, stretches = trace.completions, trace.stretches
     return {
         "completions": {str(jid): ctx.format(completions[jid]) for jid in sorted(completions)},
@@ -359,9 +368,10 @@ def _summary(trace, ctx: PrecisionContext) -> dict:
 
 
 def save_trace(trace, path, ctx: PrecisionContext):
-    """Write trace_to_record's content as compact JSON."""
+    """Write trace_to_record's content as compact JSON; ctx must be trace.ctx."""
     from .online import EventKind, max_stretch, missed_due_dates
 
+    _own_precision(trace, ctx)
     fmt = ctx.format
     inst = trace.instance
     spec = trace.policy
@@ -414,44 +424,41 @@ def _event_rows(events, fmt, kinds):
 
 
 def load_trace(path, ctx: PrecisionContext):
-    """The online.SimTrace that a trace file records.
+    """The online.SimTrace of the run a trace file records.
 
     Its instance holds each job row's id, release and due date, with
     work 0 at unit slope: a trace file stores no work or speeds, so the
     work of its segments (spans) is work_in on the simulated instance.
-    Its completions, segments, stretches and busy time are SimTrace's
-    replay of the events, the one simulate's own runs go through.  Loaded
-    at the precision that wrote it, the trace saves back to the same bytes.
+    The rest is SimTrace's replay of the events, the one simulate's runs go
+    through, at the file's precision_bits, which becomes the trace's ctx:
+    saved at it, the trace gives back the same bytes.
 
     FileFormatError, prefixed with the path, rejects a file that is not a
     UTF-8 JSON object, an event log no simulation writes (SimTrace's
     ValueError), and a stored summary that is not, as JSON text, the one
-    trace_to_record writes for the replay at the file's precision_bits: a
-    summary is a function of the events at the precision that wrote it,
-    so it is checked exactly.  A file written above ctx's precision is
-    refused with a retry hint; one written below it is replayed again at
-    ctx, and that replay is returned.
+    trace_to_record writes for the replay: a summary is a function of the
+    events at the precision that wrote it, so it is checked exactly.  ctx
+    only refuses a file written above its precision, with a retry hint.
     """
     record = _read_json(path)
     _check_schema(record, path, "trace")
     bits = _expect(record, "precision_bits", int, path)
     if bits > ctx.bits:
         raise FileFormatError(
-            f"{path}: cannot check the summary at {ctx.bits} bits; "
+            f"{path}: trace precision above the reader's {ctx.bits} bits; "
             f"file written at {bits} bits; " + retry_hint(bits)
         )
     if bits < 24:
         raise FileFormatError(f"{path}: precision_bits {bits} is below 24")
-    written = ctx if bits == ctx.bits else PrecisionContext(bits)
-    trace = _replay(record, written, path)
+    trace = _replay(record, ctx if bits == ctx.bits else PrecisionContext(bits), path)
     stored = _expect(record, "summary", dict, path)
     # As JSON text, so that JSON true never passes for job 1.
-    for field, value in _summary(trace, written).items():
+    for field, value in _summary(trace).items():
         if _encode(stored.get(field)) != _encode(value):
             raise FileFormatError(
                 f"{path}: summary {field} disagrees with the events at {bits} bits"
             )
-    return trace if written is ctx else _replay(record, ctx, path)
+    return trace
 
 
 def _replay(record, ctx: PrecisionContext, path):
@@ -488,7 +495,7 @@ def _replay(record, ctx: PrecisionContext, path):
             raise FileFormatError(f"{where}: unknown event kind") from exc
         events.append(TraceEvent(t, kind_ev, row.get("job")))
     try:
-        return SimTrace(instance, PolicySpec(kind, alpha, cap), events)
+        return SimTrace(instance, PolicySpec(kind, alpha, cap), events, ctx)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 

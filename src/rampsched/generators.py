@@ -35,7 +35,6 @@ from .core import (
 # random are imported the same way, by their one user each.
 
 __all__ = [
-    "AdversaryOutcome",
     "gen_srpt",
     "gen_lssf",
     "gen_fifo",
@@ -289,28 +288,18 @@ def gen_random_feasible(n: int, seed: int, ctx: PrecisionContext) -> Instance:
 # --- adaptive adversary ------------------------------------------------------
 
 
-class AdversaryOutcome:
-    """The policy's trace on the extended instance, and the branch chosen.
-
-    The instance is trace.instance, and the policy missed a due date
-    when online.missed_due_dates(trace) lists a job.  branch names the
-    extension the adversary chose.
-    """
-
-    __slots__ = ("trace", "branch")
-
-    def __init__(self, trace, branch: str):
-        self.trace = trace
-        self.branch = branch
-
-
 _SEED_LONG = ("0", "10", "26.984375")  # release, due, work
 _SEED_TIGHT = ("2", "4", "1.5")
 _PROBE_TIME = 2
 
 
-def adaptive_adversary(spec, ctx: PrecisionContext) -> AdversaryOutcome:
+def adaptive_adversary(spec, ctx: PrecisionContext):
     """Watch the policy on a two-job seed, then add the job it cannot absorb.
+
+    Returns (trace, branch), as the deciders return (schedule, verdict):
+    the policy's trace on the extended instance, trace.instance, and the
+    name of the extension chosen.  The policy missed a due date when
+    online.missed_due_dates(trace) lists a job.
 
     The seed pairs a long, work-heavy job with a tight one released at
     t=2.  A policy serving the tight job then is starved of the late
@@ -348,4 +337,4 @@ def adaptive_adversary(spec, ctx: PrecisionContext) -> AdversaryOutcome:
         name=f"adversary-{spec.kind.value}",
         provenance=f"adaptive_adversary(policy={spec.kind.value}, branch={branch})",
     )
-    return AdversaryOutcome(simulate(inst, spec, ctx), branch)
+    return simulate(inst, spec, ctx), branch

@@ -89,7 +89,8 @@ def lrtb(instance: Instance, ctx: PrecisionContext):
     """
     _check_sweepable(instance)
     jobs = [j for j in instance.jobs if j.work > 0]
-    rem = {j.id: j.work for j in jobs}
+    # ctx's numbers, whatever the jobs hold: the sweep computes at ctx's precision.
+    rem = {j.id: ctx.real(j.work) for j in jobs}
     segments = []
     deficits = {}
     margin = None

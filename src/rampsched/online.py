@@ -110,27 +110,29 @@ class TraceEvent(Record):
 class SimTrace:
     """A run of a policy on an instance: its event log, and what the log implies.
 
-    SimTrace(instance, policy, events) replays the events, and that
+    SimTrace(instance, policy, events, ctx) replays the events, and that
     replay is the one definition of a valid log, for the run simulate
-    just made and for a trace file alike.  completions maps each job id
-    to the time of its complete event and stretches to its interval
-    stretch.  segments are the maximal uninterrupted runs, as spans: each
-    start followed by that job's preempt or complete, empty spans skipped.
-    busy_time is total_busy_time of the segments, and validate_schedule
-    takes the trace as it takes a Schedule.  A loaded trace's jobs carry
-    their windows with work 0 at unit slope: a trace file stores neither
-    work nor speeds, so its segments' work is read on the simulated one.
+    just made and for a trace file alike.  ctx is the precision the run
+    computed at, the only one fileio writes it at.  completions maps each
+    job id to the time of its complete event and stretches to its
+    interval stretch.  segments are the maximal uninterrupted runs, as
+    spans: each start followed by that job's preempt or complete, empty
+    spans skipped.  busy_time is total_busy_time of the segments, and
+    validate_schedule takes the trace as it takes a Schedule.  A loaded
+    trace's jobs carry their windows with work 0 at unit slope: a trace
+    file stores neither work nor speeds, so its segments' work is read on
+    the simulated one.
 
     Raises ValueError, naming the rule broken, for a log no simulation
     writes; a message about one event starts with `events[i]: `.
     """
 
     __slots__ = (
-        "instance", "policy", "events", "completions", "stretches", "segments",
+        "instance", "policy", "events", "ctx", "completions", "stretches", "segments",
         "busy_time",
     )
 
-    def __init__(self, instance: Instance, policy: PolicySpec, events):
+    def __init__(self, instance: Instance, policy: PolicySpec, events, ctx: PrecisionContext):
         events = tuple(events)
         jobs = instance.by_id
         release, start, preempt, complete = (
@@ -183,21 +185,17 @@ class SimTrace:
             # simulate writes a release event and its row from one number.
             if released[jid] != job.release:
                 raise ValueError(
-                    f"job {jid} is released at {_text(released[jid])}, "
-                    f"not at its row's release {_text(job.release)}"
+                    f"job {jid} is released at {ctx.format(released[jid])}, "
+                    f"not at its row's release {ctx.format(job.release)}"
                 )
         self.instance = instance
         self.policy = policy
         self.events = events
+        self.ctx = ctx
         self.completions = completions
         self.stretches = {jid: stretch(jobs[jid], done) for jid, done in completions.items()}
         self.segments = tuple(segments)
         self.busy_time = total_busy_time(self)
-
-
-def _text(x):
-    """x as PrecisionContext.format writes it at x's own precision (a float's: 53)."""
-    return PrecisionContext(getattr(x, "prec", 53)).format(x)
 
 
 # --- policy primitives -------------------------------------------------------
@@ -605,7 +603,7 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
     Events at one timestamp are processed completion first, then
     releases, then the dispatch change they trigger, so event times in
     the trace are nondecreasing with a deterministic order inside a
-    tie.  The trace is SimTrace(instance, spec, events): its
+    tie.  The trace is SimTrace(instance, spec, events, ctx): its
     completions, segments, stretches and busy time come from the same
     replay of the log that load_trace runs on a file.  Raises
     SchedulingError when an event time is not finite, or when the work
@@ -615,9 +613,14 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
     """
     if not instance.jobs:
         raise ValueError("empty instance")
-    order = instance.jobs
+    # A job whose times or work are Python ints or floats runs on them in
+    # ctx's numbers, so every time and figure of the run is one of ctx's.
+    real = ctx.real
+    order = [j if type(j.release) is type(j.due) is type(j.work) is real
+             else Job(j.id, real(j.release), real(j.due), real(j.work), j.base, j.slope)
+             for j in instance.jobs]
     n = len(order)
-    state = SimState(spec=spec, jobs=instance.by_id, ctx=ctx)
+    state = SimState(spec=spec, jobs={j.id: j for j in order}, ctx=ctx)
     jobs, remaining, caps = state.jobs, state.remaining, state.caps
     dispatch, next_event, admit = state.dispatch, state.next_event, state.admit
     isfinite = ctx.isfinite
@@ -711,7 +714,7 @@ def simulate(instance: Instance, spec: PolicySpec, ctx: PrecisionContext) -> Sim
                 left = remaining[rid] - done
                 remaining[rid] = left if left > 0 else 0
         t = tn
-    return SimTrace(instance, spec, events)
+    return SimTrace(instance, spec, events, ctx)
 
 
 def max_stretch(trace: SimTrace):

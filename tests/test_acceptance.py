@@ -268,9 +268,9 @@ def test_criterion_08_adversary_defeats_every_policy():
     ok = True
     detail = ""
     for kind in Policy:
-        outcome = adaptive_adversary(PolicySpec(kind), CTX)
-        _, verdict = lrtb(outcome.trace.instance, CTX)
-        if not missed_due_dates(outcome.trace):
+        trace, _ = adaptive_adversary(PolicySpec(kind), CTX)
+        _, verdict = lrtb(trace.instance, CTX)
+        if not missed_due_dates(trace):
             ok, detail = False, f"{kind.value}: no due date missed"
             break
         if verdict.status is not Feasibility.FEASIBLE:

@@ -8,15 +8,11 @@ import pytest
 from rampsched import (
     DOUBLE,
     Instance,
-    Job,
     PrecisionContext,
     Schedule,
-    Segment,
     lazy_job,
     nonlazy_job,
-    stretch,
 )
-from rampsched.core import total_busy_time
 from rampsched.fileio import (
     SLICE,
     FileFormatError,
@@ -30,7 +26,7 @@ from rampsched.fileio import (
     trace_to_record,
     write_plot_data,
 )
-from rampsched.generators import gen_random_feasible, gen_srpt
+from rampsched.generators import gen_lssf, gen_random_feasible, gen_srpt
 from rampsched.offline import Feasibility, FeasibilityVerdict, lrtb
 from rampsched.online import (
     EventKind,
@@ -186,26 +182,10 @@ def test_trace_round_trip_replays_the_events(tmp_path):
     assert CTX.close(max_stretch(rec), max(trace.stretches.values()))
 
 
-def _read_at(trace, writer, reader):
-    """The completions, stretches and busy time of trace's file, read at reader.
-
-    Each number of the simulated trace goes through its text at writer;
-    stretches and the busy time are then computed at reader.
-    """
-    def lift(x):
-        return reader.parse(writer.format(x))
-
-    jobs = {j.id: Job(j.id, lift(j.release), lift(j.due), 0, 0, 1) for j in trace.instance.jobs}
-    completions = {jid: lift(t) for jid, t in trace.completions.items()}
-    stretches = {jid: stretch(jobs[jid], t) for jid, t in completions.items()}
-    segments = tuple(Segment(s.job, lift(s.start), lift(s.end)) for s in trace.segments)
-    return completions, stretches, total_busy_time(Schedule(segments))
-
-
 @pytest.mark.parametrize("bits", [53, 64, 128])
 def test_trace_round_trips_are_exact(tmp_path, bits):
-    # A trace loads at the precision that wrote it, and at each higher one,
-    # to the numbers its text gives there.
+    # A trace loads, at the precision that wrote it and at each higher one,
+    # as the run it records: the writer's numbers, at the writer's precision.
     ctx = PrecisionContext(bits)
     readers = [PrecisionContext(b) for b in (53, 64, 128) if b >= bits]
     path, again = tmp_path / "trace.json", tmp_path / "again.json"
@@ -218,19 +198,7 @@ def test_trace_round_trips_are_exact(tmp_path, bits):
                 save_trace(trace, path, ctx)
                 for reader in readers:
                     rec = load_trace(path, reader)
-                    assert (rec.completions, rec.stretches, rec.busy_time) == _read_at(
-                        trace, ctx, reader)
-                    save_trace(rec, again, ctx)
-                    if reader.bits > bits:
-                        # Saved at the writing precision, jobs, events and
-                        # completions keep their text.  Stretches and the busy
-                        # time were computed at the reader's precision, and can
-                        # round to other values.
-                        kept, written = json.loads(again.read_text()), json.loads(path.read_text())
-                        for record in (kept, written):
-                            record["completions"] = record.pop("summary")["completions"]
-                        assert kept == written
-                        continue
+                    assert rec.ctx.bits == bits
                     assert rec.events == trace.events
                     assert rec.segments == trace.segments
                     assert rec.completions == trace.completions
@@ -238,6 +206,7 @@ def test_trace_round_trips_are_exact(tmp_path, bits):
                     assert rec.busy_time == trace.busy_time
                     assert max_stretch(rec) == max(trace.stretches.values())
                     # The loaded trace saves back to the same bytes and plots the same.
+                    save_trace(rec, again, ctx)
                     assert again.read_bytes() == path.read_bytes()
                     write_plot_data(trace, tmp_path / "sim.csv", ctx)
                     write_plot_data(rec, tmp_path / "loaded.csv", ctx)
@@ -418,13 +387,43 @@ def test_plot_data_layout(tmp_path):
 
 
 def test_trace_survives_precision_change(tmp_path):
-    # A trace written at double precision is checked at double precision,
-    # then replayed again at the reader's higher precision.
+    # A trace written at double precision is read at 128 bits as the
+    # double-precision run it records, checked once at double precision.
     trace = _ship_trace(ctx=DOUBLE)
     path = tmp_path / "d.json"
     save_trace(trace, path, DOUBLE)
     rec = load_trace(path, PrecisionContext(128))
+    assert rec.ctx.bits == 53
+    assert rec.completions == trace.completions
     assert missed_due_dates(rec) == []
+
+
+def test_a_loaded_trace_is_the_run_it_records(tmp_path):
+    # Read at 128 bits, a 53-bit FIFO trace of the cascade reports its own
+    # summary's max stretch (200966585713929.6), not a second replay's
+    # (200805957575918.7), and saves back at 53 bits to the same bytes.
+    trace = simulate(gen_lssf(200, DOUBLE), PolicySpec(Policy.FIFO), DOUBLE)
+    path, again = tmp_path / "t.json", tmp_path / "again.json"
+    save_trace(trace, path, DOUBLE)
+    rec = load_trace(path, PrecisionContext(128))
+    summary = json.loads(path.read_text())["summary"]
+    assert DOUBLE.format(max_stretch(rec)) == summary["max_stretch"]
+    assert rec.events == trace.events
+    save_trace(rec, again, DOUBLE)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_a_trace_is_written_only_at_its_own_precision(tmp_path):
+    # The summary holds the run's figures at 53 bits; written at 128, the
+    # file would claim them at 128 and its own loader would refuse it.
+    trace = simulate(gen_random_feasible(12, 1, DOUBLE), PolicySpec(Policy.SRPT), DOUBLE)
+    path = tmp_path / "t.json"
+    above = PrecisionContext(128)
+    with pytest.raises(ValueError, match="ran at 53 bits; cannot write it at 128"):
+        save_trace(trace, path, above)
+    assert not path.exists()
+    with pytest.raises(ValueError, match="ran at 53 bits; cannot write it at 128"):
+        trace_to_record(trace, above)
 
 
 # --- the file writer ---------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from rampsched import DOUBLE, Instance, Job, PrecisionContext, lazy_job, nonlazy_job
 from rampsched.fileio import load_instance, save_instance
 from rampsched.generators import (
-    AdversaryOutcome,
     adaptive_adversary,
     gen_edd,
     gen_fifo,
@@ -24,7 +23,14 @@ from rampsched.offline import (
     reduce_ssr,
     validate_schedule,
 )
-from rampsched.online import Policy, PolicySpec, max_stretch, missed_due_dates, simulate
+from rampsched.online import (
+    Policy,
+    PolicySpec,
+    SimTrace,
+    max_stretch,
+    missed_due_dates,
+    simulate,
+)
 
 CTX = PrecisionContext(128)
 
@@ -274,30 +280,30 @@ def test_verdict_sign_matches_a_fresh_high_precision_sum():
 @pytest.mark.parametrize("kind", list(Policy))
 def test_adversary_defeats_every_policy(kind):
     spec = PolicySpec(kind, alpha=2)
-    outcome = adaptive_adversary(spec, CTX)
-    assert isinstance(outcome, AdversaryOutcome)
-    assert missed_due_dates(outcome.trace)
-    assert outcome.branch in ("starve-late-hours", "occupy-sliver-window")
+    trace, branch = adaptive_adversary(spec, CTX)
+    assert isinstance(trace, SimTrace)
+    assert missed_due_dates(trace)
+    assert branch in ("starve-late-hours", "occupy-sliver-window")
     # The extension must remain within reach of an offline schedule.
-    _, verdict = lrtb(outcome.trace.instance, CTX)
+    _, verdict = lrtb(trace.instance, CTX)
     assert verdict.status is Feasibility.FEASIBLE
 
 
 def test_adversary_extension_preserves_the_observed_prefix():
     spec = PolicySpec(Policy.SRPT)
-    outcome = adaptive_adversary(spec, CTX)
-    extra = [j for j in outcome.trace.instance.jobs if j.id > 2]
+    trace, _ = adaptive_adversary(spec, CTX)
+    extra = [j for j in trace.instance.jobs if j.id > 2]
     assert len(extra) == 1
     cutoff = extra[0].release
-    seed_only = Instance(tuple(j for j in outcome.trace.instance.jobs if j.id <= 2))
+    seed_only = Instance(tuple(j for j in trace.instance.jobs if j.id <= 2))
     rehearsal = simulate(seed_only, spec, CTX)
-    pre = [e for e in outcome.trace.events if e.time < cutoff]
+    pre = [e for e in trace.events if e.time < cutoff]
     assert pre == [e for e in rehearsal.events if e.time < cutoff]
 
 
 def test_adversary_branches_depend_on_the_policy():
     branches = {
-        kind: adaptive_adversary(PolicySpec(kind, alpha=2), CTX).branch
+        kind: adaptive_adversary(PolicySpec(kind, alpha=2), CTX)[1]
         for kind in Policy
     }
     assert set(branches.values()) == {"starve-late-hours", "occupy-sliver-window"}

@@ -26,7 +26,7 @@ from rampsched import (
 from rampsched import online
 from rampsched.binfloat import BinFloat
 from rampsched.core import total_busy_time
-from rampsched.fileio import trace_to_record
+from rampsched.fileio import schedule_to_record, trace_to_record
 from rampsched.generators import (
     gen_edd,
     gen_fifo,
@@ -34,7 +34,7 @@ from rampsched.generators import (
     gen_random_feasible,
     gen_srpt,
 )
-from rampsched.offline import validate_schedule
+from rampsched.offline import lrtb, validate_schedule
 from rampsched.online import (
     EventKind,
     Policy,
@@ -413,7 +413,7 @@ def test_a_log_that_leaves_a_job_unfinished_is_refused():
     inst = Instance((lazy_job(1, 0, 2, 1),))
     for events in ((), (TraceEvent(0, EventKind.RELEASE, 1),)):
         with pytest.raises(ValueError, match="job 1 never completes"):
-            SimTrace(inst, PolicySpec(Policy.FIFO), events)
+            SimTrace(inst, PolicySpec(Policy.FIFO), events, DOUBLE)
 
 
 def test_simulate_rejects_an_empty_instance():
@@ -482,8 +482,14 @@ def _scan_dispatch(spec, jobs, released, remaining, caps, running, t, ctx):
 
 
 def _scan_simulate(instance, spec, ctx):
-    """The event loop as first written: every event rescans every released job."""
-    order, jobs, n = instance.jobs, instance.by_id, len(instance.jobs)
+    """The event loop as first written: every event rescans every released job.
+
+    Like simulate, it computes in ctx's numbers whatever the jobs hold.
+    """
+    x = ctx.real
+    order = [Job(j.id, x(j.release), x(j.due), x(j.work), j.base, j.slope)
+             for j in instance.jobs]
+    jobs, n = {j.id: j for j in order}, len(order)
     caps = {}
     if spec.speed_cap_factor is not None:
         caps = {j.id: spec.speed_cap_factor * speed_at(j, j.due) for j in order}
@@ -553,7 +559,7 @@ def _scan_simulate(instance, spec, ctx):
                 left = remaining[running] - work_in(job, t, tn, caps.get(running))
                 remaining[running] = left if left > 0 else 0
         t = tn
-    return SimTrace(instance, spec, events)
+    return SimTrace(instance, spec, events, ctx)
 
 
 def _bucket_stress(ctx):
@@ -708,8 +714,9 @@ def _screen_stress(ctx):
     yield _past_crossing(ctx)
     yield _window_edge(ctx)
     yield _int_window_edge(ctx)
-    # Int releases, due dates and work: crossings, and stretches at int
-    # times, are floats.
+    # Int releases, due dates and work, which a run converts to ctx's
+    # numbers: computed as ints, crossings and stretches at int times
+    # would be doubles at every precision.
     one = ctx.real(1)
     yield Instance(tuple(lazy_job(jid, r, d, w, slope=one) for jid, r, d, w in (
         (1, 0, 7, 20), (2, 1, 4, 2), (3, 2, 5, 3), (4, 3, 6, 1), (5, 3, 10, 4))), "int-lines")
@@ -754,6 +761,35 @@ def test_simulate_matches_the_scan_reference():
                 inst.name, ctx.bits, spec,
             )
             assert got.segments == want.segments, (inst.name, ctx.bits, spec)
+
+
+# (id, release, due, work, slope) rows.  They hold an LSSF crossing at
+# 11/3, a completion at a release's int time and a thrashing activation
+# at an int time.  Computed in Python's numbers, these come out as
+# doubles at any precision, and capped runs, such as thrashing at cap 2
+# on the second set, stop as unable to run their remaining work.
+_INT_ROWS = (
+    ((1, 1, 5, 8, 3), (2, 1, 4, 4, 3), (3, 1, 5, 5, 1), (4, 3, 4, 3, 3)),
+    ((1, 2, 6, 3, 3), (2, 3, 5, 2, 2), (3, 4, 8, 2, 3), (4, 2, 5, 4, 2)),
+    ((1, 1, 3, 5, 2), (2, 4, 7, 6, 2), (3, 2, 3, 5, 1), (4, 4, 8, 3, 3)),
+)
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_int_typed_runs_compute_in_the_contexts_numbers(bits):
+    # Jobs that hold Python ints run and sweep as their ctx.real twins do.
+    ctx = PrecisionContext(bits)
+    for rows in _INT_ROWS:
+        ints = Instance(tuple(lazy_job(*row) for row in rows))
+        twin = Instance(tuple(lazy_job(jid, *map(ctx.real, row)) for jid, *row in rows))
+        for policy in Policy:
+            for cap in (None, 2, 0.5):
+                lifted = None if cap is None else ctx.real(cap)
+                got = simulate(ints, PolicySpec(policy, speed_cap_factor=cap), ctx)
+                want = simulate(twin, PolicySpec(policy, speed_cap_factor=lifted), ctx)
+                assert trace_to_record(got, ctx) == trace_to_record(want, ctx), (rows, policy, cap)
+        assert (schedule_to_record(ints, *lrtb(ints, ctx), ctx)
+                == schedule_to_record(twin, *lrtb(twin, ctx), ctx)), rows
 
 
 def _count_calls(monkeypatch, owner, name):
