@@ -3,12 +3,12 @@
 Numeric fields are exact decimal strings produced by the precision
 context, so save/load round-trips are bit-identical at a given
 precision and files written at high precision do not silently decay
-to doubles.  Files are compact JSON.  The save functions stream each
-file straight from the objects: a row is one f-string, and rows go out
-in slices of SLICE, so no whole record or file text is ever held in
-memory.  The `*_to_record` functions build the same content as dicts;
-a file's text is exactly json.dumps of its record with compact
-separators, which is what the tests hold the writers to, and `gen`
+to doubles.  Files are compact JSON, and each kind is spelled once, by
+its `_write_<kind>(write, ...)`.  The save functions call it with the
+file's write, so each file streams straight from the objects: a row is
+one f-string, and rows go out in slices of SLICE, so no whole record or
+file text is ever held in memory.  The `*_to_record` functions are
+json.loads of the same writer's text, written into a StringIO, and `gen`
 prints an instance's record when it has no --out.  In a schedule file,
 a segment's "work" is work_in over its span.
 
@@ -22,16 +22,19 @@ log.  Its jobs carry their windows with work 0 at unit slope, since a
 trace file stores neither work nor speeds.  A trace has one precision,
 the one it ran at: save_trace writes it only at trace.ctx, and
 load_trace replays the events once, at the file's precision_bits,
-requires the stored summary to be exactly the one trace_to_record
-writes for that replay, and returns that replay, the run the file
-records.  The reader's precision only refuses a file written above it,
-with a retry hint.  Any other malformed file is a FileFormatError
-naming the path, the JSON location of a syntax error, or the offending
-field.
+requires each field of the stored summary to be exactly the one the
+trace writer's summary writes for that replay, and returns that
+replay, the run the file records.  The reader's precision only refuses
+a file written above it, with a retry hint.  A name or provenance, when
+present, is a string, and a trace's policy block holds alpha and
+speed_cap_factor, as the writer writes them.  Any other malformed file
+is a FileFormatError naming the path, the JSON location of a syntax
+error, or the offending field.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from itertools import islice, repeat
 
@@ -95,18 +98,34 @@ def _write_rows(write, rows):
         lead = ","
 
 
-def _null_or(text):
-    return "null" if text is None else f'"{text}"'
+def _null_or(x, fmt):
+    return "null" if x is None else f'"{fmt(x)}"'
+
+
+def _record(writer, *args):
+    """The dict a file's text holds: json.loads of what writer writes for args."""
+    text = io.StringIO()
+    writer(text.write, *args)
+    return json.loads(text.getvalue())
+
+
+def _field(record, field, where):
+    if field not in record:
+        raise FileFormatError(f"{where}: missing field {field!r}")
+    return record[field]
 
 
 def _expect(record, field, kinds, where):
-    if field not in record:
-        raise FileFormatError(f"{where}: missing field {field!r}")
-    value = record[field]
+    value = _field(record, field, where)
     # JSON true/false load as bool, which Python counts as an int.
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise FileFormatError(f"{where}: field {field!r} has the wrong type")
     return value
+
+
+def _text(record, field, where):
+    """A free-text field's string; "" when the field is absent."""
+    return _expect(record, field, str, where) if field in record else ""
 
 
 def _parse_number(text, ctx, where, field):
@@ -191,43 +210,30 @@ def _check_schema(record, path, kind):
 # --- instances ---------------------------------------------------------------
 
 
+def _write_instance(write, instance: Instance, ctx: PrecisionContext):
+    fmt = ctx.format
+    write(
+        f'{{"schema_version":{SCHEMA_VERSION},"kind":"instance",'
+        f'"name":{_encode(instance.name)},"provenance":{_encode(instance.provenance)},'
+        f'"precision_bits":{ctx.bits},"jobs":['
+    )
+    _write_rows(write, (
+        f'{{"id":{j.id},"release":"{fmt(j.release)}","due":"{fmt(j.due)}",'
+        f'"work":"{fmt(j.work)}","base":"{fmt(j.base)}","slope":"{fmt(j.slope)}"}}'
+        for j in instance.jobs
+    ))
+    write("]}\n")
+
+
 def instance_to_record(instance: Instance, ctx: PrecisionContext) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "instance",
-        "name": instance.name,
-        "provenance": instance.provenance,
-        "precision_bits": ctx.bits,
-        "jobs": [
-            {
-                "id": j.id,
-                "release": ctx.format(j.release),
-                "due": ctx.format(j.due),
-                "work": ctx.format(j.work),
-                "base": ctx.format(j.base),
-                "slope": ctx.format(j.slope),
-            }
-            for j in instance.jobs
-        ],
-    }
+    """The instance file's content, read back from the text save_instance writes."""
+    return _record(_write_instance, instance, ctx)
 
 
 def save_instance(instance: Instance, path, ctx: PrecisionContext):
-    """Write instance_to_record's content as compact JSON."""
-    fmt = ctx.format
+    """Write the instance file, streamed SLICE rows at a time."""
     with open(path, "w") as fh:
-        write = fh.write
-        write(
-            f'{{"schema_version":{SCHEMA_VERSION},"kind":"instance",'
-            f'"name":{_encode(instance.name)},"provenance":{_encode(instance.provenance)},'
-            f'"precision_bits":{ctx.bits},"jobs":['
-        )
-        _write_rows(write, (
-            f'{{"id":{j.id},"release":"{fmt(j.release)}","due":"{fmt(j.due)}",'
-            f'"work":"{fmt(j.work)}","base":"{fmt(j.base)}","slope":"{fmt(j.slope)}"}}'
-            for j in instance.jobs
-        ))
-        write("]}\n")
+        _write_instance(fh.write, instance, ctx)
 
 
 def load_instance(path, ctx: PrecisionContext) -> Instance:
@@ -236,12 +242,9 @@ def load_instance(path, ctx: PrecisionContext) -> Instance:
     jobs = _jobs(record, ctx, path)
     if not jobs:
         raise FileFormatError(f"{path}: instance has no jobs")
+    name, provenance = _text(record, "name", path), _text(record, "provenance", path)
     try:
-        return Instance(
-            tuple(jobs),
-            name=str(record.get("name", "")),
-            provenance=str(record.get("provenance", "")),
-        )
+        return Instance(tuple(jobs), name=name, provenance=provenance)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -249,161 +252,90 @@ def load_instance(path, ctx: PrecisionContext) -> Instance:
 # --- schedules ---------------------------------------------------------------
 
 
+def _write_schedule(write, instance, schedule, verdict, ctx):
+    fmt = ctx.format
+    jobs = instance.by_id
+    deficits = verdict.deficits
+    write(
+        f'{{"schema_version":{SCHEMA_VERSION},"kind":"schedule",'
+        f'"instance":{_encode(instance.name)},"precision_bits":{ctx.bits},'
+        f'"verdict":{{"status":{_encode(verdict.status.value)},'
+        f'"margin":{_null_or(verdict.margin, fmt)},"deficits":{{'
+    )
+    _write_rows(write, (f'"{jid}":"{fmt(deficits[jid])}"' for jid in sorted(deficits)))
+    write(f'}}}},"busy_time":"{fmt(total_busy_time(schedule))}","segments":[')
+    _write_rows(write, (
+        f'{{"job":{s.job},"start":"{fmt(s.start)}","end":"{fmt(s.end)}",'
+        f'"work":"{fmt(work_in(jobs[s.job], s.start, s.end))}"}}'
+        for s in schedule.segments
+    ))
+    write("]}\n")
+
+
 def schedule_to_record(
     instance: Instance, schedule: Schedule, verdict, ctx: PrecisionContext
 ) -> dict:
-    """The schedule file's record; verdict is an offline.FeasibilityVerdict."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "schedule",
-        "instance": instance.name,
-        "precision_bits": ctx.bits,
-        "verdict": {
-            "status": verdict.status.value,
-            "margin": None if verdict.margin is None else ctx.format(verdict.margin),
-            "deficits": {
-                str(jid): ctx.format(v) for jid, v in sorted(verdict.deficits.items())
-            },
-        },
-        "busy_time": ctx.format(total_busy_time(schedule)),
-        "segments": [
-            {
-                "job": s.job,
-                "start": ctx.format(s.start),
-                "end": ctx.format(s.end),
-                "work": ctx.format(work_in(instance.by_id[s.job], s.start, s.end)),
-            }
-            for s in schedule.segments
-        ],
-    }
+    """The schedule file's content, read back from the text save_schedule writes."""
+    return _record(_write_schedule, instance, schedule, verdict, ctx)
 
 
 def save_schedule(instance, schedule, verdict, path, ctx):
-    """Write schedule_to_record's content as compact JSON."""
-    fmt = ctx.format
-    jobs = instance.by_id
-    margin = None if verdict.margin is None else fmt(verdict.margin)
-    deficits = verdict.deficits
+    """Write the schedule file, streamed SLICE rows at a time."""
     with open(path, "w") as fh:
-        write = fh.write
-        write(
-            f'{{"schema_version":{SCHEMA_VERSION},"kind":"schedule",'
-            f'"instance":{_encode(instance.name)},"precision_bits":{ctx.bits},'
-            f'"verdict":{{"status":{_encode(verdict.status.value)},'
-            f'"margin":{_null_or(margin)},"deficits":{{'
-        )
-        _write_rows(write, (f'"{jid}":"{fmt(deficits[jid])}"' for jid in sorted(deficits)))
-        write(f'}}}},"busy_time":"{fmt(total_busy_time(schedule))}","segments":[')
-        _write_rows(write, (
-            f'{{"job":{s.job},"start":"{fmt(s.start)}","end":"{fmt(s.end)}",'
-            f'"work":"{fmt(work_in(jobs[s.job], s.start, s.end))}"}}'
-            for s in schedule.segments
-        ))
-        write("]}\n")
+        _write_schedule(fh.write, instance, schedule, verdict, ctx)
 
 
 # --- traces ------------------------------------------------------------------
 
 
 def _own_precision(trace, ctx: PrecisionContext):
-    """ValueError unless ctx is trace.ctx; the writers call it before writing."""
+    """ValueError unless ctx is trace.ctx; checked before anything is written."""
     if ctx.bits != trace.ctx.bits:
         raise ValueError(f"the trace ran at {trace.ctx.bits} bits; cannot write it at {ctx.bits}")
 
 
-def trace_to_record(trace, ctx: PrecisionContext) -> dict:
-    """The trace file's record of an online.SimTrace; ctx must be trace.ctx."""
-    _own_precision(trace, ctx)
-    inst = trace.instance
-    spec = trace.policy
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "trace",
-        "precision_bits": ctx.bits,
-        "instance": {
-            "name": inst.name,
-            "jobs": [
-                {
-                    "id": j.id,
-                    "release": ctx.format(j.release),
-                    "due": ctx.format(j.due),
-                }
-                for j in inst.jobs
-            ],
-        },
-        "policy": {
-            "kind": spec.kind.value,
-            "alpha": ctx.format(spec.alpha),
-            "speed_cap_factor": (
-                None
-                if spec.speed_cap_factor is None
-                else ctx.format(spec.speed_cap_factor)
-            ),
-        },
-        "events": [
-            {
-                "time": ctx.format(e.time),
-                "kind": e.kind.value,
-                "job": e.job,
-            }
-            for e in trace.events
-        ],
-        "summary": _summary(trace),
-    }
+def _write_trace(write, trace):
+    """An online.SimTrace's file, at trace.ctx."""
+    from .online import EventKind
 
-
-def _summary(trace) -> dict:
-    """A trace file's summary block: a function of the run at trace.ctx."""
-    from .online import max_stretch, missed_due_dates
-
-    ctx = trace.ctx
-    completions, stretches = trace.completions, trace.stretches
-    return {
-        "completions": {str(jid): ctx.format(completions[jid]) for jid in sorted(completions)},
-        "stretches": {str(jid): ctx.format(stretches[jid]) for jid in sorted(stretches)},
-        "max_stretch": ctx.format(max_stretch(trace)),
-        "busy_time": ctx.format(trace.busy_time),
-        "missed_due_dates": missed_due_dates(trace),
-    }
-
-
-def save_trace(trace, path, ctx: PrecisionContext):
-    """Write trace_to_record's content as compact JSON; ctx must be trace.ctx."""
-    from .online import EventKind, max_stretch, missed_due_dates
-
-    _own_precision(trace, ctx)
-    fmt = ctx.format
-    inst = trace.instance
-    spec = trace.policy
-    cap = spec.speed_cap_factor
+    fmt = trace.ctx.format
+    inst, spec = trace.instance, trace.policy
     # Keyed by value: an Enum member's hash is a Python-level call.
     kinds = {kind.value: _encode(kind.value) for kind in EventKind}
+    write(
+        f'{{"schema_version":{SCHEMA_VERSION},"kind":"trace","precision_bits":{trace.ctx.bits},'
+        f'"instance":{{"name":{_encode(inst.name)},"jobs":['
+    )
+    _write_rows(write, (
+        f'{{"id":{j.id},"release":"{fmt(j.release)}","due":"{fmt(j.due)}"}}'
+        for j in inst.jobs
+    ))
+    write(
+        f']}},"policy":{{"kind":{_encode(spec.kind.value)},"alpha":"{fmt(spec.alpha)}",'
+        f'"speed_cap_factor":{_null_or(spec.speed_cap_factor, fmt)}}},"events":['
+    )
+    _write_rows(write, _event_rows(trace.events, fmt, kinds))
+    write('],"summary":')
+    _write_summary(write, trace)
+    write("}\n")
+
+
+def _write_summary(write, trace):
+    """A trace file's summary object: a function of the run at trace.ctx."""
+    from .online import max_stretch, missed_due_dates
+
+    fmt = trace.ctx.format
     completions, stretches = trace.completions, trace.stretches
-    with open(path, "w") as fh:
-        write = fh.write
-        write(
-            f'{{"schema_version":{SCHEMA_VERSION},"kind":"trace","precision_bits":{ctx.bits},'
-            f'"instance":{{"name":{_encode(inst.name)},"jobs":['
-        )
-        _write_rows(write, (
-            f'{{"id":{j.id},"release":"{fmt(j.release)}","due":"{fmt(j.due)}"}}'
-            for j in inst.jobs
-        ))
-        write(
-            f']}},"policy":{{"kind":{_encode(spec.kind.value)},"alpha":"{fmt(spec.alpha)}",'
-            f'"speed_cap_factor":{_null_or(None if cap is None else fmt(cap))}}},"events":['
-        )
-        _write_rows(write, _event_rows(trace.events, fmt, kinds))
-        write('],"summary":{"completions":{')
-        _write_rows(write, (f'"{jid}":"{fmt(completions[jid])}"' for jid in sorted(completions)))
-        write('},"stretches":{')
-        _write_rows(write, (f'"{jid}":"{fmt(stretches[jid])}"' for jid in sorted(stretches)))
-        write(
-            f'}},"max_stretch":"{fmt(max_stretch(trace))}",'
-            f'"busy_time":"{fmt(trace.busy_time)}","missed_due_dates":['
-        )
-        _write_rows(write, map(str, missed_due_dates(trace)))
-        write("]}}\n")
+    write('{"completions":{')
+    _write_rows(write, (f'"{jid}":"{fmt(completions[jid])}"' for jid in sorted(completions)))
+    write('},"stretches":{')
+    _write_rows(write, (f'"{jid}":"{fmt(stretches[jid])}"' for jid in sorted(stretches)))
+    write(
+        f'}},"max_stretch":"{fmt(max_stretch(trace))}",'
+        f'"busy_time":"{fmt(trace.busy_time)}","missed_due_dates":['
+    )
+    _write_rows(write, map(str, missed_due_dates(trace)))
+    write("]}")
 
 
 def _event_rows(events, fmt, kinds):
@@ -423,6 +355,19 @@ def _event_rows(events, fmt, kinds):
         yield f'{{"time":"{text}","kind":{kinds[e.kind._value_]},"job":{job}}}'
 
 
+def trace_to_record(trace, ctx: PrecisionContext) -> dict:
+    """The trace file's content, read back from the text save_trace writes."""
+    _own_precision(trace, ctx)
+    return _record(_write_trace, trace)
+
+
+def save_trace(trace, path, ctx: PrecisionContext):
+    """Write an online.SimTrace's file; ctx must be trace.ctx."""
+    _own_precision(trace, ctx)
+    with open(path, "w") as fh:
+        _write_trace(fh.write, trace)
+
+
 def load_trace(path, ctx: PrecisionContext):
     """The online.SimTrace of the run a trace file records.
 
@@ -435,10 +380,11 @@ def load_trace(path, ctx: PrecisionContext):
 
     FileFormatError, prefixed with the path, rejects a file that is not a
     UTF-8 JSON object, an event log no simulation writes (SimTrace's
-    ValueError), and a stored summary that is not, as JSON text, the one
-    trace_to_record writes for the replay: a summary is a function of the
-    events at the precision that wrote it, so it is checked exactly.  ctx
-    only refuses a file written above its precision, with a retry hint.
+    ValueError), and a stored summary whose fields are not, as JSON text,
+    the ones the trace writer's summary gives for the replay: a summary is
+    a function of the events at the precision that wrote it, so it is
+    checked exactly.  ctx only refuses a file written above its precision,
+    with a retry hint.
     """
     record = _read_json(path)
     _check_schema(record, path, "trace")
@@ -453,7 +399,7 @@ def load_trace(path, ctx: PrecisionContext):
     trace = _replay(record, ctx if bits == ctx.bits else PrecisionContext(bits), path)
     stored = _expect(record, "summary", dict, path)
     # As JSON text, so that JSON true never passes for job 1.
-    for field, value in _summary(trace).items():
+    for field, value in _record(_write_summary, trace).items():
         if _encode(stored.get(field)) != _encode(value):
             raise FileFormatError(
                 f"{path}: summary {field} disagrees with the events at {bits} bits"
@@ -465,7 +411,9 @@ def _replay(record, ctx: PrecisionContext, path):
     """The SimTrace of a trace record's jobs, policy and events at ctx.
 
     Every row is parsed before SimTrace checks the log, so a bad literal
-    is reported before a defect of the log in an earlier event.
+    is reported before a defect of the log in an earlier event.  The
+    policy block holds alpha and speed_cap_factor (null for no cap), as
+    the writer always writes them.
     """
     from .online import EventKind, PolicySpec, SimTrace, TraceEvent
 
@@ -473,19 +421,21 @@ def _replay(record, ctx: PrecisionContext, path):
     rows = _jobs(record, ctx, path)
     if not rows:
         raise FileFormatError(f"{path}: trace instance has no jobs")
+    name = _text(inst_block, "name", f"{path}: instance")
     try:
-        instance = Instance(tuple(rows), name=str(inst_block.get("name", "")))
+        instance = Instance(tuple(rows), name=name)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+    where = f"{path}: policy"
     pol = _expect(record, "policy", dict, path)
     try:
-        kind = Policy(_expect(pol, "kind", str, f"{path}: policy"))
+        kind = Policy(_expect(pol, "kind", str, where))
     except ValueError as exc:
         raise FileFormatError(f"{path}: unknown policy kind") from exc
-    alpha = _parse_number(pol.get("alpha", "2"), ctx, f"{path}: policy", "alpha")
-    cap = pol.get("speed_cap_factor")
+    alpha = _parse_number(_field(pol, "alpha", where), ctx, where, "alpha")
+    cap = _field(pol, "speed_cap_factor", where)
     if cap is not None:
-        cap = _parse_number(cap, ctx, f"{path}: policy", "cap")
+        cap = _parse_number(cap, ctx, where, "speed_cap_factor")
     events = []
     for where, row in _rows(record, "events", path, "events"):
         t = _parse_number(row.get("time"), ctx, where, "time")
@@ -509,9 +459,7 @@ def write_plot_data(trace, path, ctx: PrecisionContext):
     The Gantt file name is the summary name with a .gantt.csv suffix.
     """
     path = str(path)
-    gantt_path = (
-        path[: -len(".csv")] + ".gantt.csv" if path.endswith(".csv") else path + ".gantt.csv"
-    )
+    gantt_path = path.removesuffix(".csv") + ".gantt.csv"
     with open(path, "w") as fh:
         fh.write("job,release,due,completion,stretch\n")
         for j in trace.instance.jobs:

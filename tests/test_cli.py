@@ -390,6 +390,19 @@ def test_gen_random_prints_instance_json(capsys):
     assert len(record["jobs"]) == 3
 
 
+@pytest.mark.parametrize("bits", ["53", "128"])
+@pytest.mark.parametrize("family", [["random", "--n", "20", "--seed", "1"], ["lssf", "--n", "5"]],
+                         ids=["random", "lssf"])
+def test_gen_prints_the_file_it_writes(tmp_path, capsys, family, bits):
+    # Without --out, gen prints the record of the file --out writes, indented.
+    path = tmp_path / "inst.json"
+    code, _, _ = run(capsys, "gen", *family, "--out", str(path), "--precision", bits)
+    assert code == 0
+    code, out, err = run(capsys, "gen", *family, "--precision", bits)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(path.read_text()), indent=2) + "\n"
+
+
 @pytest.mark.parametrize("bits", [53, 128])
 @pytest.mark.parametrize("policy", [p.value for p in Policy])
 def test_gen_adversary_trace(tmp_path, capsys, policy, bits):

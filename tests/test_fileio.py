@@ -370,6 +370,58 @@ def test_trace_precision_bits_is_checked(tmp_path):
             load_trace(path, CTX)
 
 
+@pytest.mark.parametrize("bits", [53, 128])
+def test_names_must_be_strings(tmp_path, bits):
+    # A name or provenance of another JSON type is refused, not read as its
+    # str(): "name": null would load as the instance "None".
+    ctx = PrecisionContext(bits)
+    inst = gen_random_feasible(4, 1, ctx)
+    path = tmp_path / "bad.json"
+    trace = simulate(inst, PolicySpec(Policy.SRPT), ctx)
+    for value in (None, 3, {"name": "x"}, ["x"]):
+        for field in ("name", "provenance"):
+            record = {**instance_to_record(inst, ctx), field: value}
+            with pytest.raises(FileFormatError) as caught:
+                load_instance(_write(path, record), ctx)
+            assert str(caught.value) == f"{path}: field {field!r} has the wrong type"
+        record = trace_to_record(trace, ctx)
+        record["instance"]["name"] = value
+        with pytest.raises(FileFormatError) as caught:
+            load_trace(_write(path, record), ctx)
+        assert str(caught.value) == f"{path}: instance: field 'name' has the wrong type"
+    # An absent name or provenance still reads as "".
+    record = instance_to_record(inst, ctx)
+    del record["name"], record["provenance"]
+    again = load_instance(_write(path, record), ctx)
+    assert (again.name, again.provenance) == ("", "")
+    record = trace_to_record(trace, ctx)
+    del record["instance"]["name"]
+    assert load_trace(_write(path, record), ctx).instance.name == ""
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_a_trace_policy_holds_alpha_and_speed_cap_factor(tmp_path, bits):
+    # The writer always writes both; a file without one is not a trace it
+    # wrote, and would save back to different bytes.
+    ctx = PrecisionContext(bits)
+    inst = _ship_trace(ctx).instance
+    path = tmp_path / "t.json"
+    for cap in (None, ctx.real(2)):
+        trace = simulate(inst, PolicySpec(Policy.SRPT, speed_cap_factor=cap), ctx)
+        for field in ("alpha", "speed_cap_factor"):
+            record = trace_to_record(trace, ctx)
+            del record["policy"][field]
+            with pytest.raises(FileFormatError) as caught:
+                load_trace(_write(path, record), ctx)
+            assert str(caught.value) == f"{path}: policy: missing field {field!r}"
+        record = trace_to_record(trace, ctx)
+        record["policy"]["speed_cap_factor"] = 2
+        with pytest.raises(FileFormatError) as caught:
+            load_trace(_write(path, record), ctx)
+        assert str(caught.value) == (
+            f"{path}: policy: field 'speed_cap_factor' must be a decimal string, got int")
+
+
 def test_plot_data_layout(tmp_path):
     trace = _ship_trace()
     path = tmp_path / "plot.csv"
@@ -448,9 +500,13 @@ def test_written_files_load_back_to_their_records(tmp_path, bits):
         path = tmp_path / name
         save(*args, path, ctx)
         text = path.read_text()
+        assert text == _compact(json.loads(text)), name
         assert json.loads(text) == record, name
-        assert text.count("\n") == 1 and text.endswith("}\n"), name  # compact
     assert load_instance(tmp_path / "inst.json", ctx).jobs == inst.jobs
+    sched = files["sched.json"][0]
+    assert sched["verdict"]["status"] == verdict.status.value
+    assert [(s["job"], ctx.parse(s["start"]), ctx.parse(s["end"]))
+            for s in sched["segments"]] == [(s.job, s.start, s.end) for s in schedule.segments]
     rec = load_trace(tmp_path / "trace.json", ctx)
     assert rec.completions == trace.completions
     assert rec.busy_time == trace.busy_time
@@ -462,9 +518,12 @@ def test_writer_edge_cases_load_back(tmp_path):
     _, verdict = lrtb(inst, CTX)
     path = tmp_path / "empty.json"
     save_schedule(inst, Schedule(()), verdict, path, CTX)
-    record = json.loads(path.read_text())
+    text = path.read_text()
+    record = json.loads(text)
+    assert text == _compact(record)
     assert record == schedule_to_record(inst, Schedule(()), verdict, CTX)
     assert record["segments"] == [] and record["verdict"]["deficits"] == {}
+    assert record["busy_time"] == CTX.format(0)
 
 
 def _compact(record):
@@ -477,26 +536,37 @@ def test_writer_text_is_the_records_json(tmp_path, bits):
     path = tmp_path / "out.json"
 
     def same_text(save, args, record):
+        """The record save writes, whose text is canonical compact JSON."""
         save(*args, path, ctx)
-        assert path.read_text() == _compact(record)
+        text = path.read_text()
+        assert text == _compact(json.loads(text))
+        assert json.loads(text) == record
+        return record
 
     # Free text that needs escaping, a job released at -0.0, and a speed cap.
     name = 'a "quoted" \\ name\twith\x01control, caf\u00e9 \u2603 \U0001f600'
     jobs = (lazy_job(1, -0.0, 2, 1), lazy_job(2, 0, 3, ctx.real("0.375")),
             nonlazy_job(3, 1, 6, 2, base=ctx.real("0.5")))
     inst = Instance(jobs, name=name, provenance=name[::-1])
-    same_text(save_instance, (inst,), instance_to_record(inst, ctx))
+    record = same_text(save_instance, (inst,), instance_to_record(inst, ctx))
+    assert (record["name"], record["provenance"]) == (name, name[::-1])
+    assert [row["release"] for row in record["jobs"]] == [ctx.format(j.release) for j in jobs]
     ramps = Instance(jobs[:2], name=name)  # the sweep takes pure ramps only
     schedule, verdict = lrtb(ramps, ctx)
-    same_text(save_schedule, (ramps, schedule, verdict),
-              schedule_to_record(ramps, schedule, verdict, ctx))
+    record = same_text(save_schedule, (ramps, schedule, verdict),
+                       schedule_to_record(ramps, schedule, verdict, ctx))
+    assert record["instance"] == name
     capped = simulate(inst, PolicySpec(Policy.SRPT, speed_cap_factor=ctx.real("1.5")), ctx)
-    same_text(save_trace, (capped,), trace_to_record(capped, ctx))
+    record = same_text(save_trace, (capped,), trace_to_record(capped, ctx))
+    assert record["instance"]["name"] == name
+    assert record["policy"]["speed_cap_factor"] == ctx.format(ctx.real("1.5"))
     # Thrashing idles until a job's stretch reaches alpha: events with job null.
     idle = simulate(Instance((lazy_job(1, 0, 2, 1), lazy_job(2, 5, 9, 1))),
                     PolicySpec(Policy.THRASHING), ctx)
     assert {EventKind.IDLE_BEGIN, EventKind.IDLE_END} <= {e.kind for e in idle.events}
-    same_text(save_trace, (idle,), trace_to_record(idle, ctx))
+    record = same_text(save_trace, (idle,), trace_to_record(idle, ctx))
+    assert [e["job"] for e in record["events"]] == [e.job for e in idle.events]
+    assert record["policy"]["speed_cap_factor"] is None
 
     # Tables of 0, 1, SLICE, SLICE + 1 and several slices of rows.
     big = gen_srpt(300, ctx)
@@ -505,16 +575,22 @@ def test_writer_text_is_the_records_json(tmp_path, bits):
     assert len(events) > 3 * SLICE and len(segments) > SLICE + 1
     for k in (0, 1, SLICE, SLICE + 1, len(big.jobs), len(segments), len(events)):
         part = Instance(big.jobs[:k], name=big.name)
-        same_text(save_instance, (part,), instance_to_record(part, ctx))
+        record = same_text(save_instance, (part,), instance_to_record(part, ctx))
+        assert len(record["jobs"]) == len(part.jobs)
         sched = Schedule(segments[:k])
         deficits = {s.job: s.length for s in sched.segments}
         status = Feasibility.INFEASIBLE if deficits else Feasibility.FEASIBLE
         verdict = FeasibilityVerdict(status, deficits=deficits,
                                      margin=None if k % 2 else ctx.real(k))
-        same_text(save_schedule, (big, sched, verdict),
-                  schedule_to_record(big, sched, verdict, ctx))
+        record = same_text(save_schedule, (big, sched, verdict),
+                           schedule_to_record(big, sched, verdict, ctx))
+        assert len(record["segments"]) == len(sched.segments)
+        assert record["verdict"]["deficits"] == {
+            str(jid): ctx.format(v) for jid, v in sorted(deficits.items())}
+        assert record["verdict"]["margin"] == (None if k % 2 else ctx.format(ctx.real(k)))
         trace.events = events[:k]
-        same_text(save_trace, (trace,), trace_to_record(trace, ctx))
+        record = same_text(save_trace, (trace,), trace_to_record(trace, ctx))
+        assert len(record["events"]) == len(trace.events)
 
 
 def test_trace_writer_formats_each_time_it_is_given(tmp_path):
@@ -528,7 +604,9 @@ def test_trace_writer_formats_each_time_it_is_given(tmp_path):
     assert [e["time"] for e in record["events"][:2]] == ["-0.0", "0.0"]
     path = tmp_path / "t.json"
     save_trace(trace, path, DOUBLE)
-    assert path.read_text() == _compact(record)
+    text = path.read_text()
+    assert text == _compact(json.loads(text))
+    assert json.loads(text) == record
 
 
 def test_writer_memory_stays_below_the_file_size(tmp_path):
