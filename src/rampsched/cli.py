@@ -182,7 +182,7 @@ def cmd_simulate(args) -> int:
         save_trace(trace, args.trace_out, ctx)
         print(f"trace written to {args.trace_out}")
     if args.plot_out:
-        gantt = write_plot_data(trace, args.plot_out, ctx)
+        gantt = write_plot_data(trace, args.plot_out)
         print(f"plot data written to {args.plot_out} and {gantt}")
     return 0
 

@@ -453,11 +453,13 @@ def _replay(record, ctx: PrecisionContext, path):
 # --- plot data ---------------------------------------------------------------
 
 
-def write_plot_data(trace, path, ctx: PrecisionContext):
+def write_plot_data(trace, path):
     """Two CSVs: per-job summary at `path`, Gantt rows alongside it.
 
     The Gantt file name is the summary name with a .gantt.csv suffix.
+    Numbers are written at trace.ctx, as the trace file writes them.
     """
+    ctx = trace.ctx
     path = str(path)
     gantt_path = path.removesuffix(".csv") + ".gantt.csv"
     with open(path, "w") as fh:

@@ -16,9 +16,9 @@ release and dispatch from a heap, so an event costs O(log n)
 comparisons.  SRPT's and LSSF's values move with time, but they depend
 on only a few inputs of each job, so waiting jobs that share all of
 them sit in one bucket and get one evaluation per event: a batch of
-identical jobs costs what one job costs.  LSSF computes the running
-job's stretch crossings with each bucket when it starts, and adds one
-per release that opens a bucket while it runs.
+identical jobs costs what one job costs.  LSSF's next stretch crossing
+is the least crossing of the running job's line with a bucket's, found
+by the same visit of the bucket heads.
 
 Above double precision, LSSF screens both of its decisions in exact
 integers first (see StretchScreen).  Every input is dyadic, so each
@@ -300,13 +300,12 @@ class StretchScreen:
         return m << e if e >= 0 else m >> -e
 
     def crossing_entries(self, rid, jids, now):
-        """Heap entries for the crossings of job rid's line with each of jids'.
+        """(bound, jid) for the crossing of job rid's line with each of jids'.
 
-        An entry (key, 0, jid, now) stands for lssf_crossing(rid's job,
-        jid's job, now), and its key is at most key() of that crossing.
-        No entry is made where that call would return None: the lines
-        are parallel, or the crossing plus its rounding bound is at or
-        before now.
+        bound is at most key() of lssf_crossing(rid's job, jid's job,
+        now).  No pair is made where that call would return None: the
+        lines are parallel, or the crossing plus its rounding bound is
+        at or before now.
         """
         lines, shift, bits = self.lines, self.cross_shift, self.bits
         ra, la = lines[rid]
@@ -327,7 +326,7 @@ class StretchScreen:
             if (num + spread) << k <= big_now * den:
                 continue
             # floor((crossing - bound) * 2**(grid + bits))
-            out.append((((num - spread) << bits) // den, 0, jid, now))
+            out.append((((num - spread) << bits) // den, jid))
         return out
 
 
@@ -352,30 +351,23 @@ class SimState:
     `bucket_key`) of each nonempty bucket to it.  No input of a key
     changes while its job waits, so start finds the bucket by the same
     key and drops it if it empties; a preempted job is filed again
-    under its new remaining work.  Under LSSF, `crossings` is a heap of
-    the future stretch crossings of the running job `crossings_of` with
-    every bucket, one entry shape per precision: at 53 bits and below,
-    (crossing, 1, crossing, bucket job).
+    under its new remaining work.
 
     Above 53 bits, `screen` holds every job's exact stretch line, and
-    its invariant is that a skipped evaluation cannot change the trace.
-    A crossing enters the heap only when the screen cannot prove that
-    lssf_crossing would return None for it, as (integer lower bound, 0,
-    bucket job, rebuild time); lssf_crossing computes it, with those
-    arguments, only when the entry reaches the top, and it goes back in
-    as (key of the crossing, 1, crossing, bucket job).  The bucket jobs
-    in one heap are distinct, so entries never compare past them.
-
-    The screen is chosen by the precision because it pays only where a
-    rounded evaluation is dear: screening at 53 bits as well made LSSF
-    runs 1.5-2x slower, while dropping the screen at 128 bits made them
-    2.5-5x slower, and each of its halves (near_top and the lazy
-    crossings) carries part of that gain (figures in CHANGES.md).
+    its invariant is that a skipped evaluation cannot change the trace:
+    dispatch evaluates only the stretches near the top, and
+    next_crossing only the crossings whose integer lower bound can
+    still be the earliest.  The screen is chosen by the precision
+    because it pays only where a rounded evaluation is dear: screening
+    at 53 bits as well made LSSF runs 1.5-3x slower, while dropping the
+    screen at 128 bits made the 800-job cascade 4.5-7x slower, and each
+    of its halves (near_top and the crossing bounds) carries part of
+    that gain (figures in CHANGES.md).
     """
 
     __slots__ = (
         "spec", "jobs", "ctx", "remaining", "running", "running_rank", "static", "caps",
-        "ready", "pending", "buckets", "crossings", "crossings_of", "screen",
+        "ready", "pending", "buckets", "screen",
     )
 
     def __init__(self, spec: PolicySpec, jobs: dict, ctx: PrecisionContext):
@@ -390,8 +382,6 @@ class SimState:
         self.ready = []
         self.pending = []
         self.buckets = {}
-        self.crossings = []
-        self.crossings_of = None
         self.screen = (
             StretchScreen(jobs, ctx) if spec.kind is Policy.LSSF and ctx.bits > 53 else None
         )
@@ -422,14 +412,13 @@ class SimState:
         return job.release, job.base, job.slope, self.caps[jid], self.remaining[jid]
 
     def file(self, jid):
-        """Put a waiting SRPT or LSSF job in its bucket; True if it opened one."""
+        """Put a waiting SRPT or LSSF job in its bucket."""
         key = self.bucket_key(jid)
         bucket = self.buckets.get(key)
         if bucket is None:
             self.buckets[key] = [jid]
-            return True
-        heapq.heappush(bucket, jid)
-        return False
+        else:
+            heapq.heappush(bucket, jid)
 
     def start(self, jid):
         """Run job jid, taking an SRPT or LSSF job out of its bucket."""
@@ -458,66 +447,46 @@ class SimState:
         self.remaining[jid] = job.work
         spec = self.spec
         self.caps[jid] = spec.cap(job)
-        kind = spec.kind
-        if kind is Policy.THRASHING:
+        if spec.kind is Policy.THRASHING:
             heapq.heappush(self.pending, (thrashing_activation(job, spec.alpha), jid))
-        elif kind is Policy.LSSF:
-            # A job that joins a bucket adds no line, so no crossing.
-            rid = self.running
-            if self.file(jid) and rid is not None:
-                for entry in self.crossing_entries(rid, (jid,), job.release):
-                    heapq.heappush(self.crossings, entry)
-        elif kind is Policy.SRPT:
-            self.file(jid)
-        else:
+        elif self.static:
             heapq.heappush(self.ready, (self.rank(job), jid))
-
-    def crossing_entries(self, rid, jids, now):
-        """Crossing-heap entries of job rid's stretch line with each of jids'."""
-        if self.screen is not None:
-            return self.screen.crossing_entries(rid, jids, now)
-        job, jobs = self.jobs[rid], self.jobs
-        out = []
-        for jid in jids:
-            cross = lssf_crossing(job, jobs[jid], now)
-            if cross is not None:
-                out.append((cross, 1, cross, jid))
-        return out
+        else:
+            self.file(jid)
 
     def next_crossing(self, t):
         """Earliest stretch crossing of the running job after t, or None.
 
-        The crossings are rebuilt only when the running job changes,
-        from one member of each bucket: the members of a bucket share
-        one stretch line.  Each crossing is a fixed time for its pair
-        of lines, so dropping those at or before t leaves exactly the
-        crossings a scan of every released job would find.  Screened
-        entries are computed as they reach the top of the heap; each
-        key is at most its crossing, so the first computed crossing
-        after t at the top is the earliest one.  A crossing pushed by
-        admit while the heap is stale is discarded with it.
+        It is the least lssf_crossing of the running job with the head of
+        each bucket: the members of a bucket share one stretch line, and
+        the running job sits in none.  Of equal crossings the lowest head
+        id's is taken, which settles 0.0 against -0.0.  Above 53 bits,
+        the heads are visited in the order of their crossings' integer
+        lower bounds (StretchScreen.crossing_entries), and the visit stops
+        at the first bound past the key of the least crossing found: each
+        bound is at most its crossing's key, and keys grow with crossings.
         """
         rid = self.running
-        if rid != self.crossings_of:
-            self.crossings_of = rid
-            heads = [bucket[0] for bucket in self.buckets.values()]
-            self.crossings = [] if rid is None else self.crossing_entries(rid, heads, t)
-            heapq.heapify(self.crossings)
-        heap = self.crossings
-        while heap:
-            entry = heap[0]
-            if entry[1]:
-                if entry[2] > t:
-                    return entry[2]
-                heapq.heappop(heap)
-                continue
-            _, _, jid, now = entry
-            cross = lssf_crossing(self.jobs[rid], self.jobs[jid], now)
-            if cross is None or cross <= t:
-                heapq.heappop(heap)
-            else:
-                heapq.heapreplace(heap, (self.screen.key(cross), 1, cross, jid))
-        return None
+        if rid is None:
+            return None
+        jobs, screen = self.jobs, self.screen
+        job = jobs[rid]
+        heads = [bucket[0] for bucket in self.buckets.values()]
+        best = None  # (crossing, head id)
+        if screen is None:
+            for jid in heads:
+                cross = lssf_crossing(job, jobs[jid], t)
+                if cross is not None and (best is None or (cross, jid) < best):
+                    best = cross, jid
+        else:
+            for bound, jid in sorted(screen.crossing_entries(rid, heads, t)):
+                if best is not None and bound > best_key:
+                    break
+                cross = lssf_crossing(job, jobs[jid], t)
+                if cross is not None and (best is None or (cross, jid) < best):
+                    best = cross, jid
+                    best_key = screen.key(cross)
+        return None if best is None else best[0]
 
     def next_event(self, t):
         """The policy's own next event after dispatch(t), or None.

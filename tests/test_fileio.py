@@ -208,8 +208,8 @@ def test_trace_round_trips_are_exact(tmp_path, bits):
                     # The loaded trace saves back to the same bytes and plots the same.
                     save_trace(rec, again, ctx)
                     assert again.read_bytes() == path.read_bytes()
-                    write_plot_data(trace, tmp_path / "sim.csv", ctx)
-                    write_plot_data(rec, tmp_path / "loaded.csv", ctx)
+                    write_plot_data(trace, tmp_path / "sim.csv")
+                    write_plot_data(rec, tmp_path / "loaded.csv")
                     for suffix in (".csv", ".gantt.csv"):
                         assert ((tmp_path / f"loaded{suffix}").read_bytes()
                                 == (tmp_path / f"sim{suffix}").read_bytes())
@@ -425,7 +425,7 @@ def test_a_trace_policy_holds_alpha_and_speed_cap_factor(tmp_path, bits):
 def test_plot_data_layout(tmp_path):
     trace = _ship_trace()
     path = tmp_path / "plot.csv"
-    gantt = write_plot_data(trace, path, CTX)
+    gantt = write_plot_data(trace, path)
     assert gantt == str(tmp_path / "plot.gantt.csv")
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "job,release,due,completion,stretch"
@@ -434,7 +434,7 @@ def test_plot_data_layout(tmp_path):
     assert glines[0] == "job,start,end"
     assert len(glines) == 1 + len(trace.segments)
     # A name without .csv gets the suffix appended instead of spliced.
-    other = write_plot_data(trace, tmp_path / "plain", CTX)
+    other = write_plot_data(trace, tmp_path / "plain")
     assert other.endswith("plain.gantt.csv")
 
 
@@ -476,6 +476,37 @@ def test_a_trace_is_written_only_at_its_own_precision(tmp_path):
     assert not path.exists()
     with pytest.raises(ValueError, match="ran at 53 bits; cannot write it at 128"):
         trace_to_record(trace, above)
+
+
+def test_plot_data_of_a_loaded_trace_is_written_at_its_own_precision(tmp_path):
+    # Read at 128 bits, a 53-bit trace plots the numbers its file holds.
+    trace = simulate(gen_random_feasible(12, 1, DOUBLE), PolicySpec(Policy.SRPT), DOUBLE)
+    path, plot = tmp_path / "t.json", tmp_path / "plot.csv"
+    save_trace(trace, path, DOUBLE)
+    rec = load_trace(path, PrecisionContext(128))
+    gantt = write_plot_data(rec, plot)
+    record = json.loads(path.read_text())
+    summary = record["summary"]
+    # At 128 bits these numbers would print with other digits.
+    assert any(PrecisionContext(128).format(done) != summary["completions"][str(jid)]
+               for jid, done in rec.completions.items())
+    rows = [
+        f'{j["id"]},{j["release"]},{j["due"]},'
+        f'{summary["completions"][str(j["id"])]},{summary["stretches"][str(j["id"])]}'
+        for j in record["instance"]["jobs"]
+    ]
+    assert plot.read_text().splitlines() == ["job,release,due,completion,stretch", *rows]
+    spans, running = [], None
+    for e in record["events"]:
+        if e["kind"] == "start":
+            running = e["job"], e["time"]
+        elif e["kind"] in ("preempt", "complete") and running and running[0] == e["job"]:
+            if running[1] != e["time"]:
+                spans.append(f'{e["job"]},{running[1]},{e["time"]}')
+            running = None
+    assert spans
+    with open(gantt) as fh:
+        assert fh.read().splitlines() == ["job,start,end", *spans]
 
 
 # --- the file writer ---------------------------------------------------------

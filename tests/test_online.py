@@ -209,7 +209,7 @@ def test_sim_state_takes_only_spec_jobs_and_ctx():
     assert state.screen is None  # 53 bits: nothing to screen
     # Each state starts with its own containers.
     other = SimState(PolicySpec(Policy.LSSF), jobs, DOUBLE)
-    assert other.remaining is not state.remaining and other.crossings is not state.crossings
+    assert other.remaining is not state.remaining and other.buckets is not state.buckets
     # Above 53 bits, LSSF screens its decisions from the start.
     assert SimState(PolicySpec(Policy.LSSF), jobs, PrecisionContext(128)).screen is not None
 
