@@ -20,15 +20,13 @@ identical jobs costs what one job costs.  LSSF's next stretch crossing
 is the least crossing of the running job's line with a bucket's, found
 by the same visit of the bucket heads.
 
-Above double precision, LSSF screens both of its decisions in exact
-integers first (see StretchScreen).  Every input is dyadic, so each
-stretch line (t - release)/length is exact on a common 2**-grid, and a
-bound on the rounding of `stretch` and `lssf_crossing` tells which of
-their results can matter.  Those two rounded functions still take every
-decision, with the same arguments, on a superset of the candidates
-that can affect it, so traces are bit-identical to an unscreened run;
-the screen only skips evaluations whose outcome the bound settles.
-At 53 bits and below nothing is screened.
+LSSF decides exactly, at every precision (see StretchLines).  Every
+input is dyadic, so each stretch line (t - release)/length is exact on
+a common 2**-grid: the leading line at an event time is an exact
+maximum, and the running line's next crossing is an exact rational,
+rounded up to the context so that the takeover happens at that event.
+Only completion times, thrashing's activations and SRPT's values are
+rounded.
 """
 
 from __future__ import annotations
@@ -201,133 +199,65 @@ class SimTrace:
 # --- policy primitives -------------------------------------------------------
 
 
-def lssf_crossing(a: Job, b: Job, now):
-    """First time strictly after `now` when the stretch lines of a and b meet.
-
-    Stretch-so-far of job j is the line (t - r_j)/(d_j - r_j); two
-    lines with distinct interval lengths meet exactly once.  Returns
-    None when they are parallel or meet at or before `now`.
-    """
-    la, lb = a.length, b.length
-    if la == lb:
-        return None
-    t = (a.release * lb - b.release * la) / (lb - la)
-    return t if t > now else None
-
-
 def thrashing_activation(job: Job, alpha):
     """Time at which the job's stretch-so-far reaches alpha."""
     return job.release + alpha * (job.due - job.release)
 
 
-class StretchScreen:
-    """Every job's stretch line in exact integers, for LSSF above 53 bits.
+def _round_up(num, den, ctx):
+    """The least number of ctx at or above num / den, for ints num and den > 0.
 
-    Job j's line is held as (R, L) with release = R / 2**grid and
-    length = L / 2**grid, so stretches and crossings compare exactly by
-    cross-multiplication.  `stretch` and `lssf_crossing` round each of
-    their (at most five) operations to at least `bits` bits, the
-    smallest precision among the context and the inputs (53 for an int
-    or a float, whose division gives a float; float results are assumed
-    normal, neither subnormal nor overflowing).  With u = 2**-bits:
+    ctx's numbers are doubles at 53 bits and below, and have ctx.bits
+    bits above.  Past the largest double, a positive ratio rounds up to
+    inf and a negative one to the most negative double.
+    """
+    real = ctx.real
+    prec = 53 if real is float else ctx.bits
+    a = -num if num < 0 else num
+    # a / den * 2**shift has prec or prec + 1 bits before the point.
+    shift = prec + den.bit_length() - a.bit_length()
+    if real is float and shift > 1074:
+        shift = 1074  # subnormal doubles are spaced 2**-1074
+    q, r = divmod(a << shift, den) if shift >= 0 else divmod(a, den << -shift)
+    if q >> prec:  # one bit too many: it joins the remainder
+        r = r or q & 1
+        q >>= 1
+        shift -= 1
+    m = q + (r != 0) if num > 0 else -q
+    if real is float:
+        try:
+            return math.ldexp(m, -shift)
+        except OverflowError:
+            return math.inf if m > 0 else math.nextafter(-math.inf, 0)
+    return real(m) * real(2) ** -shift
 
-    - A computed stretch lies within a factor (1 ± 3u) of the exact
-      one, so a candidate whose exact stretch is below the exact top E
-      by more than (rel_tol + 8u)·max(E, 1) is neither the computed
-      maximum nor inside its tolerance tie (`near_top`).
-    - A computed crossing lies within 4u·(|r_a·l_b| + |r_b·l_a| +
-      |numerator|)/|l_b - l_a| of the exact one, which covers the
-      cancellation of nearly parallel lines (`crossing_entries`).
+
+class StretchLines:
+    """Every job's stretch line (t - release) / length, in exact integers.
+
+    Job j's line is lines[j] = (R, L) with release = R / 2**grid and
+    length = L / 2**grid exactly (core.dyadic), on the coarsest grid
+    2**-grid, grid >= 0, that holds every release and length.  So the
+    lines' values at a time, and their crossings, compare exactly by
+    cross-multiplication.
     """
 
-    __slots__ = ("grid", "bits", "lines", "tie_num", "tie_shift", "cross_shift")
+    __slots__ = ("grid", "lines")
 
-    def __init__(self, jobs, ctx):
+    def __init__(self, jobs):
         parts = {jid: (dyadic(j.release), dyadic(j.length)) for jid, j in jobs.items()}
-        grid = max((-e for pair in parts.values() for _, e in pair), default=0)
+        grid = max([0] + [-e for pair in parts.values() for _, e in pair])
         self.grid = grid
         self.lines = {
             jid: (rm << (re + grid), lm << (le + grid))
             for jid, ((rm, re), (lm, le)) in parts.items()
         }
-        bits = ctx.bits
-        for job in jobs.values():
-            for x in (job.release, job.length):
-                bits = min(bits, getattr(x, "prec", 53))  # a BinFloat's precision
-        self.bits = bits
-        # Tie window plus stretch rounding, rel_tol + 2**-(bits-3), as
-        # tie_num / 2**tie_shift.
-        rm, re = dyadic(ctx.rel_tol)
-        shift = max(-re, bits - 3)
-        self.tie_num = (rm << (re + shift)) + (1 << (shift - bits + 3))
-        self.tie_shift = shift
-        self.cross_shift = bits - 2  # crossing rounding: 4u = 2**-(bits-2)
 
     def scaled(self, t):
         """(T, k) with t == T / 2**(grid + k) exactly and k >= 0."""
         m, e = dyadic(t)
         e += self.grid
         return (m << e, 0) if e >= 0 else (m, -e)
-
-    def near_top(self, cands, t):
-        """The candidates whose computed stretch at t may be the top or tie it.
-
-        Every other candidate's exact stretch is below the exact
-        maximum E by more than the tie window plus the rounding bound,
-        so SimState.dispatch's choice over the rest is the same choice.
-        """
-        if len(cands) < 2:
-            return cands
-        big_t, k = self.scaled(t)
-        lines = self.lines
-        rows = []
-        top_n, top_l = -1, 1  # stretches are >= 0, so any row beats this
-        for i in cands:
-            r, length = lines[i]
-            num = big_t - (r << k)  # stretch = num / (length << k)
-            rows.append((num, length, i))
-            if num * top_l > top_n * length:
-                top_n, top_l = num, length
-        shift = self.tie_shift
-        # stretch >= E - c·max(E, 1), times length·top_l·2**(k + shift):
-        floor = (top_n << shift) - self.tie_num * max(top_n, top_l << k)
-        return [i for num, length, i in rows if (num * top_l) << shift >= length * floor]
-
-    def key(self, x):
-        """floor(x * 2**(grid + bits)): the integer unit of crossing keys."""
-        m, e = dyadic(x)
-        e += self.grid + self.bits
-        return m << e if e >= 0 else m >> -e
-
-    def crossing_entries(self, rid, jids, now):
-        """(bound, jid) for the crossing of job rid's line with each of jids'.
-
-        bound is at most key() of lssf_crossing(rid's job, jid's job,
-        now).  No pair is made where that call would return None: the
-        lines are parallel, or the crossing plus its rounding bound is
-        at or before now.
-        """
-        lines, shift, bits = self.lines, self.cross_shift, self.bits
-        ra, la = lines[rid]
-        big_now, k = self.scaled(now)
-        out = []
-        for jid in jids:
-            rb, lb = lines[jid]
-            den = lb - la
-            if not den:
-                continue
-            p, q = ra * lb, rb * la
-            num = p - q  # crossing = num / (den << grid)
-            spread = abs(p) + abs(q) + abs(num)  # rounding <= spread / 2**shift, same units
-            if den < 0:
-                num, den = -num, -den
-            num <<= shift
-            den <<= shift
-            if (num + spread) << k <= big_now * den:
-                continue
-            # floor((crossing - bound) * 2**(grid + bits))
-            out.append((((num - spread) << bits) // den, jid))
-        return out
 
 
 class SimState:
@@ -353,21 +283,15 @@ class SimState:
     key and drops it if it empties; a preempted job is filed again
     under its new remaining work.
 
-    Above 53 bits, `screen` holds every job's exact stretch line, and
-    its invariant is that a skipped evaluation cannot change the trace:
-    dispatch evaluates only the stretches near the top, and
-    next_crossing only the crossings whose integer lower bound can
-    still be the earliest.  The screen is chosen by the precision
-    because it pays only where a rounded evaluation is dear: screening
-    at 53 bits as well made LSSF runs 1.5-3x slower, while dropping the
-    screen at 128 bits made the 800-job cascade 4.5-7x slower, and each
-    of its halves (near_top and the crossing bounds) carries part of
-    that gain (figures in CHANGES.md).
+    Under LSSF, `stretch_lines` holds every job's exact stretch line
+    (StretchLines), built once at every precision; it is None under the
+    other policies.  LSSF's two decisions, the leading line at t and
+    the running line's next crossing, are taken on it exactly.
     """
 
     __slots__ = (
         "spec", "jobs", "ctx", "remaining", "running", "running_rank", "static", "caps",
-        "ready", "pending", "buckets", "screen",
+        "ready", "pending", "buckets", "stretch_lines",
     )
 
     def __init__(self, spec: PolicySpec, jobs: dict, ctx: PrecisionContext):
@@ -382,9 +306,7 @@ class SimState:
         self.ready = []
         self.pending = []
         self.buckets = {}
-        self.screen = (
-            StretchScreen(jobs, ctx) if spec.kind is Policy.LSSF and ctx.bits > 53 else None
-        )
+        self.stretch_lines = StretchLines(jobs) if spec.kind is Policy.LSSF else None
 
     def rank(self, job: Job):
         """Static dispatch key of FIFO, EDD and thrashing; lower runs first."""
@@ -400,11 +322,11 @@ class SimState:
 
         It holds every input of the job's dispatch value.
         completion_from reads the release, base, slope, remaining
-        work and cap (the job id only names it in errors); stretch
-        reads the release and the due date.  Waiting jobs with equal
-        keys therefore get bit-identical values from the same
-        arithmetic (the loader and the generators give every number of
-        an instance the context's one scalar type).
+        work and cap (the job id only names it in errors); a stretch
+        line reads the release and the length, due - release.  Waiting
+        jobs with equal keys therefore get bit-identical values from the
+        same arithmetic (the loader and the generators give every number
+        of an instance the context's one scalar type).
         """
         job = self.jobs[jid]
         if self.spec.kind is Policy.LSSF:
@@ -457,36 +379,35 @@ class SimState:
     def next_crossing(self, t):
         """Earliest stretch crossing of the running job after t, or None.
 
-        It is the least lssf_crossing of the running job with the head of
-        each bucket: the members of a bucket share one stretch line, and
-        the running job sits in none.  Of equal crossings the lowest head
-        id's is taken, which settles 0.0 against -0.0.  Above 53 bits,
-        the heads are visited in the order of their crossings' integer
-        lower bounds (StretchScreen.crossing_entries), and the visit stops
-        at the first bound past the key of the least crossing found: each
-        bound is at most its crossing's key, and keys grow with crossings.
+        It is the least exact crossing c > t of the running job's line
+        with the line of each bucket's head, rounded up to the context
+        (_round_up): the members of a bucket share one line, and the
+        running job sits in none.  Parallel lines never meet.  At the
+        returned time the overtaking line is exactly at or above the
+        running one, so dispatch takes it over there, and c > t makes
+        the event a step forward.
         """
         rid = self.running
         if rid is None:
             return None
-        jobs, screen = self.jobs, self.screen
-        job = jobs[rid]
-        heads = [bucket[0] for bucket in self.buckets.values()]
-        best = None  # (crossing, head id)
-        if screen is None:
-            for jid in heads:
-                cross = lssf_crossing(job, jobs[jid], t)
-                if cross is not None and (best is None or (cross, jid) < best):
-                    best = cross, jid
-        else:
-            for bound, jid in sorted(screen.crossing_entries(rid, heads, t)):
-                if best is not None and bound > best_key:
-                    break
-                cross = lssf_crossing(job, jobs[jid], t)
-                if cross is not None and (best is None or (cross, jid) < best):
-                    best = cross, jid
-                    best_key = screen.key(cross)
-        return None if best is None else best[0]
+        stretch_lines = self.stretch_lines
+        lines = stretch_lines.lines
+        ra, la = lines[rid]
+        big_t, k = stretch_lines.scaled(t)
+        best_num = best_den = None
+        for bucket in self.buckets.values():
+            rb, lb = lines[bucket[0]]
+            den = lb - la
+            if not den:
+                continue
+            num = ra * lb - rb * la  # the lines meet at num / (den << grid)
+            if den < 0:
+                num, den = -num, -den
+            if num << k > big_t * den and (best_num is None or num * best_den < best_num * den):
+                best_num, best_den = num, den
+        if best_num is None:
+            return None
+        return _round_up(best_num, best_den << stretch_lines.grid, self.ctx)
 
     def next_event(self, t):
         """The policy's own next event after dispatch(t), or None.
@@ -505,27 +426,21 @@ class SimState:
         Ties prefer the currently running job, then the lowest id, except
         that the stretch-so-far rule first prefers the faster-growing
         stretch (shorter interval): at the instant two stretch lines meet,
-        the steeper one is about to lead, and picking it is what makes a
-        takeover at the crossing actually happen.  Stretches within the
-        context's comparison tolerance count as meeting; an exact test
-        would let one ulp of roundoff at the crossing event mask the tie
-        and silently skip the takeover.  Every key ends in the job id, so
-        the order in which candidates are visited cannot change the choice.
+        the steeper one is about to lead.  LSSF compares its lines exactly
+        (StretchLines), so lines tie only where they meet exactly, and no
+        tolerance enters.  Every key ends in the job id, so the order in
+        which candidates are visited cannot change the choice.
 
         FIFO, EDD and thrashing read the top of the state's ready heap.
         SRPT's key (the time still needed to finish) and LSSF's stretch so
         far move with t, so they are evaluated at every event, but only
         for the running job and the lowest id of each bucket.  That is
         exact: the members of a bucket get bit-identical values, and for
-        LSSF share one interval length, so the full tie-break key of every
-        other member loses to its lowest id on the id alone.  The running
-        job sits in no bucket, so it keeps its preference over any equal
-        candidate, as in a scan of every released job.  Above 53 bits, LSSF
-        first drops every candidate whose exact stretch is further below
-        the exact maximum than the tie window plus the rounding bound of
-        `stretch` (StretchScreen.near_top); such a candidate can be neither
-        the computed maximum nor tied with it, so the choice is unchanged.
-        Calls on one state must come with nondecreasing t.
+        LSSF share one line, so the full tie-break key of every other
+        member loses to its lowest id on the id alone.  The running job
+        sits in no bucket, so it keeps its preference over any equal
+        candidate, as in a scan of every released job.  Calls on one
+        state must come with nondecreasing t.
         """
         running = self.running
         if self.static:
@@ -546,21 +461,27 @@ class SimState:
             cands.append(running)
         if not cands:
             return None
-        jobs = self.jobs
         if self.spec.kind is Policy.SRPT:
-            remaining, caps, ctx = self.remaining, self.caps, self.ctx
+            jobs, remaining, caps, ctx = self.jobs, self.remaining, self.caps, self.ctx
 
             def rpt(i):
                 return completion_from(jobs[i], t, remaining[i], ctx, caps[i]) - t
             return min(cands, key=lambda i: (rpt(i), i != running, i))
-        if self.screen is not None:
-            cands = self.screen.near_top(cands, t)
-        so_far = [stretch(jobs[i], t) for i in cands]
-        top = max(so_far)
-        # Stretches are nonnegative, so this is self.ctx.close(s, top).
-        least = -self.ctx.tolerance(top)
-        tied = [i for i, s in zip(cands, so_far) if s == top or s - top >= least]
-        return min(tied, key=lambda i: (jobs[i].length, i != running, i))
+        stretch_lines = self.stretch_lines
+        lines = stretch_lines.lines
+        big_t, k = stretch_lines.scaled(t)
+        top = top_num = top_len = None
+        for i in cands:
+            r, length = lines[i]
+            num = big_t - (r << k)  # the stretch at t is num / (length << k)
+            if top is not None:
+                # Its sign is that of this stretch less the top one.
+                lead = num * top_len - top_num * length
+                if lead < 0 or not lead and (length, i != running, i) > (
+                        top_len, top != running, top):
+                    continue
+            top, top_num, top_len = i, num, length
+        return top
 
 
 # --- the simulator -----------------------------------------------------------

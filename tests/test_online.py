@@ -42,7 +42,6 @@ from rampsched.online import (
     SimState,
     SimTrace,
     TraceEvent,
-    lssf_crossing,
     max_stretch,
     simulate,
     thrashing_activation,
@@ -58,18 +57,82 @@ def _state(spec, jobs, running=None, ctx=DOUBLE):
     return state
 
 
+def _exact(v):
+    m, e = dyadic(v)
+    return Fraction(m) * Fraction(2) ** e
+
+
+def _prec(ctx):
+    """The bits of ctx's numbers: doubles at 53 bits and below."""
+    return 53 if ctx.real is float else ctx.bits
+
+
+def _below(v, ctx):
+    """The greatest number of ctx below the nonzero normal v, as a Fraction."""
+    prec = _prec(ctx)
+    m, e = dyadic(v)
+    a = abs(m)
+    gap = Fraction(2) ** (a.bit_length() + e - prec)  # the spacing just above |v|
+    if m > 0 and not a & (a - 1):
+        gap /= 2  # a power of two: the spacing below it is half
+    return _exact(v) - gap
+
+
+def _is_ceiling(v, exact, ctx):
+    """True when v is the least number of ctx at or above the Fraction exact."""
+    return type(v) is type(ctx.real(1)) and _exact(v) >= exact > _below(v, ctx)
+
+
 # --- policy primitives --------------------------------------------------------
 
 
 def test_stretch_lines_cross_where_expected():
+    spec = PolicySpec(Policy.LSSF)
     a = lazy_job(1, 0, 4, 1)
-    assert lssf_crossing(a, lazy_job(2, 1, 2, 1), now=0) == pytest.approx(4 / 3)
-    assert lssf_crossing(a, lazy_job(2, 1, 3, 1), now=0) == pytest.approx(2.0)
+
+    def crossing(b, now):
+        return _state(spec, (a, b), running=1).next_event(now)
+
+    # Lines t/4 and (t - 1)/1 meet at 4/3, which rounds up to a double.
+    assert _is_ceiling(crossing(lazy_job(2, 1, 2, 1), now=0), Fraction(4, 3), DOUBLE)
+    assert crossing(lazy_job(2, 1, 3, 1), now=0) == 2
     # Strictly in the future only.
-    assert lssf_crossing(a, lazy_job(2, 1, 3, 1), now=2) is None
-    assert lssf_crossing(a, lazy_job(2, 1, 3, 1), now=1.999) == pytest.approx(2.0)
+    assert crossing(lazy_job(2, 1, 3, 1), now=2) is None
+    assert crossing(lazy_job(2, 1, 3, 1), now=1.999) == 2
     # Parallel stretch lines never meet.
-    assert lssf_crossing(a, lazy_job(2, 1, 5, 1), now=0) is None
+    assert crossing(lazy_job(2, 1, 5, 1), now=0) is None
+
+
+@pytest.mark.parametrize("bits", [53, 64, 128])
+def test_round_up_gives_the_least_number_at_or_above_the_ratio(bits):
+    ctx = PrecisionContext(bits)
+    prec = _prec(ctx)
+    rng = random.Random(bits)
+    ratios = [(0, 7), (1, 1), (4, 3), (1, 3 << 40), (7 << 90, 5)]
+    for _ in range(100):
+        m = rng.getrandbits(prec - 1) | 1 << (prec - 1)  # prec bits
+        scale = 1 << rng.randrange(100)
+        odd = rng.randrange(1, 1 << 20, 2)
+        ratios += [
+            (m * scale, 1 << rng.randrange(100)),  # exactly representable
+            ((2 * m + 1) * scale, 2 * scale),  # halfway between m and m + 1
+            ((2 * m + 1) * odd + 1, 2 * odd),  # one unit past a halfway point
+            ((2 * m + 1) * odd - 1, 2 * odd),
+            (rng.getrandbits(200) + 1, rng.getrandbits(rng.randrange(1, 300)) + 1),
+        ]
+    for num, den in ratios:
+        for sign in (1, -1):
+            got = online._round_up(sign * num, den, ctx)
+            exact = Fraction(sign * num, den)
+            if exact:
+                assert _is_ceiling(got, exact, ctx), (sign * num, den)
+            else:
+                assert got == 0 and type(got) is type(ctx.real(1))
+    if bits == 53:
+        # Below the normal doubles, and past the largest one.
+        assert online._round_up(1, 1 << 1100, ctx) == 5e-324
+        assert online._round_up(1 << 2000, 1, ctx) == math.inf
+        assert online._round_up(-1 << 2000, 1, ctx) == -1.7976931348623157e308
 
 
 def test_thrashing_activation_point():
@@ -108,25 +171,32 @@ def test_stretch_rule_chases_the_largest_stretch():
 
 
 def test_stretch_tie_goes_to_the_faster_growing_job():
-    # At t = 4/3 both stretches equal 1/3; the shorter window grows
+    # At t = 2 both stretches equal 1/2 exactly; the shorter window grows
     # faster and must win even while the other job holds the machine.
-    jobs = (lazy_job(1, 0, 4, 1), lazy_job(2, 1, 2, 0.4))
     spec = PolicySpec(Policy.LSSF)
-    assert _state(spec, jobs, running=1).dispatch(4 / 3) == 2
+    jobs = (lazy_job(1, 0, 4, 1), lazy_job(2, 1, 3, 0.4))
+    assert _state(spec, jobs, running=1).dispatch(2) == 2
+    # The lines of jobs 1 and 3 meet at 4/3.  The double nearest it lies
+    # below, where job 3's line is still lower, so job 1 keeps the machine;
+    # the double above it is where job 3 takes over.
+    jobs = (lazy_job(1, 0, 4, 1), lazy_job(3, 1, 2, 0.4))
+    assert _exact(4 / 3) < Fraction(4, 3)
+    assert _state(spec, jobs, running=1).dispatch(4 / 3) == 1
+    assert _state(spec, jobs, running=1).dispatch(math.nextafter(4 / 3, 2)) == 3
 
 
 def test_full_tie_prefers_the_running_job():
-    # Job 2's release sits a hair after job 1's, so the two wait in
-    # separate buckets, yet both have length 4 and their stretches tie at
-    # t = 1 within tolerance.  Only the running job breaks the tie.
+    # Jobs 1 and 2 share a release, and their due dates 3 and 3 + u lie
+    # one spacing u apart, so the two wait in separate buckets.  Yet
+    # due - release, 3 -+ u/2 exactly, rounds to even, onto 3, for both:
+    # their stretch lines are one line.  Only the running job breaks the tie.
     spec = PolicySpec(Policy.LSSF)
-    for bits, offset in ((53, 2.0**-60), (128, 2**-120)):
+    for bits in (53, 128):
         ctx = PrecisionContext(bits)
         x = ctx.real
-        hair = x(offset)
-        jobs = (lazy_job(1, x(0), x(4), x(1)), lazy_job(2, hair, x(4) + hair, x(1)))
-        assert jobs[1].release > 0 and jobs[0].length == jobs[1].length
-        assert ctx.close(stretch(jobs[0], x(1)), stretch(jobs[1], x(1)))
+        u = x(2) ** (2 - bits)  # the spacing of ctx's numbers in [2, 4)
+        jobs = (lazy_job(1, u / 2, x(3), x(1)), lazy_job(2, u / 2, x(3) + u, x(1)))
+        assert jobs[0].due != jobs[1].due and jobs[0].length == jobs[1].length == 3
         assert len(_state(spec, jobs, ctx=ctx).buckets) == 2
         assert _state(spec, jobs, running=2, ctx=ctx).dispatch(x(1)) == 2
         assert _state(spec, jobs, ctx=ctx).dispatch(x(1)) == 1
@@ -156,7 +226,7 @@ def test_next_event_is_the_policys_own(bits):
     jobs = (lazy_job(1, x(0), x(4), x(1)), lazy_job(2, x(1), x(2), x(0.4)))
     spec = PolicySpec(Policy.LSSF)
     state = _state(spec, jobs, running=1, ctx=ctx)
-    assert state.next_event(1) == x(4) / 3
+    assert _is_ceiling(state.next_event(1), Fraction(4, 3), ctx)
     # The others act only at releases and completions.
     for policy in (Policy.FIFO, Policy.EDD, Policy.SRPT):
         spec = PolicySpec(policy)
@@ -206,12 +276,15 @@ def test_sim_state_takes_only_spec_jobs_and_ctx():
     state = SimState(spec=PolicySpec(Policy.LSSF), jobs=jobs, ctx=DOUBLE)
     assert state.jobs is jobs
     assert (state.remaining, state.running, state.buckets) == ({}, None, {})
-    assert state.screen is None  # 53 bits: nothing to screen
     # Each state starts with its own containers.
     other = SimState(PolicySpec(Policy.LSSF), jobs, DOUBLE)
     assert other.remaining is not state.remaining and other.buckets is not state.buckets
-    # Above 53 bits, LSSF screens its decisions from the start.
-    assert SimState(PolicySpec(Policy.LSSF), jobs, PrecisionContext(128)).screen is not None
+    # LSSF holds every job's exact stretch line from the start, at every
+    # precision: release 0 and length 2 on the grid 2**0.
+    for ctx in (DOUBLE, PrecisionContext(128)):
+        lines = SimState(PolicySpec(Policy.LSSF), jobs, ctx).stretch_lines
+        assert (lines.grid, lines.lines) == (0, {1: (0, 2)})
+    assert SimState(PolicySpec(Policy.SRPT), jobs, DOUBLE).stretch_lines is None
 
 
 def test_policy_spec_validation():
@@ -453,11 +526,42 @@ def test_high_precision_run_matches_double_closely():
         )
 
 
+def test_lssf_short_window_takes_over_at_64_bits():
+    # At 64 bits job 400 of the cascade has a window 8.7e-19 long, released
+    # at 1.048 while job 1 runs.  Its line overtakes job 1's there; a
+    # crossing rounded below the exact one would have left it waiting
+    # until 2.82, for a max stretch of 2e18.
+    ctx = PrecisionContext(64)
+    trace = simulate(gen_lssf(400, ctx), PolicySpec(Policy.LSSF), ctx)
+    assert max_stretch(trace) < ctx.sqrt(ctx.real(399))
+    start = next(e.time for e in trace.events if e.kind is EventKind.START and e.job == 400)
+    assert start < ctx.parse("1.05")
+
+
+def test_lssf_runs_of_the_same_doubles_drift_about_an_ulp():
+    # LSSF's decisions are exact, so a 53-bit run strays from a 256-bit run
+    # of the same doubles only by the roundoff of its completion times.
+    inst = gen_random_feasible(2000, 1, DOUBLE)
+    wide = PrecisionContext(256)
+    x = wide.real
+    lifted = Instance(tuple(Job(j.id, x(j.release), x(j.due), x(j.work), x(j.base), x(j.slope))
+                            for j in inst.jobs))
+    narrow = simulate(inst, PolicySpec(Policy.LSSF), DOUBLE)
+    exact = simulate(lifted, PolicySpec(Policy.LSSF), wide)
+    assert _kinds(narrow) == _kinds(exact)
+    gap = max(abs(_exact(a.time) / _exact(b.time) - 1)
+              for a, b in zip(narrow.events, exact.events) if b.time)
+    assert gap <= Fraction(4, 2**53)
+
+
 # --- the simulator against its scan reference ---------------------------------
 
 
 def _scan_dispatch(spec, jobs, released, remaining, caps, running, t, ctx):
-    """The dispatch rule as first written: rescan every released job."""
+    """The dispatch rule as first written: rescan every released job.
+
+    LSSF runs the exact maximum of the stretch lines, in Fractions.
+    """
     cands = [jobs[i] for i in released]
     kind = spec.kind
     if kind is Policy.FIFO:
@@ -470,9 +574,9 @@ def _scan_dispatch(spec, jobs, released, remaining, caps, running, t, ctx):
 
         return min(cands, key=lambda j: (rpt(j), j.id != running, j.id)).id
     if kind is Policy.LSSF:
-        so_far = [stretch(j, t) for j in cands]
+        so_far = [(_exact(t) - _exact(j.release)) / _exact(j.length) for j in cands]
         top = max(so_far)
-        tied = [j for j, s in zip(cands, so_far) if ctx.close(s, top)]
+        tied = [j for j, s in zip(cands, so_far) if s == top]
         return min(tied, key=lambda j: (j.length, j.id != running, j.id)).id
     when = {j.id: thrashing_activation(j, spec.alpha) for j in cands}
     eligible = [j for j in cands if t >= when[j.id]]
@@ -485,6 +589,8 @@ def _scan_simulate(instance, spec, ctx):
     """The event loop as first written: every event rescans every released job.
 
     Like simulate, it computes in ctx's numbers whatever the jobs hold.
+    LSSF's next crossing is the least exact one after t, in Fractions,
+    rounded up to ctx.
     """
     x = ctx.real
     order = [Job(j.id, x(j.release), x(j.due), x(j.work), j.base, j.slope)
@@ -539,9 +645,10 @@ def _scan_simulate(instance, spec, ctx):
             horizon.append(finish_at)
             if spec.kind is Policy.LSSF:
                 for jid in released - {running}:
-                    cross = lssf_crossing(job, jobs[jid], t)
-                    if cross is not None:
-                        horizon.append(cross)
+                    if jobs[jid].length != job.length:
+                        cross = _exact_crossing(job, jobs[jid])
+                        if cross > _exact(t):
+                            horizon.append(_ceiling(cross, ctx))
         if spec.kind is Policy.THRASHING:
             for jid in released:
                 when = thrashing_activation(jobs[jid], spec.alpha)
@@ -594,14 +701,28 @@ def _bucket_stress(ctx):
                     job(4, "0.5", "2", "0.1", base="0.5")), "base-twins")
 
 
-def _exact(v):
-    m, e = dyadic(v)
-    return Fraction(m) * Fraction(2) ** e
-
-
 def _exact_crossing(a, b):
     ra, la, rb, lb = map(_exact, (a.release, a.length, b.release, b.length))
     return (ra * lb - rb * la) / (lb - la)
+
+
+def _ceiling(exact, ctx):
+    """The least number of ctx at or above the positive Fraction exact (normal range)."""
+    prec = _prec(ctx)
+    top = exact.numerator.bit_length() - exact.denominator.bit_length()
+    if exact >= Fraction(2) ** top:
+        top += 1  # now 2**(top - 1) <= exact < 2**top
+    step = top - prec
+    return ctx.real(math.ceil(exact / Fraction(2) ** step)) * ctx.real(2) ** step
+
+
+def _rounded_crossing(a, b, now):
+    """Where the stretch lines of a and b meet after now, in rounded arithmetic."""
+    la, lb = a.length, b.length
+    if la == lb:
+        return None
+    t = (a.release * lb - b.release * la) / (lb - la)
+    return t if t > now else None
 
 
 def _ulp(v, ctx):
@@ -611,10 +732,11 @@ def _ulp(v, ctx):
 
 
 def _window_edge(ctx):
-    """LSSF: at job 3's release, job 2's stretch rounds onto job 1's tie window.
+    """LSSF: at job 3's release, job 2's rounded stretch is within tolerance of job 1's.
 
-    Exactly, job 2's stretch lies below the window, so only the rounding
-    of `stretch` puts job 2 in the tie, where its shorter window wins.
+    Exactly, job 2's stretch lies below job 1's by more than the
+    tolerance, so only rounding and a tolerance tie would hand job 2,
+    with its shorter window, the machine there.
     """
     x = ctx.real
     t = x(3) / 2
@@ -633,14 +755,14 @@ def _window_edge(ctx):
 
 
 def _past_crossing(ctx):
-    """LSSF: a crossing at or before a rebuild time that rounds to after it.
+    """LSSF: a crossing at or before an event time that rounds to after it.
 
     Steep job 4 runs until t, when job 1 starts.  Job 2's line is nearly
-    parallel to job 1's and meets it, exactly, at or before t; but
-    lssf_crossing cancels and rounds that crossing to some t' > t, which
-    becomes an event of the run.  Job 3's line meets job 1's just after
-    t', inside the tie window, so job 3 takes over at t'; without the
-    event at t', it would take over only at its own crossing.
+    parallel to job 1's and meets it, exactly, at or before t; but the
+    rounded formula cancels and puts that crossing at some t' > t.  Job
+    3's line meets job 1's just after t', within the context's tolerance
+    there.  Exactly, job 2 never overtakes job 1 after t, and job 3 takes
+    over only at its own crossing.
     """
     x = ctx.real
     steep = lazy_job(4, x(0), x(1) / 8, x(2) / 5)
@@ -656,7 +778,7 @@ def _past_crossing(ctx):
         first = lazy_job(1, ra, ra + length, length * length / 2)
         due = rb + length + (ra - rb) * length / (t - ra)  # lines meet near t
         second = lazy_job(2, rb, due, x(1) / 4)
-        cross = lssf_crossing(first, second, t)
+        cross = _rounded_crossing(first, second, t)
         gap = _exact(t) - _exact_crossing(first, second)
         if cross is not None and gap >= 0 and (best is None or gap > best[0]):
             best = gap, first, second, t, cross
@@ -691,12 +813,12 @@ def _int_window_edge(ctx):
     return Instance((first, tied, third), "int-window-edge")
 
 
-def _screen_stress(ctx):
-    """LSSF instances on which the screen's rounding bounds are nearly tight."""
+def _rounding_stress(ctx):
+    """LSSF near ties and nearly parallel lines, where rounded arithmetic misleads."""
     x = ctx.real
     third = x(1) / 3
     # Releases and lengths a few ulps apart: nearly parallel lines, whose
-    # mpf crossings cancel to roundoff noise the size of the releases.
+    # rounded crossings cancel to roundoff noise the size of the releases.
     ur, ul = _ulp(third, ctx), _ulp(2 * third, ctx)
     jobs = []
     shifts = ((0, 0), (3, -1), (1, 2), (5, 1), (2, -2), (4, 3), (6, -3), (7, 4))
@@ -739,11 +861,11 @@ def _reference_corpus():
             yield gen_srpt(n, ctx), ctx
             yield gen_fifo(n, ctx), ctx
             yield gen_edd(n, ctx), ctx
-    # Above 53 bits LSSF screens in exact integers; at 64 bits the tie
-    # window, 2**-48, is wider than a double's spacing.
+    # The near ties above double precision; at 64 bits the context's
+    # tolerance, 2**-48, is wider than a double's spacing.
     for bits in (64, 128, 200):
         ctx = PrecisionContext(bits)
-        for inst in _screen_stress(ctx):
+        for inst in _rounding_stress(ctx):
             yield inst, ctx
         yield gen_lssf(17, ctx), ctx
 
@@ -826,43 +948,66 @@ def test_static_key_dispatch_comparisons_grow_as_n_log_n(monkeypatch):
         assert sum(count[0] for count in counts) - before <= 6 * n * math.log2(n), policy
 
 
-def test_stretch_crossings_are_computed_once_per_running_job(monkeypatch):
-    ctx = PrecisionContext(128)
-    inst = gen_lssf(241, ctx)
-    calls = _count_calls(monkeypatch, online, "lssf_crossing")
-    trace = simulate(inst, PolicySpec(Policy.LSSF), ctx)
-    assert len(trace.completions) == 241
-    assert 0 < calls[0] <= 11_000
+def _count_line_reads(monkeypatch):
+    """Count LSSF's reads of its exact lines, and the reads a visit of the heads allows.
+
+    Returns [reads, allowed]: reads counts every line a run looks up in
+    its StretchLines, and allowed adds up, over every dispatch and
+    next_crossing call, the bucket heads plus the running job.
+    """
+    counts = [0, 0]
+
+    class Reads(dict):
+        def __getitem__(self, jid):
+            counts[0] += 1
+            return dict.__getitem__(self, jid)
+
+    build = online.StretchLines.__init__
+
+    def counted(self, jobs):
+        build(self, jobs)
+        self.lines = Reads(self.lines)
+
+    monkeypatch.setattr(online.StretchLines, "__init__", counted)
+    for name in ("dispatch", "next_crossing"):
+        def allowing(self, t, decide=getattr(SimState, name)):
+            counts[1] += len(self.buckets) + (self.running is not None)
+            return decide(self, t)
+
+        monkeypatch.setattr(SimState, name, allowing)
+    return counts
 
 
-def test_lssf_cascade_screens_its_mpf_kernels(monkeypatch):
-    # Unscreened, each event evaluated ~29 stretches and ~14 crossings.
-    ctx = PrecisionContext(128)
-    inst = gen_lssf(241, ctx)
+@pytest.mark.parametrize("n,bits", [(241, 128), (400, 53)])
+def test_lssf_cascade_reads_only_head_and_running_lines(monkeypatch, n, bits):
+    # Each decision reads the lines of the bucket heads and the running
+    # job, and no rounded stretch: `stretch` runs only for the trace's.
+    ctx = PrecisionContext(bits)
+    inst = gen_lssf(n, ctx)
+    reads = _count_line_reads(monkeypatch)
     stretches = _count_calls(monkeypatch, online, "stretch")
-    crossings = _count_calls(monkeypatch, online, "lssf_crossing")
     trace = simulate(inst, PolicySpec(Policy.LSSF), ctx)
-    assert len(trace.completions) == 241
-    assert 0 < stretches[0] <= 3 * len(trace.events)
-    assert 0 < crossings[0] <= 3 * len(trace.events)
+    assert len(trace.completions) == n
+    assert 0 < reads[0] <= reads[1]
+    assert stretches[0] == n
 
 
 # sha256 of the canonical JSON of each cascade's LSSF trace, as test_golden
-# hashes records, recorded from the simulator before LSSF was screened.
-UNSCREENED_CASCADES = {
-    (241, 128): "04028e4d70992802c44c80845a71f20d295822fda484f3b7820a773bc3a69cc6",
-    (800, 128): "f119d61341f9f90fb4b1d206432b706cf7d0e5d3d481291bf0d72e7992c03d2e",
-    (400, 53): "fabc61ed331fa1a5341adde26823bd19f03add7d516203e3d071f22eafc8ec2e",
+# hashes records, recorded from the simulator that decides LSSF exactly.
+CASCADE_DIGESTS = {
+    (241, 128): "08cc988d8657fab0f4ebb8c0ab7073758dac4368579011f85194ff5ebd5e9ea8",
+    (800, 128): "c88d4abd34fdc35f141be8b55948d39792bd0e890948ca59a72717854701298c",
+    (400, 53): "ad2f58dde718dab423e05db17896aa0380cc6e2ea8d1c1a9842db8a424dc6ac5",
 }
 
 
-@pytest.mark.parametrize("n,bits", list(UNSCREENED_CASCADES))
+@pytest.mark.parametrize("n,bits", list(CASCADE_DIGESTS))
 def test_cascade_traces_match_the_unscreened_simulator(n, bits):
     ctx = PrecisionContext(bits)
     trace = simulate(gen_lssf(n, ctx), PolicySpec(Policy.LSSF), ctx)
     record = trace_to_record(trace, ctx)
     text = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == UNSCREENED_CASCADES[n, bits]
+    assert hashlib.sha256(text.encode()).hexdigest() == CASCADE_DIGESTS[n, bits]
 
 
 def test_srpt_evaluates_each_bucket_once_per_event(monkeypatch):
@@ -878,25 +1023,27 @@ def test_srpt_evaluates_each_bucket_once_per_event(monkeypatch):
 def test_lssf_evaluates_each_bucket_once_per_event(monkeypatch):
     ctx = PrecisionContext(128)
     inst = gen_srpt(241, ctx)
+    reads = _count_line_reads(monkeypatch)
     stretches = _count_calls(monkeypatch, online, "stretch")
-    crossings = _count_calls(monkeypatch, online, "lssf_crossing")
     trace = simulate(inst, PolicySpec(Policy.LSSF), ctx)
     assert len(trace.completions) == 241
-    assert 0 < stretches[0] <= 3 * len(trace.events)
-    assert crossings[0] <= 241
+    assert 0 < reads[0] <= reads[1] <= 3 * len(trace.events)
+    assert stretches[0] == 241
 
 
 def test_ten_thousand_job_batch_at_double(monkeypatch):
     n = 10_000
     inst = gen_srpt(n, DOUBLE)
     kernels = {name: _count_calls(monkeypatch, online, name)
-               for name in ("completion_from", "stretch", "lssf_crossing")}
+               for name in ("completion_from", "stretch")}
+    reads = _count_line_reads(monkeypatch)
     for policy in (Policy.SRPT, Policy.LSSF):
-        for count in kernels.values():
-            count[0] = 0
+        for count in (*kernels.values(), reads):
+            count[:] = [0] * len(count)
         trace = simulate(inst, PolicySpec(policy), DOUBLE)
         assert len(trace.completions) == n
         assert sum(count[0] for count in kernels.values()) <= 4 * len(trace.events)
+        assert reads[0] <= reads[1] <= 3 * len(trace.events)
         report = validate_schedule(inst, trace, DOUBLE)
         assert report.ok and not report.incomplete, (policy, report.violations[:1])
         if policy is Policy.SRPT:
