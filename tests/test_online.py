@@ -992,6 +992,38 @@ def test_lssf_cascade_reads_only_head_and_running_lines(monkeypatch, n, bits):
     assert stretches[0] == n
 
 
+def test_stretch_crossings_are_computed_once_per_running_job(monkeypatch):
+    # next_crossing rounds at most one crossing per call, and runs only
+    # while a job runs, at most once per event.
+    ctx = PrecisionContext(128)
+    inst = gen_lssf(241, ctx)
+    rounded = _count_calls(monkeypatch, online, "_round_up")
+    visits = [0]
+    crossing = SimState.next_crossing
+
+    def counted(self, t):
+        visits[0] += self.running is not None
+        return crossing(self, t)
+
+    monkeypatch.setattr(SimState, "next_crossing", counted)
+    trace = simulate(inst, PolicySpec(Policy.LSSF), ctx)
+    assert len(trace.completions) == 241
+    assert 0 < rounded[0] <= visits[0] <= len(trace.events)
+
+
+def test_lssf_cascade_screens_its_mpf_kernels(monkeypatch):
+    # LSSF's decisions are exact: the context's arithmetic runs only to
+    # round a crossing up, and stretch only for the trace's stretches.
+    ctx = PrecisionContext(128)
+    inst = gen_lssf(241, ctx)
+    stretches = _count_calls(monkeypatch, online, "stretch")
+    rounded = _count_calls(monkeypatch, online, "_round_up")
+    trace = simulate(inst, PolicySpec(Policy.LSSF), ctx)
+    assert len(trace.completions) == 241
+    assert stretches[0] == 241
+    assert 0 < rounded[0] <= 3 * len(trace.events)
+
+
 # sha256 of the canonical JSON of each cascade's LSSF trace, as test_golden
 # hashes records, recorded from the simulator that decides LSSF exactly.
 CASCADE_DIGESTS = {
